@@ -60,11 +60,14 @@ DEFAULT_THREADS_ENV = "FATFLATS_THREADS"
 
 
 def _parse_fraction(text: str) -> Fraction:
-    """Accept "1e-6", "0.001", or "1/1000000"."""
+    """Accept "1e-6", "0.001", or "1/1000000"; anything else is a usage error."""
     try:
-        return Fraction(text)
-    except ValueError:
-        return Fraction(Decimal(text))
+        try:
+            return Fraction(text)
+        except ValueError:
+            return Fraction(Decimal(text))
+    except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
+        raise SystemExit2(f"not a rational number: {text!r}") from None
 
 
 def _parse_mults(text: str) -> tuple[int, ...]:

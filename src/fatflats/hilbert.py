@@ -7,8 +7,9 @@ degrees t >= m such vanishing imposes exactly
     c(n, r, m, t) = sum_{0 <= i < m} C(t - i + r, r) * C(i + n - r - 1, n - r - 1)
 
 independent conditions.  This module provides that count, an independent
-monomial-enumeration oracle for it, the Hilbert function of a single fat
-flat via the iterated-summation recursion, Hilbert polynomials of unions
+monomial-enumeration oracle for it, a difference-table stepper for the
+Hilbert values of a union at consecutive degrees, the Hilbert function of a
+single fat flat via the iterated-summation recursion, Hilbert polynomials of unions
 with uniform or mixed multiplicities (including a fully symbolic variant
 where the multiplicity stays a formal variable), and the closed-form
 initial-degree formulas for general points and lines.
@@ -16,11 +17,12 @@ initial-degree formulas for general points and lines.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
@@ -71,6 +73,30 @@ def conditions_count(n: int, r: int, m: int, t: int) -> int:
     if t < m:
         raise ValueError(f"conditions_count requires t >= m, got t={t}, m={m}")
     return sum(binom(t - i + r, r) * binom(i + n - r - 1, n - r - 1) for i in range(m))
+
+
+def hilbert_values(n: int, r: int, s: int, m: int) -> Iterator[int]:
+    """Yield the Hilbert values P_m(m), P_m(m + 1), ... without end.
+
+    P_m(t) = C(t + n, n) - s * c(n, r, m, t), and at every integer t >= m the
+    count c(n, r, m, t) agrees with a polynomial of degree r in t (each
+    summand C(t - i + r, r) has i < m <= t).  So the r + 1 exact counts at
+    t = m..m+r fix all later ones, and each later count costs r integer
+    additions through the table of backward differences.  Counts are drawn
+    lazily: a caller that stops after k values makes at most k of them.
+    """
+    check_flat_domain(n, r, s)
+    diffs: list[int] = []  # diffs[k] is the k-th backward difference of the counts at t
+    for t in itertools.count(m):
+        if t <= m + r:
+            count = conditions_count(n, r, m, t)
+            for k in range(len(diffs)):
+                diffs[k], count = count, count - diffs[k]
+            diffs.append(count)
+        else:
+            for k in range(r - 1, -1, -1):
+                diffs[k] += diffs[k + 1]
+        yield comb(t + n, n) - s * diffs[0]
 
 
 def conditions_count_oracle(n: int, r: int, m: int, t: int, guard: int = ORACLE_GUARD) -> int:

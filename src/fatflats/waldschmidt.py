@@ -17,6 +17,14 @@ argument on the regrouped polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
      x = candidate is negative, so P(m*candidate) < 1;
   4. the finitely many remaining (t, m) pairs are checked one by one.
 
+Both (t, m) scans walk t upward at fixed m and take their values from
+``hilbert.hilbert_values``.  That is exact, not an approximation: for every
+integer t >= m the value P_m(t) = C(t + n, n) - s * c(n, r, m, t) is a
+polynomial in t (the count c has degree r), so a few exact seeds and then
+integer additions through a difference table give every later value.
+Ratios are compared by cross-multiplication, never by building a Fraction
+per pair.
+
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the constant term n! can be carried along exactly rather than
 dropped.  Known Waldschmidt constants (closed forms for few general points,
@@ -36,13 +44,15 @@ from .hilbert import (
     check_flat_domain,
     conditions_count,
     hilbert_poly_symbolic,
+    hilbert_values,
 )
-from .polynomials import UniPoly, binom, expand_scaled, fraction_to_str
+from .polynomials import UniPoly, binom, expand_scaled, fraction_to_json
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
     count_roots_in,
     isolate_largest_root,
+    sturm_chain,
 )
 
 
@@ -67,24 +77,28 @@ def _hilbert_value(n: int, r: int, s: int, m: int, t: int) -> int:
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    For each m only t up to ceil(m * best) is scanned; larger t cannot
-    improve the infimum estimate.
+    For each m, t runs upward from m only while t/m stays below the best
+    ratio so far (t * best.m < best.t * m); larger t cannot improve the
+    infimum estimate, and equal ratios keep the earlier, smaller m.  Before
+    any witness is found, t runs up to the safety band 10m + C(s + n, n).
+    The values come from ``hilbert_values``, which is exact here because
+    P_m(t) is a polynomial in t for all integer t >= m.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     best: Optional[RatioWitness] = None
     for m in range(1, m_max + 1):
-        t = m
-        while True:
-            if best is not None and Fraction(t, m) >= best.ratio:
-                break
-            value = _hilbert_value(n, r, s, m, t)
+        if best is None:
+            stop = 10 * m + binom(s + n, n) + 1
+        else:
+            stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
+        for t, value in zip(range(m, stop), hilbert_values(n, r, s, m)):
             if value > 0:
                 best = RatioWitness(t, m, value)
                 break
-            t += 1
-            if best is None and t > 10 * m + binom(s + n, n):
+        else:
+            if best is None:
                 raise ArithmeticError("no witness found in the safety band")
     assert best is not None
     return best
@@ -96,7 +110,7 @@ class MonotonicityCheck:
 
     index: int
     interval: tuple[Fraction, Fraction]
-    verdict: str  # "increasing" or "constant"
+    verdict: str  # "increasing", "constant", or "vacuous" (one-point interval, nothing checked)
 
 
 @dataclass(frozen=True)
@@ -116,14 +130,14 @@ class ECertificate:
 
     def to_json(self) -> dict:
         return {
-            "ratio": fraction_to_str(self.ratio),
+            "ratio": fraction_to_json(self.ratio),
             "witness": {"t": self.witness.t, "m": self.witness.m, "value": self.witness.value},
-            "x_lo": fraction_to_str(self.x_lo),
+            "x_lo": fraction_to_json(self.x_lo),
             "m_threshold": self.m_threshold,
             "monotonicity": [
                 {
                     "index": c.index,
-                    "interval": [fraction_to_str(c.interval[0]), fraction_to_str(c.interval[1])],
+                    "interval": [fraction_to_json(c.interval[0]), fraction_to_json(c.interval[1])],
                     "verdict": c.verdict,
                 }
                 for c in self.coefficient_monotonicity
@@ -169,7 +183,6 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     if s == 1:
         # t >= m forces every ratio >= 1, and (t, m) = (1, 1) realizes 1
         if candidate != 1:
-            witness = _find_witness_for(n, r, s, candidate)
             raise CertificationError("scan", "a single flat realizes ratio 1, beating the candidate")
         witness = RatioWitness(1, 1, _hilbert_value(n, r, 1, 1, 1))
         return ECertificate(
@@ -211,11 +224,13 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         if der.is_zero:
             checks.append(MonotonicityCheck(i, (x_lo, candidate), "constant"))
             continue
-        if x_lo < candidate:
-            if count_roots_in(der, x_lo, candidate) != 0 or der(candidate) <= 0:
-                raise CertificationError(
-                    "monotonicity", f"coefficient of m^{i} is not increasing on the interval"
-                )
+        if x_lo == candidate:
+            checks.append(MonotonicityCheck(i, (x_lo, candidate), "vacuous"))
+            continue
+        if count_roots_in(der, x_lo, candidate) != 0 or der(candidate) <= 0:
+            raise CertificationError(
+                "monotonicity", f"coefficient of m^{i} is not increasing on the interval"
+            )
         checks.append(MonotonicityCheck(i, (x_lo, candidate), "increasing"))
 
     # step (iv): threshold with the nonconstant part negative at x = candidate
@@ -233,9 +248,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     # step (v): exhaustive scan of every remaining pair with ratio < candidate
     pairs = 0
     for m in range(1, m_threshold):
-        t_hi = ceil(m * candidate) - 1
-        for t in range(m, t_hi + 1):
-            value = _hilbert_value(n, r, s, m, t)
+        for t, value in zip(range(m, ceil(m * candidate)), hilbert_values(n, r, s, m)):
             pairs += 1
             if value > 0:
                 raise CertificationError(
@@ -251,23 +264,24 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     )
 
 
-def _smallest_root_in(p: UniPoly, lo: Fraction, hi: Fraction) -> Fraction:
+def _smallest_root_in(p: UniPoly, lo: Fraction, hi: Fraction, chain: list[UniPoly]) -> Fraction:
     """A certified rational strictly below the smallest root of p in (lo, hi].
 
     The returned point a satisfies lo <= a < (smallest root) and p has no
-    roots in (lo, a], so the sign of p is constant on (lo, a].
+    roots in (lo, a], so the sign of p is constant on (lo, a].  ``chain`` is
+    the Sturm chain of p, built once by the caller for every count.
     """
     a, b = lo, hi
-    while count_roots_in(p, a, b) > 1:
+    while count_roots_in(p, a, b, chain) > 1:
         mid = (a + b) / 2
-        if count_roots_in(p, a, mid) >= 1:
+        if count_roots_in(p, a, mid, chain) >= 1:
             b = mid
         else:
             a = mid
     width = Fraction(1, 10**6)
     while b - a > width:
         mid = (a + b) / 2
-        if count_roots_in(p, a, mid) >= 1:
+        if count_roots_in(p, a, mid, chain) >= 1:
             b = mid
         else:
             a = mid
@@ -284,11 +298,12 @@ def _coefficient_sign_limit(ci: UniPoly, candidate: Fraction) -> Fraction:
     one = Fraction(1)
     if ci(1) > 0:
         return one
-    if count_roots_in(ci, one, candidate) == 0:
+    chain = sturm_chain(ci)
+    if count_roots_in(ci, one, candidate, chain) == 0:
         # no root in the interval, so ci(candidate) != 0 and the sign there
         # rules the whole of (1, candidate]
         return candidate if ci(candidate) < 0 else one
-    limit = _smallest_root_in(ci, one, candidate)
+    limit = _smallest_root_in(ci, one, candidate, chain)
     if limit > one and ci(limit) < 0:
         return limit
     return one
@@ -370,7 +385,7 @@ class BoundsReport:
         gamma = None
         if self.gamma is not None:
             gamma = {
-                "value": fraction_to_str(self.gamma.value),
+                "value": fraction_to_json(self.gamma.value),
                 "source": self.gamma.source,
                 "exact": self.gamma.exact,
             }
@@ -379,7 +394,7 @@ class BoundsReport:
             "r": self.r,
             "s": self.s,
             "gamma": gamma,
-            "e": fraction_to_str(self.e),
+            "e": fraction_to_json(self.e),
             "e_certified": self.e_certified,
             "e_witness": {"t": self.e_witness.t, "m": self.e_witness.m},
             "e_below_g": self.e_below_g,

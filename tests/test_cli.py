@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,10 +130,24 @@ def test_bounds_json_round_trip(capsys):
     assert json.dumps(payload, separators=(",", ":")) + "\n" == out
 
 
+def _integers_as_ints(obj, key=None):
+    """True when no field but a decimal rendering holds an integer as a string."""
+    if isinstance(obj, dict):
+        return all(_integers_as_ints(v, k) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(_integers_as_ints(v, key) for v in obj)
+    return not (isinstance(obj, str) and key != "decimal" and re.fullmatch(r"-?\d+", obj))
+
+
 def test_json_round_trip_everywhere(capsys):
     cases = [
         ["lambda", "3", "1", "6", "--g", "--json"],
+        ["lambda", "1", "0", "5", "--g", "--json"],
         ["e", "3", "0", "4", "--certify", "--json"],
+        ["e", "3", "0", "2", "--certify", "--json"],
+        ["e", "3", "1", "6", "--certify", "--json"],
+        ["bounds", "3", "0", "2", "--json"],
+        ["bounds", "3", "1", "6", "--json"],
         ["conditions", "4", "2", "4", "4", "--json"],
         ["verify", "nosymetry", "9", "--json"],
         ["cremona", "--dim", "3", "--system", "12;7,7,7,7,7,7", "--reduce", "--json"],
@@ -140,7 +155,25 @@ def test_json_round_trip_everywhere(capsys):
     for argv in cases:
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert json.dumps(json.loads(out), separators=(",", ":")) + "\n" == out
+        payload = json.loads(out)
+        assert json.dumps(payload, separators=(",", ":")) + "\n" == out
+        assert _integers_as_ints(payload), argv
+
+
+def test_integers_print_as_ints(capsys):
+    code, out = run_cli(capsys, "bounds", "3", "0", "2", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["e"] == 1 and payload["gamma"]["value"] == 1
+    code, out = run_cli(capsys, "e", "3", "0", "2", "--certify", "--json")
+    cert = json.loads(out)["certificate"]
+    assert code == 0 and cert["ratio"] == 1 and cert["x_lo"] == 1
+    assert {c["verdict"] for c in cert["monotonicity"]} == {"vacuous"}
+
+
+@pytest.mark.parametrize("prec", ["abc", "inf", "1/0", ""])
+def test_unparsable_precision_is_a_usage_error(capsys, prec):
+    assert main(["lambda", "3", "1", "6", "--g", "--prec", prec]) == 2
+    assert "not a rational number" in capsys.readouterr().err
 
 
 def test_csv_output(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from fatflats.hilbert import (
     hilbert_poly_mixed,
     hilbert_poly_symbolic,
     hilbert_poly_uniform,
+    hilbert_values,
     identity_sum_binom,
     identity_sum_i_binom,
 )
@@ -193,3 +195,37 @@ def test_conditions_poly_matches_count():
         poly = conditions_poly(n, r, m)
         for t in range(m, m + 8):
             assert poly(t) == conditions_count(n, r, m, t)
+
+
+@st.composite
+def _stepper_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    s = draw(st.integers(min_value=1, max_value=20))
+    r_max = n - 1 if s == 1 else (n - 1) // 2
+    r = draw(st.integers(min_value=0, max_value=r_max))
+    m = draw(st.integers(min_value=1, max_value=60))
+    length = draw(st.integers(min_value=0, max_value=3 * n + 40))
+    return n, r, s, m, length
+
+
+@given(_stepper_cases())
+def test_hilbert_values_match_direct_counts(case):
+    n, r, s, m, length = case
+    stepped = list(islice(hilbert_values(n, r, s, m), length))
+    direct = [binom(t + n, n) - s * conditions_count(n, r, m, t) for t in range(m, m + length)]
+    assert stepped == direct
+
+
+def test_hilbert_values_seed_lazily(monkeypatch):
+    # a caller that stops after k values never pays for more than k counts
+    import fatflats.hilbert as hilbert
+
+    calls = []
+    original = hilbert.conditions_count
+    monkeypatch.setattr(hilbert, "conditions_count", lambda *a: calls.append(a) or original(*a))
+    assert list(islice(hilbert_values(7, 3, 4, 30), 2)) == [
+        binom(t + 7, 7) - 4 * original(7, 3, 30, t) for t in (30, 31)
+    ]
+    assert len(calls) == 2
+    list(islice(hilbert_values(7, 3, 4, 30), 200))
+    assert len(calls) == 2 + 4  # r + 1 seeds, then differences only

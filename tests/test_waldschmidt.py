@@ -5,8 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import lambda_poly
+from fatflats.hilbert import conditions_count, hilbert_poly_symbolic
+from fatflats.polynomials import binom, expand_scaled
 from fatflats.waldschmidt import (
     CertificationError,
+    RatioWitness,
     bounds_report,
     e_certify,
     e_empirical,
@@ -39,9 +42,6 @@ def test_e_empirical_antitone_in_mmax():
 def test_e_empirical_returns_a_real_witness(n, s):
     w = e_empirical(n, 0, s, 25)
     assert w.t >= w.m >= 1 and w.value > 0
-    from fatflats.polynomials import binom
-    from fatflats.hilbert import conditions_count
-
     assert w.value == binom(w.t + n, n) - s * conditions_count(n, 0, w.m, w.t)
 
 
@@ -55,6 +55,39 @@ def test_e_empirical_estimate_can_sit_above_g():
     deep = e_empirical(4, 0, 5, 60)
     assert deep.ratio == F(76, 51)
     assert lambda_poly(4, 0, 5)(deep.ratio) < 0
+
+
+def _naive_e_empirical(n, r, s, m_max):
+    """Per-pair scan with a fresh count and a Fraction at every step."""
+    best = None
+    for m in range(1, m_max + 1):
+        t = m
+        while best is None or F(t, m) < best.ratio:
+            value = binom(t + n, n) - s * conditions_count(n, r, m, t)
+            if value > 0:
+                best = RatioWitness(t, m, value)
+                break
+            t += 1
+            assert best is not None or t <= 10 * m + binom(s + n, n)
+    return best
+
+
+@pytest.mark.parametrize(
+    "n, r, s, m_max",
+    [
+        (4, 0, 5, 25),
+        (4, 0, 5, 60),
+        (3, 1, 6, 50),
+        (3, 0, 4, 10),
+        (2, 0, 7, 30),
+        (5, 2, 7, 30),
+        (6, 1, 11, 20),
+        (8, 3, 4, 12),
+        (3, 1, 1, 5),
+    ],
+)
+def test_e_empirical_matches_naive_scan(n, r, s, m_max):
+    assert e_empirical(n, r, s, m_max) == _naive_e_empirical(n, r, s, m_max)
 
 
 def test_certify_points_case():
@@ -72,7 +105,18 @@ def test_certify_lines_case():
     # the sign band reaches (just below) 30/11
     assert abs(cert.x_lo - F(30, 11)) < F(1, 10**5)
     assert cert.x_lo <= F(30, 11)
-    assert cert.pairs_checked > 3000
+    # every pair 1 <= m < 48, m <= t < 27m/7 is scanned exactly once
+    assert cert.pairs_checked == 3243
+    assert cert.pairs_checked == sum(-(-27 * m // 7) - m for m in range(1, 48))
+
+
+def test_certify_degenerate_interval_is_vacuous():
+    # candidate 1 puts x_lo on the candidate: no monotonicity is checked
+    cert = e_certify(3, 0, 2, F(1))
+    assert cert.x_lo == 1
+    assert [c.verdict for c in cert.coefficient_monotonicity] == ["vacuous"] * 3
+    assert all(c.interval == (1, 1) for c in cert.coefficient_monotonicity)
+    assert cert.to_json()["monotonicity"][0] == {"index": 1, "interval": [1, 1], "verdict": "vacuous"}
 
 
 def test_certify_nonobvious_value():
@@ -94,6 +138,29 @@ def test_coefficient_sign_limit_guards_tangent_coefficients():
     honest = UniPoly([-30, 11])
     limit = _coefficient_sign_limit(honest, F(27, 7))
     assert F(30, 11) - F(1, 10**5) < limit <= F(30, 11)
+
+
+def test_sign_limit_builds_one_chain_per_coefficient(monkeypatch):
+    import fatflats.roots as roots
+    import fatflats.waldschmidt as waldschmidt
+
+    built = []
+    original = roots.sturm_chain
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    monkeypatch.setattr(roots, "sturm_chain", counting)
+    monkeypatch.setattr(waldschmidt, "sturm_chain", counting)
+    cs = expand_scaled(6 * hilbert_poly_symbolic(3, 1, 6)).coeffs_in_m
+    bisected = 0
+    for ci in cs[1:]:
+        before = len(built)
+        limit = waldschmidt._coefficient_sign_limit(ci, F(27, 7))
+        assert len(built) - before == (0 if ci(1) > 0 else 1)
+        bisected += 1 < limit < F(27, 7)
+    assert bisected >= 1  # the bisection of _smallest_root_in ran on the one chain
 
 
 def test_certify_trivial_single_flat():
