@@ -26,6 +26,7 @@ from .roots import (
     AlgebraicNumber,
     count_roots_geq,
     isolate_largest_root,
+    sturm_chain,
 )
 
 
@@ -76,12 +77,13 @@ def g_value(
     the root is exactly 1 and is returned as an exact rational.
     """
     lam = lambda_poly(n, r, s)
-    above = count_roots_geq(lam, Fraction(1))
+    chain = sturm_chain(lam)
+    above = count_roots_geq(lam, Fraction(1), chain)
     if above != 1:
         raise ArithmeticError(
             f"expected exactly one root >= 1 for (n={n}, r={r}, s={s}), found {above}"
         )
-    root = isolate_largest_root(lam, Fraction(1), precision)
+    root = isolate_largest_root(lam, Fraction(1), precision, chain)
     assert root is not None
     return root
 

@@ -206,8 +206,7 @@ def hilbert_poly_uniform(n: int, r: int, s: int, m: int) -> UniPoly:
 
 def hilbert_poly_mixed(n: int, r: int, mults: Sequence[int]) -> UniPoly:
     """Hilbert polynomial with one multiplicity per flat; zero entries impose nothing."""
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+    check_flat_domain(n, r, len(mults))
     if any(m < 0 for m in mults):
         raise ValueError("multiplicities must be >= 0 here")
     total = binom_poly(n, n)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -100,16 +100,29 @@ class UniPoly:
 
     ``coeffs[i]`` is the coefficient of x**i.  The zero polynomial has an
     empty coefficient tuple and degree -1; otherwise the leading coefficient
-    is nonzero.  Instances are immutable.
+    is nonzero.  Instances are immutable.  Evaluation runs on a cached
+    integer form: the coefficient numerators over one common denominator.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._ints = None
+
+    def _integer_form(self) -> tuple[list[int], int]:
+        """(nums, den) with coeffs[i] == nums[i] / den and den > 0, cached.
+
+        Built from lists: a tuple grown from a generator is not taken from
+        CPython's tuple free lists but is returned to them, so they fill up.
+        """
+        if self._ints is None:
+            den = lcm(*[c.denominator for c in self.coeffs])
+            self._ints = ([c.numerator * (den // c.denominator) for c in self.coeffs], den)
+        return self._ints
 
     # -- structure ---------------------------------------------------------
 
@@ -210,11 +223,22 @@ class UniPoly:
             n >>= 1
         return result
 
-    def __call__(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
+    def _homogeneous(self, p: int, q: int) -> int:
+        """sum nums[i] p^i q^(d-i), which is self(p/q) * den * q^d, by integer Horner."""
+        acc, qk = 0, 1
+        for c in reversed(self._integer_form()[0]):
+            acc = acc * p + c * qk
+            qk *= q
         return acc
+
+    def __call__(self, x: Scalar) -> Fraction:
+        p, q = x.numerator, x.denominator
+        return Fraction(self._homogeneous(p, q), self._integer_form()[1] * q ** max(self.degree, 0))
+
+    def sign(self, x: Scalar, q: int = 1) -> int:
+        """Sign of self(x / q) for an integer q > 0, without building a Fraction."""
+        v = self._homogeneous(x.numerator, x.denominator * q)
+        return (v > 0) - (v < 0)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -236,15 +260,8 @@ class UniPoly:
         """Integer-primitive scalar multiple with positive leading coefficient."""
         if self.is_zero:
             return self
-        from math import gcd, lcm
-
-        den = 1
-        for c in self.coeffs:
-            den = lcm(den, c.denominator)
-        nums = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
+        nums, _ = self._integer_form()
+        g = gcd(*nums)
         nums = [v // g for v in nums]
         if nums[-1] < 0:
             nums = [-v for v in nums]

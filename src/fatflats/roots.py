@@ -2,15 +2,18 @@
 
 Root counts come from sign-variation chains (Sturm's method) computed on the
 squarefree part, so repeated roots cannot confuse the count.  Isolation is
-bisection driven by those exact counts, followed by a rational-candidate test
-so that rational roots are reported exactly (a degenerate one-point interval)
-instead of as a narrow interval.
+one midpoint bisection, ``bisect_root``: the counts narrow an interval to a
+single root, then the sign of the squarefree part alone refines it.  A
+rational-candidate test reports rational roots exactly (a degenerate
+one-point interval) instead of as a narrow interval.  Signs are computed in
+integers (``UniPoly.sign``), so the hot path builds no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .polynomials import (
@@ -18,6 +21,7 @@ from .polynomials import (
     decimal_str,
     fraction_to_json,
     poly_divmod,
+    poly_gcd,
     squarefree_part,
 )
 
@@ -76,11 +80,7 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
 
 
 def sign_variations(chain: list[UniPoly], x: Fraction) -> int:
-    signs = []
-    for f in chain:
-        v = f(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    signs = [v for v in (f.sign(x) for f in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -104,12 +104,12 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
 
 
-def count_roots_geq(p: UniPoly, x0: Fraction) -> int:
+def count_roots_geq(p: UniPoly, x0: Fraction, chain: list[UniPoly] | None = None) -> int:
     """Number of distinct real roots of p in [x0, infinity)."""
     x0 = Fraction(x0)
     bound = max(cauchy_root_bound(p), x0 + 1)
     at_x0 = 1 if p(x0) == 0 else 0
-    return at_x0 + count_roots_in(p, x0, bound)
+    return at_x0 + count_roots_in(p, x0, bound, chain)
 
 
 def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
@@ -136,74 +136,92 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
         a, b = 1 / (b - f), 1 / (a - f)
 
 
-def _exact(defining: UniPoly, value: Fraction) -> AlgebraicNumber:
-    return AlgebraicNumber(defining, value, value, decimal_str(value))
+def _number(defining: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
+    return AlgebraicNumber(defining, lo, hi, decimal_str((lo + hi) / 2))
+
+
+def bisect_root(
+    sf: UniPoly,
+    lo: Fraction,
+    hi: Fraction,
+    width: Fraction,
+    chain: list[UniPoly] | None = None,
+    smallest: bool = False,
+) -> Optional[tuple[Fraction, Fraction]]:
+    """Midpoint bisection to one root of the squarefree sf in (lo, hi].
+
+    With a ``chain`` (the Sturm chain of sf), a counting phase first narrows
+    (lo, hi] to the largest root, or the smallest one; it returns None when
+    there is no root at all.  Without one, (lo, hi] must already hold
+    exactly one root.  Once it does, the root is in (mid, hi] iff sf(hi) = 0
+    or sf(mid) and sf(hi) differ in sign, so only the sign of sf is read.
+    Returns (lo, hi) of width at most ``width`` holding the root; when a
+    midpoint is the largest root it returns (mid, mid).
+    """
+    if chain is not None:
+        v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+        if v_lo == v_hi:
+            return None
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = sign_variations(chain, mid)
+            if (v_lo > v_mid) if smallest else (v_mid == v_hi):
+                hi, v_hi = mid, v_mid
+            else:
+                lo, v_lo = mid, v_mid
+    # the same midpoints in integers: lo = a/q and hi = b/q
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    width = Fraction(width)
+    s_hi = sf.sign(hi)
+    while (b - a) * width.denominator > width.numerator * q:
+        a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
+        s_mid = sf.sign(mid, q)
+        if s_mid == 0 and not smallest:
+            return Fraction(mid, q), Fraction(mid, q)
+        if s_hi == 0 or s_mid == -s_hi:
+            a = mid
+        else:
+            b, s_hi = mid, s_mid
+    return Fraction(a, q), Fraction(b, q)
 
 
 def isolate_largest_root(
     p: UniPoly,
     lower: Fraction,
     precision: Fraction = DEFAULT_PRECISION,
+    chain: list[UniPoly] | None = None,
 ) -> Optional[AlgebraicNumber]:
     """Largest real root of p that is >= lower, or None if there is none.
 
-    Bisection is driven by exact root counts on the squarefree part; the
-    returned interval has width at most ``precision``.  A rational root is
-    detected by candidate testing and reported exactly.
+    Found by ``bisect_root`` on the squarefree part; the returned interval
+    has width at most ``precision``.  A rational root is detected by
+    candidate testing and reported exactly.  ``chain`` is the Sturm chain of
+    p, when the caller has already built it.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     lower = Fraction(lower)
-    sf = squarefree_part(p)
+    if chain is None:
+        chain = sturm_chain(p)
+    sf = chain[0]
     defining = sf.primitive()
-    chain = sturm_chain(sf)
-    hi = max(cauchy_root_bound(sf), lower + 1)
-    above = count_roots_in(sf, lower, hi, chain)
-    if above == 0:
-        if p(lower) == 0:
-            return _exact(defining, lower)
-        return None
-    lo = lower
-    # narrow (lo, hi] until it contains exactly the largest root
-    while count_roots_in(sf, lo, hi, chain) > 1:
-        mid = (lo + hi) / 2
-        if count_roots_in(sf, mid, hi, chain) >= 1:
-            lo = mid
-        else:
-            hi = mid
-    # refine to the requested width
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if sf(mid) == 0:
-            return _exact(defining, mid)
-        if count_roots_in(sf, mid, hi, chain) == 1:
-            lo = mid
-        else:
-            hi = mid
+    found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)
+    if found is None:
+        return _number(defining, lower, lower) if p.sign(lower) == 0 else None
+    lo, hi = found
     cand = simplest_rational_in(lo, hi)
-    if lo < cand <= hi and sf(cand) == 0:
+    if lo < cand <= hi and sf.sign(cand) == 0:
         # the interval holds exactly one root of sf, so cand is that root
-        return _exact(defining, cand)
-    mid = (lo + hi) / 2
-    return AlgebraicNumber(defining, lo, hi, decimal_str(mid))
+        lo = hi = cand
+    return _number(defining, lo, hi)
 
 
 def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
     """Shrink the isolating interval to the requested width."""
     if alg.is_exact or alg.hi - alg.lo <= precision:
         return alg
-    sf = alg.defining
-    chain = sturm_chain(sf)
-    lo, hi = alg.lo, alg.hi
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        if sf(mid) == 0:
-            return _exact(alg.defining, mid)
-        if count_roots_in(sf, mid, hi, chain) == 1:
-            lo = mid
-        else:
-            hi = mid
-    return AlgebraicNumber(alg.defining, lo, hi, decimal_str((lo + hi) / 2))
+    return _number(alg.defining, *bisect_root(alg.defining, alg.lo, alg.hi, precision))
 
 
 def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -220,14 +238,14 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
     if p.is_zero:
         return 0
     if alg.is_exact:
-        v = p(alg.value)
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    from .polynomials import poly_gcd
-
+        return p.sign(alg.value)
     g = poly_gcd(p, alg.defining)
-    if g.degree > 0 and count_roots_in(g, alg.lo, alg.hi) > 0:
-        # the defining polynomial has a single root there, so it is shared
-        return 0
+    if g.degree > 0:
+        # g is squarefree and its roots in (lo, hi] are the defining root or
+        # none, so a sign change of g there (from just right of lo) shares it
+        at_hi = g.sign(alg.hi)
+        if at_hi == 0 or (g.sign(alg.lo) or g.derivative().sign(alg.lo)) != at_hi:
+            return 0
     current = alg
     for _ in range(8192):
         vlo, vhi = _interval_eval(p, current.lo, current.hi)

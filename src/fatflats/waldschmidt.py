@@ -50,6 +50,7 @@ from .polynomials import UniPoly, binom, expand_scaled, fraction_to_json
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
+    bisect_root,
     count_roots_in,
     isolate_largest_root,
     sturm_chain,
@@ -264,30 +265,6 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     )
 
 
-def _smallest_root_in(p: UniPoly, lo: Fraction, hi: Fraction, chain: list[UniPoly]) -> Fraction:
-    """A certified rational strictly below the smallest root of p in (lo, hi].
-
-    The returned point a satisfies lo <= a < (smallest root) and p has no
-    roots in (lo, a], so the sign of p is constant on (lo, a].  ``chain`` is
-    the Sturm chain of p, built once by the caller for every count.
-    """
-    a, b = lo, hi
-    while count_roots_in(p, a, b, chain) > 1:
-        mid = (a + b) / 2
-        if count_roots_in(p, a, mid, chain) >= 1:
-            b = mid
-        else:
-            a = mid
-    width = Fraction(1, 10**6)
-    while b - a > width:
-        mid = (a + b) / 2
-        if count_roots_in(p, a, mid, chain) >= 1:
-            b = mid
-        else:
-            a = mid
-    return a
-
-
 def _coefficient_sign_limit(ci: UniPoly, candidate: Fraction) -> Fraction:
     """Largest x in [1, candidate] with a certificate that ci <= 0 on [1, x].
 
@@ -296,15 +273,18 @@ def _coefficient_sign_limit(ci: UniPoly, candidate: Fraction) -> Fraction:
     nontrivial band can be certified.
     """
     one = Fraction(1)
-    if ci(1) > 0:
+    if ci.sign(one) > 0:
         return one
     chain = sturm_chain(ci)
-    if count_roots_in(ci, one, candidate, chain) == 0:
+    # the lower end of a 1e-6 bracket of the smallest root in (1, candidate]:
+    # ci has no root in (1, limit], so its sign there is that of ci(limit)
+    found = bisect_root(chain[0], one, candidate, Fraction(1, 10**6), chain, smallest=True)
+    if found is None:
         # no root in the interval, so ci(candidate) != 0 and the sign there
         # rules the whole of (1, candidate]
-        return candidate if ci(candidate) < 0 else one
-    limit = _smallest_root_in(ci, one, candidate, chain)
-    if limit > one and ci(limit) < 0:
+        return candidate if ci.sign(candidate) < 0 else one
+    limit = found[0]
+    if limit > one and ci.sign(limit) < 0:
         return limit
     return one
 

@@ -67,6 +67,12 @@ def test_hilbert_usage_error(capsys):
     assert code == 2
 
 
+def test_hilbert_mixed_rejects_meeting_flats(capsys):
+    # two lines in P^2 always meet, so no disjoint configuration exists
+    assert main(["hilbert", "2", "1", "--mults", "2,3"]) == 2
+    assert "disjointness" in capsys.readouterr().err
+
+
 def test_cremona_transform_reduce_witness(capsys):
     code, out = run_cli(
         capsys, "cremona", "--dim", "3", "--system", "3;3,3,3,3", "--transform", "0,1,2,3", "--json"

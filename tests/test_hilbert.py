@@ -131,6 +131,14 @@ def test_hilbert_poly_mixed_values():
     assert hilbert_poly_mixed(4, 0, (0, 0, 0))(3) == binom(7, 4)
 
 
+def test_hilbert_poly_mixed_checks_the_domain():
+    with pytest.raises(ValueError, match="disjointness"):
+        hilbert_poly_mixed(2, 1, (2, 3))  # two lines in P^2 meet
+    with pytest.raises(ValueError):
+        hilbert_poly_mixed(3, 3, (1,))
+    assert hilbert_poly_mixed(2, 1, (2,)) == hilbert_poly_uniform(2, 1, 1, 2)
+
+
 def test_hilbert_poly_mixed_matches_uniform():
     assert hilbert_poly_mixed(3, 1, (4, 4, 4)) == hilbert_poly_uniform(3, 1, 3, 4)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fatflats.asymptotic import g_value, lambda_poly
 from fatflats.polynomials import UniPoly
 from fatflats.roots import (
     AlgebraicNumber,
@@ -188,3 +189,95 @@ def test_algebraic_number_json():
     payload = root.to_json()
     assert payload["defining"] == [12, -18, 0, 1]
     assert payload["decimal"].startswith("3.8587837")
+
+
+# g_value(n, r, s, 1e-50) byte for byte: any change in the midpoint
+# bisection schedule moves these intervals
+GOLDEN_G = {
+    (3, 1, 6): {
+        "defining": [12, -18, 0, 1],
+        "interval": [
+            "2887484789597636611332099168708091476806619710959487/748288838313422294120286634350736906063837462003712",
+            "5774969579195273222664198337416182953613239421918983/1496577676626844588240573268701473812127674924007424",
+        ],
+        "decimal": "3.858783723",
+    },
+    (4, 1, 10): {
+        "defining": [30, -40, 0, 0, 1],
+        "interval": [
+            "2335041737810064390358208843594938458609264803385437/748288838313422294120286634350736906063837462003712",
+            "1167520868905032195179104421797469229304632401692721/374144419156711147060143317175368453031918731001856",
+        ],
+        "decimal": "3.120508577",
+    },
+    (5, 2, 7): {
+        "defining": [-42, 105, -70, 0, 0, 1],
+        "interval": [
+            "21061243768531422620989666009887491082486227136368131/5986310706507378352962293074805895248510699696029696",
+            "42122487537062845241979332019774982164972454272736367/11972621413014756705924586149611790497021399392059392",
+        ],
+        "decimal": "3.518234318",
+    },
+    (12, 5, 100): {
+        "defining": [46200, -252000, 554400, -616000, 346500, -79200, 0, 0, 0, 0, 0, 0, 1],
+        "interval": [
+            "3262118722384641750495829133747001460305200324548656463/766247770432944429179173513575154591809369561091801088",
+            "6524237444769283500991658267494002920610400649097322551/1532495540865888858358347027150309183618739122183602176",
+        ],
+        "decimal": "4.257263575",
+    },
+    (1, 0, 5): {"defining": [-5, 1], "interval": [5, 5], "decimal": "5"},
+    (4, 1, 9): {"defining": [27, -36, 0, 0, 1], "interval": [3, 3], "decimal": "3"},
+}
+
+
+@pytest.mark.parametrize("config", sorted(GOLDEN_G))
+def test_g_value_golden_bytes(config):
+    assert g_value(*config, F(1, 10**50)).to_json() == GOLDEN_G[config]
+
+
+def test_refine_and_threshold_golden_bytes():
+    from fatflats.waldschmidt import e_certify
+
+    assert refine(g_value(3, 1, 7), F(1, 10**18)).to_json() == {
+        "defining": [14, -21, 0, 1],
+        "interval": ["77540961102671154559/18446744073709551616", "155081922205342309139/36893488147419103232"],
+        "decimal": "4.203503924",
+    }
+    assert e_certify(3, 1, 6, F(27, 7)).x_lo == F(20018267, 7340032)
+
+
+def _count_chains(monkeypatch, *modules):
+    """Record every Sturm chain built, through roots and the given importers."""
+    import fatflats.roots as roots
+
+    built = []
+    original = roots.sturm_chain
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    for module in (roots, *modules):
+        monkeypatch.setattr(module, "sturm_chain", counting)
+    return built
+
+
+@pytest.mark.parametrize("config", [(3, 1, 6), (4, 1, 9), (12, 5, 100)])
+def test_g_value_builds_one_chain(monkeypatch, config):
+    import fatflats.asymptotic as asymptotic
+
+    built = _count_chains(monkeypatch, asymptotic)
+    g_value(*config, F(1, 10**50))
+    assert built == [lambda_poly(*config)]
+
+
+def test_refine_and_sign_at_build_no_chain(monkeypatch):
+    g = g_value(3, 1, 6)
+    built = _count_chains(monkeypatch)
+    tight = refine(g, F(1, 10**40))
+    assert tight.hi - tight.lo <= F(1, 10**40)
+    assert sign_at(g, lambda_poly(3, 1, 7)) == -1
+    assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # shares the root
+    assert sign_at(g, UniPoly([-4, 1])) == -1
+    assert built == []

@@ -160,7 +160,7 @@ def test_sign_limit_builds_one_chain_per_coefficient(monkeypatch):
         limit = waldschmidt._coefficient_sign_limit(ci, F(27, 7))
         assert len(built) - before == (0 if ci(1) > 0 else 1)
         bisected += 1 < limit < F(27, 7)
-    assert bisected >= 1  # the bisection of _smallest_root_in ran on the one chain
+    assert bisected >= 1  # the smallest-root bisection ran on the one chain
 
 
 def test_certify_trivial_single_flat():
