@@ -89,6 +89,7 @@ from .blowup import (
 from .verifier import (
     NosymetryReport,
     analytic_branch_check,
+    identities_report,
     nosymetry_bounds,
     nosymetry_enumerate,
     replay_appendix,

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .asymptotic import g_value, lambda_poly, tower_check
-from .blowup import alt_sum_one, alt_sum_zero, expand_self_intersection, identity_check
+from .asymptotic import g_value, lambda_poly
+from .blowup import expand_self_intersection, identity_check
 from .cremona import (
     LinearSystem,
     cremona_transform,
@@ -38,15 +37,12 @@ from .hilbert import (
     conditions_count_oracle,
     hilbert_poly_mixed,
     hilbert_poly_uniform,
-    identity_sum_binom,
-    identity_sum_i_binom,
 )
-from .polynomials import binom, decimal_str, expand_scaled, fraction_to_json
+from .polynomials import decimal_str, fraction_to_json
 from .verifier import (
-    analytic_branch_check,
+    identities_report,
     nosymetry_enumerate,
     replay_appendix,
-    replay_ids,
 )
 from .waldschmidt import (
     CertificationError,
@@ -55,8 +51,6 @@ from .waldschmidt import (
     e_empirical,
     gamma_points_closed,
 )
-
-DEFAULT_THREADS_ENV = "FATFLATS_THREADS"
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -102,8 +96,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get(DEFAULT_THREADS_ENV, "1")),
-        help="worker count for sweep operations (results are identical for any value)",
+        default=1,
+        help="accepted and ignored; every command runs serially",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
 
@@ -371,7 +365,7 @@ def _cmd_intersections(args) -> int:
 
 
 def _cmd_verify_nosymetry(args) -> int:
-    report = nosymetry_enumerate(args.s, threads=max(1, args.threads))
+    report = nosymetry_enumerate(args.s)
     payload = report.to_json()
     lines = [
         f"s={args.s} g={report.g.decimal} d_cap={report.d_cap} sum_cap={report.sum_cap}",
@@ -431,74 +425,11 @@ def _cmd_verify_gamma_case(args) -> int:
 
 
 def _cmd_verify_identities(args) -> int:
-    import random
-
-    rng = random.Random(args.seed)
-    failures: list[str] = []
-
-    for t in range(13):
-        for j in range(1, 13):
-            if alt_sum_zero(t, j) != 0:
-                failures.append(f"alt_sum_zero({t},{j})")
-        for j in range(13):
-            if t >= 1 and alt_sum_one(t, j) != 1:
-                failures.append(f"alt_sum_one({t},{j})")
-    for n in range(2, 13):
-        for r in range(n):
-            total = sum(
-                (-1) ** (r - j) * binom(n, j) * binom(n - j - 1, r - j) for j in range(r + 1)
-            )
-            if total != 1:
-                failures.append(f"unit-sum(n={n},r={r})")
-    for n in range(1, 7):
-        for r in range((n - 1) // 2 + 1):
-            for s in (1, 2, 5):
-                from .asymptotic import lambda_poly_via_leading
-
-                if lambda_poly(n, r, s) != lambda_poly_via_leading(n, r, s):
-                    failures.append(f"leading(n={n},r={r},s={s})")
-                if r >= 1 and not tower_check(n, r, s):
-                    failures.append(f"tower(n={n},r={r},s={s})")
-                if not identity_check(n, r, s):
-                    failures.append(f"intersection(n={n},r={r},s={s})")
-    for a in range(7):
-        for m in range(1, 9):
-            if identity_sum_binom(a, m)[0] != identity_sum_binom(a, m)[1]:
-                failures.append(f"sum-binom(a={a},m={m})")
-            if identity_sum_i_binom(a, m)[0] != identity_sum_i_binom(a, m)[1]:
-                failures.append(f"sum-i-binom(a={a},m={m})")
-    # seeded spot checks
-    from .hilbert import hilbert_poly_symbolic
-
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        r = rng.randint(0, (n - 1) // 2)
-        s = rng.randint(1, 20)
-        expansion = expand_scaled(hilbert_poly_symbolic(n, r, s))
-        m = rng.randint(1, 9)
-        t = rng.randint(m, 4 * m)
-        from .hilbert import conditions_poly
-
-        direct = binom(t + n, n) - s * conditions_poly(n, r, m)(t)
-        if expansion(t, m) != direct:
-            failures.append(f"expansion(n={n},r={r},s={s},m={m},t={t})")
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        size = rng.randint(n + 1, n + 4)
-        sys_ = LinearSystem(n, rng.randint(0, 12), tuple(rng.randint(-3, 9) for _ in range(size)))
-        idx = tuple(rng.sample(range(size), n + 1))
-        once, c1 = cremona_transform(sys_, idx)
-        twice, c2 = cremona_transform(once, idx)
-        if twice != sys_ or c2 != -c1:
-            failures.append(f"involution({sys_.format()})")
-    for s in range(13, 41):
-        if not analytic_branch_check(s):
-            failures.append(f"analytic-branch(s={s})")
-
-    report = {"seed": args.seed, "checks": "identities", "failures": failures, "ok": not failures}
+    report = identities_report(args.seed)
+    failures = report["failures"]
     lines = [f"failures: {len(failures)}"] + [f"  {f}" for f in failures]
     _emit(report, args, lines)
-    return 0 if not failures else 1
+    return 0 if report["ok"] else 1
 
 
 class SystemExit2(Exception):

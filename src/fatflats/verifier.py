@@ -19,16 +19,34 @@ are verified directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from math import floor
+from typing import Callable, Iterator
 
-from .asymptotic import g_value, lambda_poly
-from .hilbert import conditions_count
-from .polynomials import UniPoly, binom, decimal_str
+from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_check
+from .blowup import alt_sum_one, alt_sum_zero, identity_check
+from .cremona import LinearSystem, cremona_transform
+from .hilbert import (
+    alpha_lines_general,
+    conditions_count,
+    conditions_poly,
+    hilbert_poly_mixed,
+    hilbert_poly_symbolic,
+    hilbert_poly_uniform,
+    identity_sum_binom,
+    identity_sum_i_binom,
+)
+from .polynomials import UniPoly, binom, decimal_str, expand_scaled
 from .roots import AlgebraicNumber, refine, sign_at
-from .waldschmidt import CertificationError, bounds_report, e_certify, e_empirical
+from .waldschmidt import (
+    CertificationError,
+    bounds_report,
+    e_certify,
+    e_empirical,
+    gamma_known_lookup,
+)
 
 
 def two_line_overlap_value(m1: int, m2: int, t: int) -> int:
@@ -150,23 +168,25 @@ def nosymetry_bounds(s: int, precision: Fraction = Fraction(1, 10**18)) -> tuple
     return g, (d_lo + d_hi) / 2, (sum_lo + sum_hi) / 2
 
 
-def _caps(s: int, g: AlgebraicNumber) -> tuple[int, int]:
-    """Exact integer caps: largest admissible d and largest admissible sum."""
-    d_cap = 0
-    while True:
-        psi, _ = _bound_polys(s, d_cap + 1)
-        if sign_at(g, psi) > 0:
-            d_cap += 1
-        else:
-            break
-    sum_cap = 0
-    while True:
-        _, phi = _bound_polys(s, sum_cap + 1)
-        if sign_at(g, phi) >= 0:
-            sum_cap += 1
-        else:
-            break
-    return d_cap, sum_cap
+def _cap(g: AlgebraicNumber, poly: Callable[[int], UniPoly], start: Fraction, strict: bool) -> int:
+    """The largest k >= 0 with poly(k)(g) > 0 (``strict``) or >= 0, and k = 0 if none.
+
+    poly(k)(g) = k*den(g) + const with den(g) < 0 (enforced in
+    :func:`nosymetry_bounds`), so it decreases in k and the admissible k
+    form an initial run.  The search starts at the approximate bound and
+    steps until k is admissible and k + 1 is not, each decided by ``sign_at``.
+    """
+
+    def admissible(k: int) -> bool:
+        sign = sign_at(g, poly(k))
+        return sign > 0 or (not strict and sign == 0)
+
+    k = max(floor(start), 0)
+    while k > 0 and not admissible(k):
+        k -= 1
+    while admissible(k + 1):
+        k += 1
+    return k
 
 
 def _nondecreasing_vectors(s: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -186,84 +206,61 @@ def _nondecreasing_vectors(s: int, total: int) -> Iterator[tuple[int, ...]]:
     yield from gen(s, 0, total)
 
 
-def _ratio_below_g(lam: UniPoly, d: int, s: int, total: int) -> bool:
-    """Exact test for d*s/total < g via the sign of the scaling-limit polynomial."""
-    x = Fraction(d * s, total)
-    return lam(x) < 0
+def _scan_sum_block(
+    lam: UniPoly, s: int, total: int, d_cap: int, counts: dict[int, int], violations: list[Violation]
+) -> tuple[int, int]:
+    """Scan the vectors with one multiplicity sum into ``counts`` and
+    ``violations``; returns (sequences, pairs).
 
-
-def _scan_sum_block(args: tuple[int, int, int]) -> tuple[int, int, dict, int, list]:
-    """Worker: scan all vectors with one fixed multiplicity sum."""
-    s, total, d_cap = args
-    lam = lambda_poly(3, 1, s)
-    sequences = 0
-    counts: dict[int, int] = {}
-    pairs = 0
-    violations: list[Violation] = []
+    The ratio test d*s/total < g (the sign of ``lam`` = lambda(3, 1, s))
+    does not depend on the vector, so it is tabled once per d.  For d >= m,
+    c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3) (``conditions_count_lines``),
+    so P = C(d+3,3) - (d+1)*A + 2*B with A, B summed once per vector.
+    """
+    below = [False] + [lam.sign(d * s, total) < 0 for d in range(1, max(d_cap, 1) + 1)]
+    pair_counts = [binom(m + 1, 2) for m in range(total + 1)]
+    triple_counts = [binom(m + 1, 3) for m in range(total + 1)]
+    sequences = pairs = 0
     for vec in _nondecreasing_vectors(s, total):
         sequences += 1
         top = vec[-1]
-        for d in range(max(2, top), d_cap + 1):
-            if not _ratio_below_g(lam, d, s, total):
+        a = sum(map(pair_counts.__getitem__, vec))
+        b = sum(map(triple_counts.__getitem__, vec))
+        degrees = range(max(2, top), d_cap + 1)
+        # belt and braces: the d = 1 row, handled separately in the argument
+        for d in (*degrees, 1) if top <= 1 else degrees:
+            if not below[d]:
                 continue
             counts[d] = counts.get(d, 0) + 1
             pairs += 1
-            value = binom(d + 3, 3) - sum(
-                conditions_count(3, 1, m, d) for m in vec if m > 0
-            )
+            value = binom(d + 3, 3) - (d + 1) * a + 2 * b
             if value > 0:
                 violations.append(Violation(d, vec, value))
-        # belt and braces: the d = 1 row, handled separately in the argument
-        if top <= 1:
-            d = 1
-            if _ratio_below_g(lam, d, s, total):
-                counts[d] = counts.get(d, 0) + 1
-                pairs += 1
-                value = binom(4, 3) - sum(
-                    conditions_count(3, 1, m, d) for m in vec if m > 0
-                )
-                if value > 0:
-                    violations.append(Violation(d, vec, value))
-    return total, sequences, counts, pairs, violations
+    return sequences, pairs
 
 
 def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:
     """Exhaustive scan of the finite region; zero violations expected.
 
     Multiplicity vectors run over nondecreasing sequences to quotient out
-    the permutation symmetry; the per-degree case counts are deterministic
-    and independent of the thread count (blocks are merged in sum order).
+    the permutation symmetry, in increasing sum order, so the per-degree
+    case counts and the violations are deterministic.  ``threads`` is
+    accepted for compatibility and ignored: the scan is serial.
     """
     g, d_bound, sum_bound = nosymetry_bounds(s)
-    d_cap, sum_cap = _caps(s, g)
-    blocks = [(s, total, d_cap) for total in range(1, sum_cap + 1)]
-    if threads > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_sum_block, blocks))
-    else:
-        results = [_scan_sum_block(b) for b in blocks]
-    results.sort(key=lambda item: item[0])
-    sequences = 0
+    d_cap = _cap(g, lambda k: _bound_polys(s, k)[0], d_bound, strict=True)
+    sum_cap = _cap(g, lambda k: _bound_polys(s, k)[1], sum_bound, strict=False)
+    lam = lambda_poly(3, 1, s)
+    sequences = pairs = 0
     counts: dict[int, int] = {}
-    pairs = 0
     violations: list[Violation] = []
-    for _total, seq, cnt, prs, viol in results:
+    for total in range(1, sum_cap + 1):
+        seq, prs = _scan_sum_block(lam, s, total, d_cap, counts, violations)
         sequences += seq
-        for d, c in cnt.items():
-            counts[d] = counts.get(d, 0) + c
         pairs += prs
-        violations.extend(viol)
     return NosymetryReport(
-        s,
-        g,
-        d_bound,
-        sum_bound,
-        d_cap,
-        sum_cap,
-        sequences,
-        tuple(sorted(counts.items())),
-        pairs,
-        tuple(violations),
+        s, g, d_bound, sum_bound, d_cap, sum_cap,
+        sequences, tuple(sorted(counts.items())), pairs, tuple(violations),
     )
 
 
@@ -280,6 +277,68 @@ def analytic_branch_check(s: int) -> bool:
     if s >= 13:
         ok = ok and lam(Fraction(5 * s, 11)) > 0
     return ok
+
+
+def identities_report(seed: int) -> dict:
+    """Identity sweeps, seeded spot checks (Hilbert expansion, Cremona
+    involution) and the analytic branch for 13 <= s <= 40; each failure is named."""
+    rng = random.Random(seed)
+    failures: list[str] = []
+
+    for t in range(13):
+        for j in range(1, 13):
+            if alt_sum_zero(t, j) != 0:
+                failures.append(f"alt_sum_zero({t},{j})")
+        for j in range(13):
+            if t >= 1 and alt_sum_one(t, j) != 1:
+                failures.append(f"alt_sum_one({t},{j})")
+    for n in range(2, 13):
+        for r in range(n):
+            total = sum(
+                (-1) ** (r - j) * binom(n, j) * binom(n - j - 1, r - j) for j in range(r + 1)
+            )
+            if total != 1:
+                failures.append(f"unit-sum(n={n},r={r})")
+    for n in range(1, 7):
+        for r in range((n - 1) // 2 + 1):
+            for s in (1, 2, 5):
+                if lambda_poly(n, r, s) != lambda_poly_via_leading(n, r, s):
+                    failures.append(f"leading(n={n},r={r},s={s})")
+                if r >= 1 and not tower_check(n, r, s):
+                    failures.append(f"tower(n={n},r={r},s={s})")
+                if not identity_check(n, r, s):
+                    failures.append(f"intersection(n={n},r={r},s={s})")
+    for a in range(7):
+        for m in range(1, 9):
+            if identity_sum_binom(a, m)[0] != identity_sum_binom(a, m)[1]:
+                failures.append(f"sum-binom(a={a},m={m})")
+            if identity_sum_i_binom(a, m)[0] != identity_sum_i_binom(a, m)[1]:
+                failures.append(f"sum-i-binom(a={a},m={m})")
+    # seeded spot checks
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        r = rng.randint(0, (n - 1) // 2)
+        s = rng.randint(1, 20)
+        expansion = expand_scaled(hilbert_poly_symbolic(n, r, s))
+        m = rng.randint(1, 9)
+        t = rng.randint(m, 4 * m)
+        direct = binom(t + n, n) - s * conditions_poly(n, r, m)(t)
+        if expansion(t, m) != direct:
+            failures.append(f"expansion(n={n},r={r},s={s},m={m},t={t})")
+    for _ in range(20):
+        n = rng.randint(2, 5)
+        size = rng.randint(n + 1, n + 4)
+        system = LinearSystem(n, rng.randint(0, 12), tuple(rng.randint(-3, 9) for _ in range(size)))
+        idx = tuple(rng.sample(range(size), n + 1))
+        once, c1 = cremona_transform(system, idx)
+        twice, c2 = cremona_transform(once, idx)
+        if twice != system or c2 != -c1:
+            failures.append(f"involution({system.format()})")
+    for s in range(13, 41):
+        if not analytic_branch_check(s):
+            failures.append(f"analytic-branch(s={s})")
+
+    return {"seed": seed, "checks": "identities", "failures": failures, "ok": not failures}
 
 
 @dataclass(frozen=True)
@@ -362,8 +421,6 @@ def _replay_points_3_0_4() -> ReplayReport:
 
 
 def _replay_six_lines() -> ReplayReport:
-    from .hilbert import hilbert_poly_mixed, hilbert_poly_uniform
-
     rows = [
         _assert_eq("P(3,1,6,7)(27)", 28, hilbert_poly_uniform(3, 1, 6, 7)(27)),
         _assert_eq(
@@ -378,9 +435,6 @@ def _replay_six_lines() -> ReplayReport:
 
 
 def _replay_five_lines() -> ReplayReport:
-    from .hilbert import alpha_lines_general, hilbert_poly_mixed
-    from .waldschmidt import gamma_known_lookup
-
     expected = {1: Fraction(1), 2: Fraction(2), 3: Fraction(2), 4: Fraction(8, 3), 5: Fraction(10, 3)}
     rows = []
     for s, value in expected.items():

@@ -230,3 +230,29 @@ def test_subprocess_exit_codes():
     usage = _run_subprocess("lambda")
     assert usage.returncode == 2
     assert usage.stderr
+
+
+def test_bad_threads_environment_is_ignored():
+    # FATFLATS_THREADS sizes nothing; a value that is not a number must not
+    # break argument parsing
+    plain = _run_subprocess("lambda", "3", "1", "6", "--g")
+    env = dict(os.environ, PYTHONPATH=SRC, FATFLATS_THREADS="abc")
+    bad = subprocess.run(
+        [sys.executable, "-m", "fatflats", "lambda", "3", "1", "6", "--g"],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert plain.returncode == bad.returncode == 0
+    assert bad.stdout == plain.stdout
+
+
+def test_import_leaves_process_pool_modules_out():
+    probe = (
+        "import sys, fatflats; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stdout.decode().strip() == "[]"

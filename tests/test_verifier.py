@@ -1,7 +1,20 @@
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from fatflats.asymptotic import lambda_poly
+from fatflats.hilbert import conditions_count
+from fatflats.polynomials import binom
+from fatflats.roots import sign_at
 from fatflats.verifier import (
+    Violation,
+    _bound_polys,
+    _cap,
+    _scan_sum_block,
     analytic_branch_check,
+    identities_report,
     nosymetry_bounds,
     nosymetry_enumerate,
     replay_appendix,
@@ -111,3 +124,103 @@ def test_replay_expected_values():
     assert rep.assertions[0].expected == "3/2"
     rep = replay_appendix("e-3-1-6")
     assert rep.assertions[0].expected == "27/7"
+
+
+def _naive_block(s, total, d_cap):
+    """Per-pair reference scan of one sum block: every ratio test and every
+    condition count made afresh, the d = 1 row checked after the others."""
+
+    def vectors_from(slots, low, rest):
+        if slots == 1:
+            return [(rest,)] if rest >= low else []
+        return [
+            (first, *tail)
+            for first in range(low, rest // slots + 1)
+            for tail in vectors_from(slots - 1, first, rest - first)
+        ]
+
+    lam = lambda_poly(3, 1, s)
+    vectors = vectors_from(s, 0, total)
+    assert vectors == sorted(vectors)
+    counts, pairs, violations = {}, 0, []
+    for vec in vectors:
+        degrees = list(range(max(2, vec[-1]), d_cap + 1)) + ([1] if vec[-1] <= 1 else [])
+        for d in degrees:
+            if not lam(Fraction(d * s, total)) < 0:
+                continue
+            counts[d] = counts.get(d, 0) + 1
+            pairs += 1
+            value = binom(d + 3, 3) - sum(conditions_count(3, 1, m, d) for m in vec if m > 0)
+            if value > 0:
+                violations.append(Violation(d, vec, value))
+    return len(vectors), counts, pairs, violations
+
+
+def _fast_block(s, total, d_cap):
+    counts, violations = {}, []
+    sequences, pairs = _scan_sum_block(lambda_poly(3, 1, s), s, total, d_cap, counts, violations)
+    return sequences, counts, pairs, violations
+
+
+def test_block_scan_matches_naive_scan_on_the_finite_branch():
+    for s in range(7, 13):
+        rep = nosymetry_enumerate(s)
+        for total in range(1, rep.sum_cap + 1):
+            assert _fast_block(s, total, rep.d_cap) == _naive_block(s, total, rep.d_cap), (s, total)
+
+
+def test_block_scan_matches_naive_scan_with_violations():
+    # six lines lie outside the finite branch: (2,2,2,2,3,3) at d = 9 has
+    # P = 4 > 0 at the ratio 9*6/14 = 27/7 < g(3,1,6)
+    fast = _fast_block(6, 14, 9)
+    assert fast == _naive_block(6, 14, 9)
+    assert fast[3] == [Violation(9, (2, 2, 2, 2, 3, 3), 4)]
+    fast = _fast_block(6, 42, 27)
+    assert fast == _naive_block(6, 42, 27)
+    assert fast[3] == [Violation(27, (6, 7, 7, 7, 7, 8), 14), Violation(27, (7,) * 6, 28)]
+
+
+def test_enumeration_golden_bytes():
+    # json.dumps of each report, captured before the scan was rewritten
+    golden = (Path(__file__).parent / "nosymetry_golden.jsonl").read_text().splitlines()
+    assert [json.dumps(nosymetry_enumerate(s).to_json()) for s in range(7, 13)] == golden
+
+
+def test_enumeration_call_counts(monkeypatch):
+    import fatflats.verifier as verifier
+
+    calls = {"conditions_count": 0, "lambda_poly": 0, "sign_at": 0}
+    for name in calls:
+        original = getattr(verifier, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(verifier, name, counting)
+    rep = verifier.nosymetry_enumerate(7)
+    assert (rep.cases_checked, rep.pairs_checked) == (4149, 16969)
+    assert calls["conditions_count"] == 0
+    assert calls["lambda_poly"] == 1
+    assert calls["sign_at"] <= 6
+
+
+def test_caps_match_a_walk_from_zero():
+    for s in range(7, 13):
+        g, d_bound, sum_bound = nosymetry_bounds(s)
+        d_walk = 0
+        while sign_at(g, _bound_polys(s, d_walk + 1)[0]) > 0:
+            d_walk += 1
+        sum_walk = 0
+        while sign_at(g, _bound_polys(s, sum_walk + 1)[1]) >= 0:
+            sum_walk += 1
+        psi = lambda k: _bound_polys(s, k)[0]  # noqa: E731
+        phi = lambda k: _bound_polys(s, k)[1]  # noqa: E731
+        for start in (d_bound, d_bound + 3, max(d_bound - 3, 0), 0):
+            assert _cap(g, psi, start, strict=True) == d_walk
+        for start in (sum_bound, sum_bound + 3, max(sum_bound - 3, 0), 0):
+            assert _cap(g, phi, start, strict=False) == sum_walk
+
+
+def test_identities_report():
+    assert identities_report(42) == {"seed": 42, "checks": "identities", "failures": [], "ok": True}
