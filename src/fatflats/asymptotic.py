@@ -31,14 +31,19 @@ from .roots import (
 
 
 def lambda_poly(n: int, r: int, s: int) -> UniPoly:
-    """Closed form of the scaling-limit polynomial, 1/n! factor included."""
+    """Closed form of the scaling-limit polynomial, 1/n! factor included.
+
+    n! * lambda = tau^n - s * sum_j C(n, j) sum_k C(j, k) (-1)^(j-k) tau^k
+    is built in integers and divided by n! once.
+    """
     check_flat_domain(n, r, s)
-    shifted = UniPoly([-1, 1])  # tau - 1
-    correction = UniPoly()
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
     for j in range(r + 1):
-        correction = correction + binom(n, j) * shifted**j
-    lead = UniPoly([0] * n + [1])
-    return (lead - s * correction) * Fraction(1, factorial(n))
+        for k in range(j + 1):
+            coeffs[k] -= s * binom(n, j) * binom(j, k) * (-1) ** (j - k)
+    scale = factorial(n)
+    return UniPoly([Fraction(c, scale) for c in coeffs])
 
 
 def lambda_poly_via_leading(n: int, r: int, s: int) -> UniPoly:

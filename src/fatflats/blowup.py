@@ -37,8 +37,7 @@ def alt_sum_one(t: int, j: int) -> int:
 
 def intersection_number(n: int, r: int, j: int) -> int:
     """H^j E^(n-j) on the blow-up of P^n along one r-plane (H^n = 1 at j = n)."""
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+    check_flat_domain(n, r)
     if not 0 <= j <= n:
         raise ValueError(f"need 0 <= j <= n, got j={j}")
     if j == n:

@@ -41,10 +41,11 @@ class FlatConfig:
         check_flat_domain(self.n, self.r, self.s)
 
 
-def check_flat_domain(n: int, r: int, s: int) -> None:
-    """Validate (n, r, s): 0 <= r < n, s >= 1, and n >= 2r+1 once s >= 2.
+def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
+    """Validate (n, r, s) and, when given, the multiplicity m.
 
-    Two or more disjoint r-flats only fit in P^n when n >= 2r+1.
+    Requires 0 <= r < n, s >= 1, n >= 2r+1 once s >= 2 (two or more disjoint
+    r-flats only fit in P^n when n >= 2r+1), and m >= 1.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got n={n}")
@@ -54,12 +55,7 @@ def check_flat_domain(n: int, r: int, s: int) -> None:
         raise ValueError(f"number of flats must be >= 1, got s={s}")
     if s >= 2 and n < 2 * r + 1:
         raise ValueError(f"disjointness needs n >= 2r+1, got n={n}, r={r}")
-
-
-def _check_nrm(n: int, r: int, m: int) -> None:
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
-    if m < 1:
+    if m is not None and m < 1:
         raise ValueError(f"multiplicity must be >= 1, got m={m}")
 
 
@@ -69,7 +65,7 @@ def conditions_count(n: int, r: int, m: int, t: int) -> int:
     Only valid for t >= m; below that the formula does not count conditions,
     so smaller t is rejected rather than extrapolated.
     """
-    _check_nrm(n, r, m)
+    check_flat_domain(n, r, m=m)
     if t < m:
         raise ValueError(f"conditions_count requires t >= m, got t={t}, m={m}")
     return sum(binom(t - i + r, r) * binom(i + n - r - 1, n - r - 1) for i in range(m))
@@ -105,7 +101,7 @@ def conditions_count_oracle(n: int, r: int, m: int, t: int, guard: int = ORACLE_
     Counts degree-t monomials in x_0..x_n whose total exponent on the last
     n - r variables is < m.  Enumeration size is C(t + n, n), guarded.
     """
-    _check_nrm(n, r, m)
+    check_flat_domain(n, r, m=m)
     if t < m:
         raise ValueError(f"conditions_count_oracle requires t >= m, got t={t}, m={m}")
     if comb(t + n, n) > guard:
@@ -144,7 +140,7 @@ def hilbert_function_flat(n: int, r: int, m: int, length: int = 6) -> list[int]:
     sums recover the flat's Hilbert function.  For t >= m the values agree
     with conditions_count.
     """
-    _check_nrm(n, r, m)
+    check_flat_domain(n, r, m=m)
     if length < 1:
         raise ValueError("length must be >= 1")
     base_dim = n - r
@@ -166,7 +162,7 @@ def conditions_poly(n: int, r: int, m: int) -> UniPoly:
     Agrees with conditions_count for integers t >= m (and in fact for all
     t >= m - r - 1, the range where the Hilbert polynomial is valid).
     """
-    _check_nrm(n, r, m)
+    check_flat_domain(n, r, m=m)
     total = UniPoly()
     for i in range(m):
         weight = binom(i + n - r - 1, n - r - 1)
@@ -180,8 +176,7 @@ def conditions_poly_symbolic(n: int, r: int) -> BiPoly:
     The i-indexed summands are polynomials in (t, i); summing i from 0 to
     m - 1 symbolically replaces the index by power-sum polynomials in m.
     """
-    if not 0 <= r < n:
-        raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+    check_flat_domain(n, r)
     # first factor C(t - i + r, r) as a BiPoly in (t, i)
     first = BiPoly({(0, 0): 1})
     for j in range(1, r + 1):
@@ -198,9 +193,7 @@ def hilbert_poly_uniform(n: int, r: int, s: int, m: int) -> UniPoly:
     C(t + n, n) - s * c(n, r, m, t) as an exact degree-n polynomial in t,
     valid for integers t >= m - r - 1.
     """
-    check_flat_domain(n, r, s)
-    if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got m={m}")
+    check_flat_domain(n, r, s, m)
     return binom_poly(n, n) - s * conditions_poly(n, r, m)
 
 

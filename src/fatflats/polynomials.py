@@ -304,12 +304,40 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quot), UniPoly(rem)
 
 
+def _primitive_ints(a: list[int]) -> list[int]:
+    """a divided by its content (the positive gcd of its coefficients)."""
+    g = gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """|lc(b)|^k * a mod b for some k >= 0, on integer lists (lowest degree first).
+
+    The multiplier is a power of |lc(b)|, so the result is a positive multiple
+    of the rational remainder and keeps its signs.  ``b`` must be nonzero.
+    """
+    r = list(a)
+    lead = b[-1]
+    scale, db = abs(lead), len(b) - 1
+    while len(r) > db:
+        k = len(r) - 1 - db
+        f = r.pop() if lead > 0 else -r.pop()
+        if scale != 1:
+            r = [scale * c for c in r]
+        for i in range(db):
+            r[k + i] -= f * b[i]
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r.monic() if not r.is_zero else r
-    return a.monic() if not a.is_zero else a
+    """Monic greatest common divisor over the rationals, by primitive
+    pseudo-remainders of the integer forms."""
+    a, b = _primitive_ints(a._integer_form()[0]), _primitive_ints(b._integer_form()[0])
+    while b:
+        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
+    return UniPoly(a).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

@@ -1,7 +1,8 @@
 """Certified real-root counting and isolation for rational polynomials.
 
 Root counts come from sign-variation chains (Sturm's method) computed on the
-squarefree part, so repeated roots cannot confuse the count.  Isolation is
+squarefree part, so repeated roots cannot confuse the count; the chains, like
+the gcds, are built by primitive pseudo-remainders in integers.  Isolation is
 one midpoint bisection, ``bisect_root``: the counts narrow an interval to a
 single root, then the sign of the squarefree part alone refines it.  A
 rational-candidate test reports rational roots exactly (a degenerate
@@ -18,9 +19,10 @@ from typing import Optional
 
 from .polynomials import (
     UniPoly,
+    _primitive_ints,
+    _pseudo_remainder,
     decimal_str,
     fraction_to_json,
-    poly_divmod,
     poly_gcd,
     squarefree_part,
 )
@@ -67,14 +69,21 @@ class AlgebraicNumber:
 
 
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    """Sign-variation chain of the squarefree part of p."""
+    """Sign-variation chain of the squarefree part of p.
+
+    ``chain[0]`` is the squarefree part and ``chain[1]`` its derivative; the
+    rest are the negated primitive pseudo-remainders of the integer forms.
+    Each is a positive multiple of the negated rational remainder, so every
+    sign-variation count is the same as for the classical chain.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     f = squarefree_part(p)
     chain = [f, f.derivative()]
-    while not chain[-1].is_zero:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        chain.append(-r)
+    a, b = f._integer_form()[0], chain[1]._integer_form()[0]
+    while b:
+        a, b = b, [-c for c in _primitive_ints(_pseudo_remainder(a, b))]
+        chain.append(UniPoly(b))
     chain.pop()
     return chain
 
@@ -100,8 +109,8 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     """All real roots of p lie in (-B, B) for this B."""
     if p.is_zero or p.degree == 0:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) / lead for c in p.coeffs[:-1])
+    nums = p._integer_form()[0]  # the common denominator cancels in |c| / |lead|
+    return 1 + Fraction(max(map(abs, nums[:-1])), abs(nums[-1]))
 
 
 def count_roots_geq(p: UniPoly, x0: Fraction, chain: list[UniPoly] | None = None) -> int:
@@ -121,19 +130,19 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
         return Fraction(0)
     if hi < 0:
         return -simplest_rational_in(-hi, -lo)
-    # now 0 < lo <= hi; continued-fraction walk
+    # now 0 < lo <= hi; continued-fraction walk on [a/b, c/d] in integers
     p0, q0, p1, q1 = 0, 1, 1, 0  # accumulated convergent transform
-    a, b = lo, hi
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     while True:
-        f = a.numerator // a.denominator
-        if f + 1 <= b:  # an integer strictly inside [a, b] after the shift
-            n = f + 1 if a > f else f
+        f = a // b
+        if (f + 1) * d <= c:  # an integer strictly inside [a/b, c/d] after the shift
+            n = f + 1 if a > f * b else f
             return Fraction(p1 * n + p0, q1 * n + q0)
-        if a == f:  # a itself is the integer endpoint
+        if a == f * b:  # a/b itself is the integer endpoint
             return Fraction(p1 * f + p0, q1 * f + q0)
         p0, p1 = p1, p1 * f + p0
         q0, q1 = q1, q1 * f + q0
-        a, b = 1 / (b - f), 1 / (a - f)
+        a, b, c, d = d, c - f * d, b, a - f * b
 
 
 def _number(defining: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
@@ -224,12 +233,21 @@ def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
     return _number(alg.defining, *bisect_root(alg.defining, alg.lo, alg.hi, precision))
 
 
-def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Interval Horner evaluation: encloses {p(x) : x in [lo, hi]}."""
-    alo, ahi = Fraction(0), Fraction(0)
-    for c in reversed(p.coeffs):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
+def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+    """Interval Horner evaluation in integers.
+
+    With lo = a/q and hi = b/q over a common denominator q, and p = nums/den,
+    the result is the interval Horner enclosure of {p(x) : x in [lo, hi]}
+    times the positive den * q^deg(p), so it has the same signs.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    alo = ahi = 0
+    qk = 1
+    for c in reversed(p._integer_form()[0]):
+        prods = (alo * a, alo * b, ahi * a, ahi * b)
+        alo, ahi = min(prods) + c * qk, max(prods) + c * qk
+        qk *= q
     return alo, ahi
 
 

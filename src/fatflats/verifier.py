@@ -190,20 +190,26 @@ def _cap(g: AlgebraicNumber, poly: Callable[[int], UniPoly], start: Fraction, st
 
 
 def _nondecreasing_vectors(s: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All nondecreasing s-tuples of nonnegative integers with the given sum."""
+    """All nondecreasing s-tuples (s >= 1) of nonnegative integers with the
+    given sum, in lexicographic order.
 
-    def gen(slots: int, minimum: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for value in range(minimum, remaining + 1):
-            if value * slots > remaining:
+    The next tuple raises the rightmost entry that can grow by one, sets
+    every later entry but the last to that value and gives the rest of the
+    sum to the last entry.
+    """
+    vec = [0] * (s - 1) + [total]
+    while True:
+        yield tuple(vec)
+        rest = vec[-1]
+        for i in range(s - 2, -1, -1):
+            rest += vec[i]
+            value = vec[i] + 1
+            if value * (s - i) <= rest:
+                vec[i:-1] = [value] * (s - 1 - i)
+                vec[-1] = rest - value * (s - 1 - i)
                 break
-            for rest in gen(slots - 1, value, remaining - value):
-                yield (value,) + rest
-
-    yield from gen(s, 0, total)
+        else:
+            return
 
 
 def _scan_sum_block(

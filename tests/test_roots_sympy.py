@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatflats.polynomials import UniPoly
+from fatflats.polynomials import UniPoly, poly_gcd, squarefree_part
 from fatflats.roots import bisect_root, count_roots_in, isolate_largest_root, sturm_chain
 
 sympy = pytest.importorskip("sympy")
@@ -28,6 +28,10 @@ def _fraction(q) -> F:
 
 def _to_sympy(p: UniPoly):
     return sympy.Poly([int(c) for c in reversed(p.coeffs)], X)
+
+
+def _from_sympy(poly) -> UniPoly:
+    return UniPoly([_fraction(c) for c in reversed(poly.all_coeffs())])
 
 
 @st.composite
@@ -100,3 +104,12 @@ def test_bisection_brackets_sympys_extreme_root(p, a, b, smallest):
     left, right = max(u, found[0]), min(v, found[1])
     assert found[1] - found[0] <= F(1, 1000) and left <= right
     assert sp.count_roots(_rational(left), _rational(right)) >= 1
+
+
+@settings(deadline=None)
+@given(integer_polys(), integer_polys(), integer_polys())
+def test_gcd_and_squarefree_part_match_sympy(a, b, shared):
+    a, b = a * shared, b * shared
+    assert poly_gcd(a, b) == _from_sympy(sympy.gcd(_to_sympy(a), _to_sympy(b)).monic())
+    # sympy's squarefree part is primitive with a positive leading coefficient
+    assert squarefree_part(a).primitive() == _from_sympy(sympy.sqf_part(_to_sympy(a)))
