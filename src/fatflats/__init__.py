@@ -19,7 +19,6 @@ from .polynomials import (
     expand_scaled,
     fraction_from_str,
     fraction_to_str,
-    poly_derivative,
     squarefree_part,
 )
 from .roots import (

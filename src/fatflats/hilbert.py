@@ -6,13 +6,17 @@ degrees t >= m such vanishing imposes exactly
 
     c(n, r, m, t) = sum_{0 <= i < m} C(t - i + r, r) * C(i + n - r - 1, n - r - 1)
 
-independent conditions.  This module provides that count, an independent
-monomial-enumeration oracle for it, a difference-table stepper for the
-Hilbert values of a union at consecutive degrees, the Hilbert function of a
-single fat flat via the iterated-summation recursion, Hilbert polynomials of unions
-with uniform or mixed multiplicities (including a fully symbolic variant
-where the multiplicity stays a formal variable), and the closed-form
-initial-degree formulas for general points and lines.
+independent conditions.  The count depends on the family (n, r) only, and
+``family(n, r)`` builds it once, in integers, as n! * c with both t and m
+left free; every count below is an evaluation of that object, O(n * r) for
+any m.  This module also provides an independent monomial-enumeration
+oracle for the count, a difference-table stepper for the Hilbert values of
+a union at consecutive degrees, the Hilbert function of a single fat flat
+via the iterated-summation recursion, Hilbert polynomials of unions with
+uniform or mixed multiplicities (including a fully symbolic variant where
+the multiplicity stays a formal variable, kept as an independent
+cross-check of the family), and the closed-form initial-degree formulas for
+general points and lines.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Iterator, Sequence
@@ -59,39 +64,144 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
         raise ValueError(f"multiplicity must be >= 1, got m={m}")
 
 
+def _horner(coeffs: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _falling(shift: int, k: int) -> list[int]:
+    """(x - shift)(x - shift - 1)...(x - shift - k + 1) as integer coefficients,
+    lowest degree first."""
+    out = [1]
+    for j in range(k):
+        c = -shift - j
+        out = [c * a + b for a, b in zip(out + [0], [0] + out)]
+    return out
+
+
+def _forward_differences(values: list[int]) -> list[int]:
+    """[values[0], (delta values)[0], (delta^2 values)[0], ...]."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
+class Family:
+    """The condition count of the (n, r) family in integers, for every s and m.
+
+    ``counts[a][b]`` is the coefficient of t^a m^b in n! * c(n, r; t, m), the
+    count with t and m both free; a <= r and a + b <= n, and the polynomial
+    equals the count at all integers m >= 0, t >= m - r - 1.  Substituting
+    t = m*x regroups the Hilbert polynomial as
+    n! * P(m*x) = sum_i (A_i(x) - s * B_i(x)) * m^i, with A_i from
+    n! * C(t + n, n) and B_i from n! * c; ``a_coeffs[i]`` and ``b_coeffs[i]``
+    are their integer coefficient lists in x.  s enters only there, as a
+    factor, so one object serves every s.  Immutable by convention; use the
+    cached ``family(n, r)`` rather than building one.
+    """
+
+    __slots__ = ("n", "r", "scale", "counts", "a_coeffs", "b_coeffs")
+
+    def __init__(self, n: int, r: int):
+        """Build from exact counts by finite differences.
+
+        The count has degree r in t and n in (t, m) together, so its values
+        on the box m = 1..n+1, t = n+1..n+r+1 (where t >= m, and the
+        iterated sums of ``hilbert_function_flat`` give them exactly) fix
+        it: with the forward differences d_jk at (t, m) = (n + 1, 1),
+        n! * c = sum_{j+k<=n} d_jk * n!/(j! k!) * (t-n-1)_j * (m-1)_k
+        in falling factorials, and every term has integer coefficients.
+        """
+        scale = factorial(n)
+        t0 = n + 1
+        rows = [hilbert_function_flat(n, r, m, t0 + r + 1)[t0:] for m in range(1, n + 2)]
+        by_t = [_forward_differences(row) for row in rows]  # by_t[m - 1][j]
+        counts = [[0] * (n + 1 - a) for a in range(r + 1)]
+        for j in range(r + 1):
+            in_t = _falling(t0, j)
+            diffs = _forward_differences([by_t[k][j] for k in range(n + 1)])
+            for k in range(n + 1 - j):
+                weight = diffs[k] * (scale // (factorial(j) * factorial(k)))
+                if weight:
+                    in_m = _falling(1, k)
+                    for a, ca in enumerate(in_t):
+                        for b, cb in enumerate(in_m):
+                            counts[a][b] += weight * ca * cb
+        rising = _falling(-n, n)  # n! * C(t + n, n) = (t + n)(t + n - 1)...(t + 1)
+        self.n, self.r, self.scale = n, r, scale
+        self.counts = tuple(map(tuple, counts))
+        self.a_coeffs = tuple(tuple([0] * i + [rising[i]]) for i in range(n + 1))
+        self.b_coeffs = tuple(
+            tuple(counts[a][i - a] for a in range(min(i, r) + 1)) for i in range(n + 1)
+        )
+
+    def count_in_t(self, m: int) -> list[int]:
+        """n! * c(n, r; t, m) at this m, as integer coefficients in t."""
+        return [_horner(row, m) for row in self.counts]
+
+    def count(self, m: int, t: int) -> int:
+        """c(n, r; t, m) for t >= m - r - 1; callers validate."""
+        return _horner(self.count_in_t(m), t) // self.scale
+
+    def hilbert_value(self, s: int, m: int, t: int) -> int:
+        """P_m(t) = C(t + n, n) - s * c(n, r; t, m), the value for s flats."""
+        return comb(t + self.n, self.n) - s * self.count(m, t)
+
+    def scaled_coeffs(self, s: int) -> list[UniPoly]:
+        """c_0, ..., c_n of n! * P(m*x) = sum_i c_i(x) m^i for s flats."""
+        out = []
+        for a, b in zip(self.a_coeffs, self.b_coeffs):
+            b = list(b) + [0] * (len(a) - len(b))
+            out.append(UniPoly([ai - s * bi for ai, bi in zip(a, b)]))
+        return out
+
+
+@lru_cache(maxsize=None)
+def family(n: int, r: int) -> Family:
+    """The cached integer family of (n, r); built once per process."""
+    check_flat_domain(n, r)
+    return Family(n, r)
+
+
 def conditions_count(n: int, r: int, m: int, t: int) -> int:
     """Independent conditions imposed on degree-t forms by order-m vanishing.
 
     Only valid for t >= m; below that the formula does not count conditions,
-    so smaller t is rejected rather than extrapolated.
+    so smaller t is rejected rather than extrapolated.  One evaluation of
+    the cached family, O(n * r) for any m.
     """
     check_flat_domain(n, r, m=m)
     if t < m:
         raise ValueError(f"conditions_count requires t >= m, got t={t}, m={m}")
-    return sum(binom(t - i + r, r) * binom(i + n - r - 1, n - r - 1) for i in range(m))
+    return family(n, r).count(m, t)
 
 
 def hilbert_values(n: int, r: int, s: int, m: int) -> Iterator[int]:
     """Yield the Hilbert values P_m(m), P_m(m + 1), ... without end.
 
     P_m(t) = C(t + n, n) - s * c(n, r, m, t), and at every integer t >= m the
-    count c(n, r, m, t) agrees with a polynomial of degree r in t (each
-    summand C(t - i + r, r) has i < m <= t).  So the r + 1 exact counts at
-    t = m..m+r fix all later ones, and each later count costs r integer
-    additions through the table of backward differences.  Counts are drawn
-    lazily: a caller that stops after k values makes at most k of them.
+    count c(n, r, m, t) is the degree-r polynomial in t that the family
+    gives at this m.  Its r + 1 values at t = m..m+r seed a table of
+    backward differences, and each later count costs r integer additions.
     """
-    check_flat_domain(n, r, s)
+    check_flat_domain(n, r, s, m)
+    fam = family(n, r)
+    in_t = fam.count_in_t(m)
     diffs: list[int] = []  # diffs[k] is the k-th backward difference of the counts at t
-    for t in itertools.count(m):
-        if t <= m + r:
-            count = conditions_count(n, r, m, t)
-            for k in range(len(diffs)):
-                diffs[k], count = count, count - diffs[k]
-            diffs.append(count)
-        else:
-            for k in range(r - 1, -1, -1):
-                diffs[k] += diffs[k + 1]
+    for t in range(m, m + r + 1):
+        count = _horner(in_t, t) // fam.scale
+        for k in range(len(diffs)):
+            diffs[k], count = count, count - diffs[k]
+        diffs.append(count)
+        yield comb(t + n, n) - s * diffs[0]
+    steps = range(r - 1, -1, -1)
+    for t in itertools.count(m + r + 1):
+        for k in steps:
+            diffs[k] += diffs[k + 1]
         yield comb(t + n, n) - s * diffs[0]
 
 
@@ -123,10 +233,7 @@ def conditions_count_oracle(n: int, r: int, m: int, t: int, guard: int = ORACLE_
 
 def conditions_count_lines(n: int, m: int, t: int) -> int:
     """Closed form of the condition count for a line (r = 1)."""
-    if n < 2:
-        raise ValueError(f"lines need n >= 2, got n={n}")
-    if m < 1:
-        raise ValueError(f"multiplicity must be >= 1, got m={m}")
+    check_flat_domain(n, 1, m=m)
     if t < m:
         raise ValueError(f"conditions_count_lines requires t >= m, got t={t}, m={m}")
     return (t + 1) * binom(m + n - 2, n - 1) - (n - 1) * binom(m + n - 2, n)
@@ -163,11 +270,8 @@ def conditions_poly(n: int, r: int, m: int) -> UniPoly:
     t >= m - r - 1, the range where the Hilbert polynomial is valid).
     """
     check_flat_domain(n, r, m=m)
-    total = UniPoly()
-    for i in range(m):
-        weight = binom(i + n - r - 1, n - r - 1)
-        total = total + binom_poly(r - i, r) * weight
-    return total
+    fam = family(n, r)
+    return UniPoly([Fraction(c, fam.scale) for c in fam.count_in_t(m)])
 
 
 def conditions_poly_symbolic(n: int, r: int) -> BiPoly:

@@ -243,13 +243,6 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, inner: "UniPoly") -> "UniPoly":
-        """self(inner(x)) by Horner."""
-        acc = UniPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UniPoly([c])
-        return acc
-
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
@@ -279,11 +272,6 @@ class UniPoly:
 
 
 X = UniPoly([0, 1])
-
-
-def poly_derivative(p: UniPoly) -> UniPoly:
-    """Formal derivative with exact coefficients."""
-    return p.derivative()
 
 
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:

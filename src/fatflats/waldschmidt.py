@@ -17,13 +17,16 @@ argument on the regrouped polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
      x = candidate is negative, so P(m*candidate) < 1;
   4. the finitely many remaining (t, m) pairs are checked one by one.
 
-Both (t, m) scans walk t upward at fixed m and take their values from
-``hilbert.hilbert_values``.  That is exact, not an approximation: for every
-integer t >= m the value P_m(t) = C(t + n, n) - s * c(n, r, m, t) is a
-polynomial in t (the count c has degree r), so a few exact seeds and then
-integer additions through a difference table give every later value.
-Ratios are compared by cross-multiplication, never by building a Fraction
-per pair.
+Everything here reads the one cached integer object of the family,
+``hilbert.family(n, r)``: the coefficients c_i = A_i - s * B_i come from it
+without any symbolic expansion, and so do single Hilbert values, at
+O(n * r) each whatever m is.  Both (t, m) scans walk t upward at fixed m
+and take their values from ``hilbert.hilbert_values``.  That is exact, not
+an approximation: for every integer t >= m the value
+P_m(t) = C(t + n, n) - s * c(n, r, m, t) is a polynomial in t (the count c
+has degree r), so r + 1 exact seeds and then integer additions through a
+difference table give every later value.  Ratios are compared by
+cross-multiplication, never by building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the constant term n! can be carried along exactly rather than
@@ -40,13 +43,8 @@ from math import ceil, factorial
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
-from .hilbert import (
-    check_flat_domain,
-    conditions_count,
-    hilbert_poly_symbolic,
-    hilbert_values,
-)
-from .polynomials import UniPoly, binom, expand_scaled, fraction_to_json
+from .hilbert import Family, check_flat_domain, family, hilbert_values
+from .polynomials import UniPoly, binom, fraction_to_json
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
@@ -68,11 +66,6 @@ class RatioWitness:
     @property
     def ratio(self) -> Fraction:
         return Fraction(self.t, self.m)
-
-
-def _hilbert_value(n: int, r: int, s: int, m: int, t: int) -> int:
-    """Integer value of the Hilbert polynomial at integer t >= m."""
-    return binom(t + n, n) - s * conditions_count(n, r, m, t)
 
 
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
@@ -157,13 +150,13 @@ class CertificationError(Exception):
         super().__init__(f"{step}: {detail}")
 
 
-def _find_witness_for(n: int, r: int, s: int, candidate: Fraction, tries: int = 128) -> RatioWitness:
+def _find_witness_for(fam: Family, s: int, candidate: Fraction, tries: int = 128) -> RatioWitness:
     q = candidate.denominator
     p = candidate.numerator
     for k in range(1, tries + 1):
         m, t = k * q, k * p
         if t >= m >= 1:
-            value = _hilbert_value(n, r, s, m, t)
+            value = fam.hilbert_value(s, m, t)
             if value > 0:
                 return RatioWitness(t, m, value)
     raise ValueError(f"candidate {candidate} is not realized by any scanned witness")
@@ -180,31 +173,29 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     candidate = Fraction(candidate)
     if candidate < 1:
         raise ValueError("ratios are >= 1 since t >= m")
+    fam = family(n, r)
 
     if s == 1:
         # t >= m forces every ratio >= 1, and (t, m) = (1, 1) realizes 1
         if candidate != 1:
             raise CertificationError("scan", "a single flat realizes ratio 1, beating the candidate")
-        witness = RatioWitness(1, 1, _hilbert_value(n, r, 1, 1, 1))
+        witness = RatioWitness(1, 1, fam.hilbert_value(1, 1, 1))
         return ECertificate(
             n, r, s, candidate, witness, Fraction(1), 1, (),
             "empty: t >= m forces every ratio >= 1", 0,
         )
 
-    witness = _find_witness_for(n, r, s, candidate)
+    witness = _find_witness_for(fam, s, candidate)
 
-    fact = factorial(n)
-    expansion = expand_scaled(fact * hilbert_poly_symbolic(n, r, s))
-    cs = expansion.coeffs_in_m
-    if cs[0] != UniPoly([fact]):
+    cs = fam.scaled_coeffs(s)
+    if cs[0] != UniPoly([factorial(n)]):
         raise AssertionError("constant term of the regrouped polynomial must be n!")
 
     lam = lambda_poly(n, r, s)
 
     # step (ii): largest x_lo <= candidate with all nonconstant c_i <= 0 on [1, x_lo]
     x_lo = candidate
-    for i in range(1, n + 1):
-        ci = cs[i] if i < len(cs) else UniPoly()
+    for ci in cs[1:]:
         if ci.is_zero:
             continue
         x_lo = min(x_lo, _coefficient_sign_limit(ci, candidate))
@@ -220,8 +211,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     # step (iii): every nonconstant c_i nondecreasing on [x_lo, candidate]
     checks = []
     for i in range(1, n + 1):
-        ci = cs[i] if i < len(cs) else UniPoly()
-        der = ci.derivative()
+        der = cs[i].derivative()
         if der.is_zero:
             checks.append(MonotonicityCheck(i, (x_lo, candidate), "constant"))
             continue
@@ -235,7 +225,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         checks.append(MonotonicityCheck(i, (x_lo, candidate), "increasing"))
 
     # step (iv): threshold with the nonconstant part negative at x = candidate
-    tail = UniPoly([0] + [cs[i](candidate) if i < len(cs) else Fraction(0) for i in range(1, n + 1)])
+    tail = UniPoly([0] + [ci(candidate) for ci in cs[1:]])
     if tail.is_zero or tail.leading >= 0:
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
     top = isolate_largest_root(tail, Fraction(0), Fraction(1, 10**6))

@@ -1,8 +1,10 @@
+from contextlib import suppress
 from fractions import Fraction as F
 from itertools import islice
+from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fatflats.hilbert import (
@@ -16,6 +18,7 @@ from fatflats.hilbert import (
     conditions_count_oracle,
     conditions_poly,
     expected_alpha_upper,
+    family,
     hilbert_function_flat,
     hilbert_poly_mixed,
     hilbert_poly_symbolic,
@@ -24,7 +27,14 @@ from fatflats.hilbert import (
     identity_sum_binom,
     identity_sum_i_binom,
 )
-from fatflats.polynomials import UniPoly, binom
+from fatflats.asymptotic import lambda_poly
+from fatflats.polynomials import UniPoly, binom, expand_scaled
+from fatflats.waldschmidt import CertificationError, e_certify, e_empirical
+
+
+def _count_sum(n, r, m, t):
+    """The defining O(m) sum of c(n, r, m, t), the reference for the family."""
+    return sum(binom(t - i + r, r) * binom(i + n - r - 1, n - r - 1) for i in range(m))
 
 
 def test_conditions_count_examples():
@@ -112,6 +122,14 @@ def test_hilbert_poly_at_t_equals_m():
                     assert lhs == rhs
 
 
+def _compose(p: UniPoly, inner: UniPoly) -> UniPoly:
+    """p(inner(x)) by Horner."""
+    acc = UniPoly()
+    for c in reversed(p.coeffs):
+        acc = acc * inner + UniPoly([c])
+    return acc
+
+
 def test_difference_property_as_polynomials():
     shift = UniPoly([-1, 1])  # t - 1
     for n in range(3, 9):
@@ -119,7 +137,7 @@ def test_difference_property_as_polynomials():
             for s in range(1, 11):
                 for m in range(1, 7):
                     p = hilbert_poly_uniform(n, r, s, m)
-                    delta = p - p.compose(shift)
+                    delta = p - _compose(p, shift)
                     assert delta == hilbert_poly_uniform(n - 1, r - 1, s, m)
 
 
@@ -224,16 +242,93 @@ def test_hilbert_values_match_direct_counts(case):
     assert stepped == direct
 
 
-def test_hilbert_values_seed_lazily(monkeypatch):
-    # a caller that stops after k values never pays for more than k counts
+def test_family_built_once_across_s_and_m(monkeypatch):
+    # every count, stepped value and certificate of (n, r) reads one family
     import fatflats.hilbert as hilbert
 
-    calls = []
-    original = hilbert.conditions_count
-    monkeypatch.setattr(hilbert, "conditions_count", lambda *a: calls.append(a) or original(*a))
-    assert list(islice(hilbert_values(7, 3, 4, 30), 2)) == [
-        binom(t + 7, 7) - 4 * original(7, 3, 30, t) for t in (30, 31)
-    ]
-    assert len(calls) == 2
-    list(islice(hilbert_values(7, 3, 4, 30), 200))
-    assert len(calls) == 2 + 4  # r + 1 seeds, then differences only
+    builds = []
+
+    class Counting(hilbert.Family):
+        __slots__ = ()
+
+        def __init__(self, n, r):
+            builds.append((n, r))
+            super().__init__(n, r)
+
+    monkeypatch.setattr(hilbert, "Family", Counting)
+    hilbert.family.cache_clear()
+    try:
+        for s in range(1, 9):
+            for m in (1, 2, 7, 30, 500):
+                assert list(islice(hilbert_values(7, 3, s, m), 6)) == [
+                    binom(t + 7, 7) - s * _count_sum(7, 3, m, t) for t in range(m, m + 6)
+                ]
+                assert conditions_count(7, 3, m, m + 9) == _count_sum(7, 3, m, m + 9)
+        assert builds == [(7, 3)]
+        for s in (2, 5, 6, 7):
+            with suppress(CertificationError):
+                e_certify(3, 1, s, e_empirical(3, 1, s, m_max=20).ratio)
+        assert builds == [(7, 3), (3, 1)]
+    finally:
+        hilbert.family.cache_clear()
+
+
+def test_family_regrouping_matches_symbolic_expansion():
+    # A_i - s * B_i against the BiPoly path, at two values of s
+    for n in range(1, 13):
+        for r in range((n - 1) // 2 + 1):
+            fam = family(n, r)
+            for s in (2, 9):
+                expansion = expand_scaled(factorial(n) * hilbert_poly_symbolic(n, r, s))
+                assert fam.scaled_coeffs(s) == list(expansion.coeffs_in_m)
+                assert fam.scaled_coeffs(s)[n] == lambda_poly(n, r, s) * factorial(n)
+
+
+def test_family_counts_are_integer_polynomials_of_degree_n():
+    for n in range(1, 13):
+        for r in range(n):
+            fam = family(n, r)
+            assert fam.scale == factorial(n)
+            assert len(fam.counts) == r + 1
+            assert all(len(row) == n + 1 - a for a, row in enumerate(fam.counts))
+            assert all(type(c) is int for row in fam.counts for c in row)
+
+
+@st.composite
+def _count_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    m = draw(st.integers(min_value=1, max_value=6))
+    t = draw(st.integers(min_value=m, max_value=m + 5))
+    return n, r, m, t
+
+
+@given(_count_cases())
+@example((3, 1, 4, 4))
+@example((6, 2, 5, 5))
+def test_family_count_matches_sum_and_oracle(case):
+    n, r, m, t = case
+    want = _count_sum(n, r, m, t)
+    assert family(n, r).count(m, t) == want
+    assert conditions_count(n, r, m, t) == want
+    assert conditions_count_oracle(n, r, m, t) == want
+
+
+def test_family_count_below_t_equals_m():
+    # the family polynomial is the count down to t = m - r - 1, and 0 at m = 0
+    for n in range(1, 10):
+        for r in range(n):
+            fam = family(n, r)
+            assert fam.count(0, 5) == 0
+            for m in range(1, 9):
+                for t in range(max(0, m - r - 1), m + 3):
+                    assert fam.count(m, t) == _count_sum(n, r, m, t)
+
+
+def test_conditions_lines_validates_through_the_domain_check():
+    with pytest.raises(ValueError, match="flat dimension"):
+        conditions_count_lines(1, 2, 3)
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        conditions_count_lines(3, 0, 3)
+    with pytest.raises(ValueError, match="requires t >= m"):
+        conditions_count_lines(3, 4, 3)

@@ -16,7 +16,6 @@ from fatflats.polynomials import (
     fraction_to_json,
     fraction_to_str,
     lagrange_interpolate,
-    poly_derivative,
     poly_divmod,
     poly_gcd,
     power_sum_poly,
@@ -45,8 +44,8 @@ def test_binom_pascal(a, data):
 
 def test_derivative_power_rule():
     p = UniPoly([12, -18, 0, 1])  # x^3 - 18x + 12
-    assert poly_derivative(p) == UniPoly([-18, 0, 3])
-    assert poly_derivative(UniPoly([5])).is_zero
+    assert p.derivative() == UniPoly([-18, 0, 3])
+    assert UniPoly([5]).derivative().is_zero
 
 
 @pytest.mark.parametrize("n,s", [(3, 4), (4, 2), (5, 7)])
@@ -54,7 +53,7 @@ def test_derivative_matches_tower_normalization(n, s):
     # d/dx (x^n - s)/n! = x^(n-1)/(n-1)!
     p = (UniPoly([0] * n + [1]) - UniPoly([s])) * F(1, factorial(n))
     expected = UniPoly([0] * (n - 1) + [1]) * F(1, factorial(n - 1))
-    assert poly_derivative(p) == expected
+    assert p.derivative() == expected
 
 
 def test_eval_and_arithmetic():

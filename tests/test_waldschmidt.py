@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -241,3 +243,30 @@ def test_single_flat_grid_e_equals_g_equals_one():
             report = bounds_report(n, r, 1, m_max=4)
             assert report.e == 1
             assert report.g.is_exact and report.g.value == 1
+
+
+# sha256 of the whole grid 2 <= n <= 8, 0 <= r <= (n-1)/2, s = 2..20 (361
+# configurations): per configuration the canonical bounds_report JSON line,
+# then the outcome of certifying its e (certificate JSON, or failing step and
+# detail), each line ending in a newline
+GRID_SHA256 = "dbfd8a7f08c01b8ea42c8b4fc9b092e4e780071e054f87e92d5c00943add708f"
+
+
+def _grid_lines():
+    for n in range(2, 9):
+        for r in range((n - 1) // 2 + 1):
+            for s in range(2, 21):
+                report = bounds_report(n, r, s)
+                yield json.dumps(report.to_json(), sort_keys=True)
+                try:
+                    outcome = {"certificate": e_certify(n, r, s, report.e).to_json()}
+                except CertificationError as exc:
+                    outcome = {"step": exc.step, "detail": exc.detail}
+                yield json.dumps(outcome, sort_keys=True)
+
+
+def test_whole_grid_bytes():
+    lines = list(_grid_lines())
+    assert len(lines) == 2 * 361
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_SHA256
