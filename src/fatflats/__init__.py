@@ -17,7 +17,6 @@ from .polynomials import (
     binom,
     decimal_str,
     expand_scaled,
-    fraction_from_str,
     fraction_to_str,
     squarefree_part,
 )

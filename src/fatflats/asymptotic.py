@@ -42,8 +42,7 @@ def lambda_poly(n: int, r: int, s: int) -> UniPoly:
     for j in range(r + 1):
         for k in range(j + 1):
             coeffs[k] -= s * binom(n, j) * binom(j, k) * (-1) ** (j - k)
-    scale = factorial(n)
-    return UniPoly([Fraction(c, scale) for c in coeffs])
+    return UniPoly(coeffs, factorial(n))
 
 
 def lambda_poly_via_leading(n: int, r: int, s: int) -> UniPoly:

@@ -99,7 +99,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="accepted and ignored; every command runs serially",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(v)
 
     v = vsub.add_parser("identities", help="identity sweeps and seeded spot checks")
+    v.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
     _add_common(v)
 
     return parser
@@ -392,27 +392,6 @@ def _cmd_verify_appendix(args) -> int:
 
 def _cmd_verify_gamma_case(args) -> int:
     report = verify_gamma_points_case(args.n, args.s, range(1, args.hmax + 1))
-    payload = {
-        "n": args.n,
-        "s": args.s,
-        "gamma": fraction_to_json(report.gamma),
-        "rows": [
-            {
-                "h": row.h,
-                "upper": row.upper_system.format(),
-                "upper_nonempty": row.upper_nonempty,
-                "lower": row.lower_system.format() if row.lower_system else None,
-                "lower_empty": row.lower_empty,
-                "alpha": row.alpha,
-                "multiplicity": row.multiplicity,
-                "ratio": fraction_to_json(row.ratio),
-                "consistent": row.consistent,
-            }
-            for row in report.rows
-        ],
-        "endpoint": report.endpoint_note,
-        "ok": report.ok,
-    }
     lines = [
         f"h={row.h}: alpha={row.alpha} ratio={fraction_to_json(row.ratio)} "
         f"nonempty={row.upper_nonempty} lower_empty={row.lower_empty} consistent={row.consistent}"
@@ -420,7 +399,7 @@ def _cmd_verify_gamma_case(args) -> int:
     ] + [f"overall: {'pass' if report.ok else 'FAIL'}"]
     if report.endpoint_note:
         lines.append(report.endpoint_note)
-    _emit(payload, args, lines)
+    _emit(report.to_json(), args, lines)
     return 0 if report.ok else 1
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .polynomials import binom
+from .polynomials import binom, fraction_to_json
 from .waldschmidt import gamma_points_closed
 
 
@@ -131,9 +131,7 @@ class Witness:
         return [{"points": list(subset), "weight": w} for subset, w in self.factors]
 
 
-def hyperplane_product_witness(
-    sys: LinearSystem, num_points: Optional[int] = None
-) -> Optional[Witness]:
+def hyperplane_product_witness(sys: LinearSystem) -> Optional[Witness]:
     """Explicit nonemptiness witness by hyperplanes through <= n points each.
 
     Assigning each degree unit a hyperplane through at most n of the general
@@ -143,8 +141,6 @@ def hyperplane_product_witness(
     Returns None when no such product exists (which proves nothing about
     emptiness).
     """
-    if num_points is not None:
-        sys = sys.padded(num_points)
     if sys.d < 0:
         return None
     needs = [max(m, 0) for m in sys.mults]
@@ -216,15 +212,13 @@ def _certificate_verdict(sys: LinearSystem) -> Optional[tuple[str, str, Optional
     return None
 
 
-def reduce_system(sys: LinearSystem, strategy: str = "greedy", max_steps: int = 64) -> ReductionTrace:
+def reduce_system(sys: LinearSystem, max_steps: int = 64) -> ReductionTrace:
     """Greedy Cremona reduction until a certificate fires or progress stops.
 
     Repeatedly transforms on the n+1 largest multiplicities while the shift
     c is negative; checks the certificates before every step.  A step with
     c >= 0 is refused (it cannot help) and the trace ends undecided.
     """
-    if strategy != "greedy":
-        raise ValueError(f"unknown strategy {strategy!r}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     start = sys.padded(sys.n + 1)
@@ -276,6 +270,29 @@ class GammaCaseReport:
     @property
     def ok(self) -> bool:
         return all(row.ok for row in self.rows)
+
+    def to_json(self) -> dict:
+        return {
+            "n": self.n,
+            "s": self.s,
+            "gamma": fraction_to_json(self.gamma),
+            "rows": [
+                {
+                    "h": row.h,
+                    "upper": row.upper_system.format(),
+                    "upper_nonempty": row.upper_nonempty,
+                    "lower": row.lower_system.format() if row.lower_system else None,
+                    "lower_empty": row.lower_empty,
+                    "alpha": row.alpha,
+                    "multiplicity": row.multiplicity,
+                    "ratio": fraction_to_json(row.ratio),
+                    "consistent": row.consistent,
+                }
+                for row in self.rows
+            ],
+            "endpoint": self.endpoint_note,
+            "ok": self.ok,
+        }
 
 
 def _case_systems(n: int, s: int, h: int) -> tuple[LinearSystem, Optional[LinearSystem], int, int]:

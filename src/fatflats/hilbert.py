@@ -271,7 +271,7 @@ def conditions_poly(n: int, r: int, m: int) -> UniPoly:
     """
     check_flat_domain(n, r, m=m)
     fam = family(n, r)
-    return UniPoly([Fraction(c, fam.scale) for c in fam.count_in_t(m)])
+    return UniPoly(fam.count_in_t(m), fam.scale)
 
 
 def conditions_poly_symbolic(n: int, r: int) -> BiPoly:

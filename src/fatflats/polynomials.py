@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic over the rationals.
 
-Everything here is built on ``fractions.Fraction`` and Python integers, so
-no rounding ever happens.  The module provides
+Everything here is built on Python integers, so no rounding ever happens:
+a :class:`UniPoly` is integer numerators over one denominator, and
+``Fraction`` appears only at the edges and in :class:`BiPoly`.  It provides
 
 * :func:`binom`, the binomial coefficient with the out-of-range convention
   C(a, b) = 0 for b < 0 or b > a,
 * :class:`UniPoly`, a dense univariate polynomial with rational coefficients,
+* :func:`remainder_sequence`, the primitive pseudo-remainder sequence
+  (Collins) behind both :func:`poly_gcd` and the Sturm chains,
 * :class:`BiPoly`, a sparse polynomial in two formal variables, used for the
   degree/multiplicity bookkeeping where both the evaluation point and the
   multiplicity stay symbolic,
@@ -45,10 +48,6 @@ def fraction_to_str(q: Scalar) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def fraction_to_json(q: Scalar):
@@ -98,53 +97,59 @@ def decimal_str(q: Scalar, sig: int = 10) -> str:
 class UniPoly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x**i.  The zero polynomial has an
-    empty coefficient tuple and degree -1; otherwise the leading coefficient
-    is nonzero.  Instances are immutable.  Evaluation runs on a cached
-    integer form: the coefficient numerators over one common denominator.
+    The coefficient of x**i is ``nums[i] / den``: integer numerators with no
+    trailing zero over one denominator ``den > 0``, with gcd(den, *nums) = 1,
+    so equal polynomials have equal state.  The zero polynomial has no
+    numerators, den 1 and degree -1.  ``UniPoly(coeffs, den)`` takes ints,
+    ``Fraction``s or anything ``Fraction()`` accepts, all divided by ``den``.
+    Instances are immutable.
     """
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        self._ints = None
-
-    def _integer_form(self) -> tuple[list[int], int]:
-        """(nums, den) with coeffs[i] == nums[i] / den and den > 0, cached.
-
-        Built from lists: a tuple grown from a generator is not taken from
-        CPython's tuple free lists but is returned to them, so they fill up.
-        """
-        if self._ints is None:
-            den = lcm(*[c.denominator for c in self.coeffs])
-            self._ints = ([c.numerator * (den // c.denominator) for c in self.coeffs], den)
-        return self._ints
+    def __init__(self, coeffs: Iterable[Scalar] = (), den: int = 1):
+        if den < 1:
+            raise ValueError(f"UniPoly: den must be a positive integer, got {den}")
+        nums = list(coeffs)
+        if not all(type(c) is int for c in nums):
+            fracs = [Fraction(c) for c in nums]
+            scale = lcm(*[c.denominator for c in fracs])
+            nums = [c.numerator * (scale // c.denominator) for c in fracs]
+            den *= scale
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        self.nums: list[int] = nums
+        self.den: int = den
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x**i, as a ``Fraction``."""
+        return tuple([Fraction(c, self.den) for c in self.nums])
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.den, *self.nums))
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -153,8 +158,7 @@ class UniPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
                 continue
             mag = abs(c)
@@ -174,13 +178,14 @@ class UniPoly:
     def __add__(self, other: "UniPoly") -> "UniPoly":
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+            a[i] += c
+        return UniPoly(a, den)
 
     def __radd__(self, other):
         if other == 0:  # allows sum() over polynomials
@@ -188,24 +193,22 @@ class UniPoly:
         return NotImplemented
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, UniPoly):
-            if self.is_zero or other.is_zero:
-                return UniPoly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
+                if a:
+                    for j, b in enumerate(other.nums):
+                        out[i + j] += a * b
+            return UniPoly(out, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return UniPoly([c * other for c in self.coeffs])
+            f = Fraction(other)
+            return UniPoly([c * f.numerator for c in self.nums], self.den * f.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -226,14 +229,14 @@ class UniPoly:
     def _homogeneous(self, p: int, q: int) -> int:
         """sum nums[i] p^i q^(d-i), which is self(p/q) * den * q^d, by integer Horner."""
         acc, qk = 0, 1
-        for c in reversed(self._integer_form()[0]):
+        for c in reversed(self.nums):
             acc = acc * p + c * qk
             qk *= q
         return acc
 
     def __call__(self, x: Scalar) -> Fraction:
         p, q = x.numerator, x.denominator
-        return Fraction(self._homogeneous(p, q), self._integer_form()[1] * q ** max(self.degree, 0))
+        return Fraction(self._homogeneous(p, q), self.den * q ** max(self.degree, 0))
 
     def sign(self, x: Scalar, q: int = 1) -> int:
         """Sign of self(x / q) for an integer q > 0, without building a Fraction."""
@@ -241,24 +244,20 @@ class UniPoly:
         return (v > 0) - (v < 0)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return UniPoly([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        lead = self.leading
-        return UniPoly([c / lead for c in self.coeffs])
+        lead = self.nums[-1]
+        return UniPoly(self.nums if lead > 0 else [-c for c in self.nums], abs(lead))
 
     def primitive(self) -> "UniPoly":
         """Integer-primitive scalar multiple with positive leading coefficient."""
         if self.is_zero:
             return self
-        nums, _ = self._integer_form()
-        g = gcd(*nums)
-        nums = [v // g for v in nums]
-        if nums[-1] < 0:
-            nums = [-v for v in nums]
-        return UniPoly(nums)
+        g = gcd(*self.nums) if self.nums[-1] > 0 else -gcd(*self.nums)
+        return UniPoly([c // g for c in self.nums])
 
     # -- serialization -------------------------------------------------------
 
@@ -268,10 +267,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: Sequence) -> "UniPoly":
-        return cls([Fraction(c) for c in data])
-
-
-X = UniPoly([0, 1])
+        return cls(data)
 
 
 def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
@@ -292,40 +288,37 @@ def poly_divmod(a: UniPoly, b: UniPoly) -> tuple[UniPoly, UniPoly]:
     return UniPoly(quot), UniPoly(rem)
 
 
-def _primitive_ints(a: list[int]) -> list[int]:
-    """a divided by its content (the positive gcd of its coefficients)."""
-    g = gcd(*a)
-    return [c // g for c in a] if g > 1 else a
+def remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """[a, b, r_2, ..., r_k] on integer lists, lowest degree first.
 
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """|lc(b)|^k * a mod b for some k >= 0, on integer lists (lowest degree first).
-
-    The multiplier is a power of |lc(b)|, so the result is a positive multiple
-    of the rational remainder and keeps its signs.  ``b`` must be nonzero.
+    r_{i+1} is minus the primitive part of |lc(r_i)|^e * r_{i-1} mod r_i for
+    some e >= 0.  The multiplier is positive, so each r_i is a positive
+    multiple of the negated rational remainder (Sturm's sign convention).
+    r_k is the last nonzero term, a scalar multiple of gcd(a, b).
     """
-    r = list(a)
-    lead = b[-1]
-    scale, db = abs(lead), len(b) - 1
-    while len(r) > db:
-        k = len(r) - 1 - db
-        f = r.pop() if lead > 0 else -r.pop()
-        if scale != 1:
-            r = [scale * c for c in r]
-        for i in range(db):
-            r[k + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    seq = [a, b]
+    while b:
+        r, lead, scale, db = list(a), b[-1], abs(b[-1]), len(b) - 1
+        while len(r) > db:  # pseudo-division by b, one leading term at a time
+            k = len(r) - 1 - db
+            f = r.pop() if lead > 0 else -r.pop()
+            if scale != 1:
+                r = [scale * c for c in r]
+            for i in range(db):
+                r[k + i] -= f * b[i]
+            while r and r[-1] == 0:
+                r.pop()
+        g = gcd(*r)
+        a, b = b, [-c // g for c in r]
+        seq.append(b)
+    seq.pop()
+    return seq
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor over the rationals, by primitive
-    pseudo-remainders of the integer forms."""
-    a, b = _primitive_ints(a._integer_form()[0]), _primitive_ints(b._integer_form()[0])
-    while b:
-        a, b = b, _primitive_ints(_pseudo_remainder(a, b))
-    return UniPoly(a).monic()
+    pseudo-remainders of the integer numerators."""
+    return UniPoly(remainder_sequence(a.nums, b.nums)[-1]).monic()
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:

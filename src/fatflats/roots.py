@@ -19,11 +19,10 @@ from typing import Optional
 
 from .polynomials import (
     UniPoly,
-    _primitive_ints,
-    _pseudo_remainder,
     decimal_str,
     fraction_to_json,
     poly_gcd,
+    remainder_sequence,
     squarefree_part,
 )
 
@@ -72,20 +71,16 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Sign-variation chain of the squarefree part of p.
 
     ``chain[0]`` is the squarefree part and ``chain[1]`` its derivative; the
-    rest are the negated primitive pseudo-remainders of the integer forms.
+    rest are the negated primitive pseudo-remainders of their numerators.
     Each is a positive multiple of the negated rational remainder, so every
     sign-variation count is the same as for the classical chain.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     f = squarefree_part(p)
-    chain = [f, f.derivative()]
-    a, b = f._integer_form()[0], chain[1]._integer_form()[0]
-    while b:
-        a, b = b, [-c for c in _primitive_ints(_pseudo_remainder(a, b))]
-        chain.append(UniPoly(b))
-    chain.pop()
-    return chain
+    df = f.derivative()
+    seq = remainder_sequence(f.nums, df.nums)  # just [f.nums] when f is constant
+    return [f, df][: len(seq)] + [UniPoly(r) for r in seq[2:]]
 
 
 def sign_variations(chain: list[UniPoly], x: Fraction) -> int:
@@ -109,7 +104,7 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     """All real roots of p lie in (-B, B) for this B."""
     if p.is_zero or p.degree == 0:
         return Fraction(1)
-    nums = p._integer_form()[0]  # the common denominator cancels in |c| / |lead|
+    nums = p.nums  # the common denominator cancels in |c| / |lead|
     return 1 + Fraction(max(map(abs, nums[:-1])), abs(nums[-1]))
 
 
@@ -244,7 +239,7 @@ def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
     a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
     alo = ahi = 0
     qk = 1
-    for c in reversed(p._integer_form()[0]):
+    for c in reversed(p.nums):
         prods = (alo * a, alo * b, ahi * a, ahi * b)
         alo, ahi = min(prods) + c * qk, max(prods) + c * qk
         qk *= q

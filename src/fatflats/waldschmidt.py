@@ -150,10 +150,13 @@ class CertificationError(Exception):
         super().__init__(f"{step}: {detail}")
 
 
-def _find_witness_for(fam: Family, s: int, candidate: Fraction, tries: int = 128) -> RatioWitness:
+_WITNESS_TRIES = 128  # multiples k * (p, q) of the candidate p/q scanned for a witness
+
+
+def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
     q = candidate.denominator
     p = candidate.numerator
-    for k in range(1, tries + 1):
+    for k in range(1, _WITNESS_TRIES + 1):
         m, t = k * q, k * p
         if t >= m >= 1:
             value = fam.hilbert_value(s, m, t)

@@ -256,3 +256,14 @@ def test_import_leaves_process_pool_modules_out():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
     assert proc.returncode == 0
     assert proc.stdout.decode().strip() == "[]"
+
+
+def test_seed_only_on_verify_identities(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "3", "1", "6", "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, "verify", "identities", "--seed", "42") == (0, "failures: 0\n")
+    code, out = run_cli(capsys, "verify", "identities", "--seed", "42", "--json")
+    assert code == 0
+    assert out == '{"seed":42,"checks":"identities","failures":[],"ok":true}\n'
