@@ -297,22 +297,9 @@ class GammaCaseReport:
 
 def _case_systems(n: int, s: int, h: int) -> tuple[LinearSystem, Optional[LinearSystem], int, int]:
     """Witness system, emptiness system (or None), degree and multiplicity."""
-    if s == n + 1:
-        d, m = h * (n + 1), h * n
-        return (
-            LinearSystem(n, d, (m,) * s),
-            LinearSystem(n, d - 1, (m,) * s),
-            d,
-            m,
-        )
-    if s == n + 2:
-        d, m = h * (n + 2), h * n
-        return (
-            LinearSystem(n, d, (m,) * s),
-            LinearSystem(n, d - 1, (m,) * s),
-            d,
-            m,
-        )
+    if s in (n + 1, n + 2):
+        d, m = h * s, h * n
+        return LinearSystem(n, d, (m,) * s), LinearSystem(n, d - 1, (m,) * s), d, m
     if s == n + 3:
         if n % 2 == 0:
             half = n // 2
@@ -350,20 +337,15 @@ def verify_gamma_points_case(n: int, s: int, h_range: Iterable[int] = range(1, 4
         ratio = Fraction(d, m)
         consistent = ratio == gamma
         rows.append(GammaCaseRow(h, upper, upper_ok, lower, lower_ok, d, m, ratio, consistent))
-        if s == n + 3 and h == 1 and n % 2 == 1:
+        if s == n + 3 and h == 1:
             final = up_trace.final
-            expected = sorted((n,) * (n + 1) + (-1, -1))
+            if n % 2:
+                expected, degree = (n,) * (n + 1) + (-1, -1), n + 1
+            else:
+                expected, degree = (1,) * n + (0, 0, 0), 1
             endpoint_note = (
                 "endpoint multiset matches the expected reduced system"
-                if sorted(final.mults) == expected and final.d == n + 1
-                else f"endpoint {final.format()} differs from the expected reduced system"
-            )
-        if s == n + 3 and h == 1 and n % 2 == 0:
-            final = up_trace.final
-            expected = sorted((1,) * n + (0, 0, 0))
-            endpoint_note = (
-                "endpoint multiset matches the expected reduced system"
-                if sorted(final.mults) == expected and final.d == 1
+                if sorted(final.mults) == sorted(expected) and final.d == degree
                 else f"endpoint {final.format()} differs from the expected reduced system"
             )
     return GammaCaseReport(n, s, gamma, tuple(rows), endpoint_note)

@@ -9,25 +9,24 @@ degrees t >= m such vanishing imposes exactly
 independent conditions.  The count depends on the family (n, r) only, and
 ``family(n, r)`` builds it once, in integers, as n! * c with both t and m
 left free; every count below is an evaluation of that object, O(n * r) for
-any m.  This module also provides an independent monomial-enumeration
-oracle for the count, a difference-table stepper for the Hilbert values of
-a union at consecutive degrees, the Hilbert function of a single fat flat
-via the iterated-summation recursion, Hilbert polynomials of unions with
-uniform or mixed multiplicities (including a fully symbolic variant where
-the multiplicity stays a formal variable, kept as an independent
-cross-check of the family), and the closed-form initial-degree formulas for
-general points and lines.
+any m, and so is the family's scan for the least degree with a positive
+Hilbert value at a fixed m.  This module also provides an independent
+monomial-enumeration oracle for the count, the Hilbert function of a
+single fat flat via the iterated-summation recursion, Hilbert polynomials
+of unions with uniform or mixed multiplicities (including a fully symbolic
+variant where the multiplicity stays a formal variable, kept as an
+independent cross-check of the family), and the closed-form
+initial-degree formulas for general points and lines.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
@@ -151,6 +150,32 @@ class Family:
         """P_m(t) = C(t + n, n) - s * c(n, r; t, m), the value for s flats."""
         return comb(t + self.n, self.n) - s * self.count(m, t)
 
+    def first_positive(self, s: int, m: int, stop: int) -> int | None:
+        """The least t in [m, stop) with P_m(t) > 0 for s flats, or None.
+
+        At every integer t >= m the count is the degree-r polynomial in t
+        that ``count_in_t(m)`` gives, so its values at t = m..m+r seed a
+        table of backward differences and each later count costs r integer
+        additions.  Callers validate.
+        """
+        n, r = self.n, self.r
+        in_t = self.count_in_t(m)
+        diffs: list[int] = []  # diffs[k] is the k-th backward difference of the counts at t
+        for t in range(m, min(stop, m + r + 1)):
+            count = _horner(in_t, t) // self.scale
+            for k in range(len(diffs)):
+                diffs[k], count = count, count - diffs[k]
+            diffs.append(count)
+            if comb(t + n, n) > s * diffs[0]:
+                return t
+        steps = range(r - 1, -1, -1)
+        for t in range(m + r + 1, stop):
+            for k in steps:
+                diffs[k] += diffs[k + 1]
+            if comb(t + n, n) > s * diffs[0]:
+                return t
+        return None
+
     def scaled_coeffs(self, s: int) -> list[UniPoly]:
         """c_0, ..., c_n of n! * P(m*x) = sum_i c_i(x) m^i for s flats."""
         out = []
@@ -178,31 +203,6 @@ def conditions_count(n: int, r: int, m: int, t: int) -> int:
     if t < m:
         raise ValueError(f"conditions_count requires t >= m, got t={t}, m={m}")
     return family(n, r).count(m, t)
-
-
-def hilbert_values(n: int, r: int, s: int, m: int) -> Iterator[int]:
-    """Yield the Hilbert values P_m(m), P_m(m + 1), ... without end.
-
-    P_m(t) = C(t + n, n) - s * c(n, r, m, t), and at every integer t >= m the
-    count c(n, r, m, t) is the degree-r polynomial in t that the family
-    gives at this m.  Its r + 1 values at t = m..m+r seed a table of
-    backward differences, and each later count costs r integer additions.
-    """
-    check_flat_domain(n, r, s, m)
-    fam = family(n, r)
-    in_t = fam.count_in_t(m)
-    diffs: list[int] = []  # diffs[k] is the k-th backward difference of the counts at t
-    for t in range(m, m + r + 1):
-        count = _horner(in_t, t) // fam.scale
-        for k in range(len(diffs)):
-            diffs[k], count = count, count - diffs[k]
-        diffs.append(count)
-        yield comb(t + n, n) - s * diffs[0]
-    steps = range(r - 1, -1, -1)
-    for t in itertools.count(m + r + 1):
-        for k in steps:
-            diffs[k] += diffs[k + 1]
-        yield comb(t + n, n) - s * diffs[0]
 
 
 def conditions_count_oracle(n: int, r: int, m: int, t: int, guard: int = ORACLE_GUARD) -> int:

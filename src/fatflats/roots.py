@@ -35,15 +35,12 @@ class AlgebraicNumber:
 
     ``defining`` is squarefree with integer-primitive coefficients and positive
     leading coefficient; it has exactly one real root in [lo, hi].  When the
-    number is rational the interval degenerates to a point.  ``decimal`` is a
-    rendering of the interval midpoint whose error is bounded by half the
-    interval width plus one unit in the last rendered digit.
+    number is rational the interval degenerates to a point.
     """
 
     defining: UniPoly
     lo: Fraction
     hi: Fraction
-    decimal: str
 
     @property
     def is_exact(self) -> bool:
@@ -58,6 +55,12 @@ class AlgebraicNumber:
     @property
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
+
+    @property
+    def decimal(self) -> str:
+        """The interval midpoint rendered in decimal; its error is bounded by
+        half the interval width plus one unit in the last rendered digit."""
+        return decimal_str(self.midpoint)
 
     def to_json(self) -> dict:
         return {
@@ -77,10 +80,11 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    f = squarefree_part(p)
-    df = f.derivative()
-    seq = remainder_sequence(f.nums, df.nums)  # just [f.nums] when f is constant
-    return [f, df][: len(seq)] + [UniPoly(r) for r in seq[2:]]
+    seq = remainder_sequence(p.nums, p.derivative().nums)  # just [p.nums] when p is constant
+    if len(seq[-1]) > 1:  # gcd(p, p') is nonconstant, so p has a repeated root
+        p = squarefree_part(p, seq)
+        seq = remainder_sequence(p.nums, p.derivative().nums)
+    return [p, p.derivative()][: len(seq)] + [UniPoly(r) for r in seq[2:]]
 
 
 def sign_variations(chain: list[UniPoly], x: Fraction) -> int:
@@ -138,10 +142,6 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
         p0, p1 = p1, p1 * f + p0
         q0, q1 = q1, q1 * f + q0
         a, b, c, d = d, c - f * d, b, a - f * b
-
-
-def _number(defining: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
-    return AlgebraicNumber(defining, lo, hi, decimal_str((lo + hi) / 2))
 
 
 def bisect_root(
@@ -212,20 +212,20 @@ def isolate_largest_root(
     defining = sf.primitive()
     found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)
     if found is None:
-        return _number(defining, lower, lower) if p.sign(lower) == 0 else None
+        return AlgebraicNumber(defining, lower, lower) if p.sign(lower) == 0 else None
     lo, hi = found
     cand = simplest_rational_in(lo, hi)
     if lo < cand <= hi and sf.sign(cand) == 0:
         # the interval holds exactly one root of sf, so cand is that root
         lo = hi = cand
-    return _number(defining, lo, hi)
+    return AlgebraicNumber(defining, lo, hi)
 
 
 def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
     """Shrink the isolating interval to the requested width."""
     if alg.is_exact or alg.hi - alg.lo <= precision:
         return alg
-    return _number(alg.defining, *bisect_root(alg.defining, alg.lo, alg.hi, precision))
+    return AlgebraicNumber(alg.defining, *bisect_root(alg.defining, alg.lo, alg.hi, precision))
 
 
 def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:

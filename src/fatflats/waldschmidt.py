@@ -20,13 +20,11 @@ argument on the regrouped polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the coefficients c_i = A_i - s * B_i come from it
 without any symbolic expansion, and so do single Hilbert values, at
-O(n * r) each whatever m is.  Both (t, m) scans walk t upward at fixed m
-and take their values from ``hilbert.hilbert_values``.  That is exact, not
-an approximation: for every integer t >= m the value
-P_m(t) = C(t + n, n) - s * c(n, r, m, t) is a polynomial in t (the count c
-has degree r), so r + 1 exact seeds and then integer additions through a
-difference table give every later value.  Ratios are compared by
-cross-multiplication, never by building a Fraction per pair.
+O(n * r) each whatever m is.  Both (t, m) scans ask the family, one m at a
+time, for the least t in a range with P_m(t) > 0
+(``Family.first_positive``), which walks t upward exactly.  Ratio bounds
+are turned into integer ranges of t by cross-multiplication, never by
+building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the constant term n! can be carried along exactly rather than
@@ -43,7 +41,7 @@ from math import ceil, factorial
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
-from .hilbert import Family, check_flat_domain, family, hilbert_values
+from .hilbert import Family, check_flat_domain, family
 from .polynomials import UniPoly, binom, fraction_to_json
 from .roots import (
     DEFAULT_PRECISION,
@@ -75,25 +73,23 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     ratio so far (t * best.m < best.t * m); larger t cannot improve the
     infimum estimate, and equal ratios keep the earlier, smaller m.  Before
     any witness is found, t runs up to the safety band 10m + C(s + n, n).
-    The values come from ``hilbert_values``, which is exact here because
-    P_m(t) is a polynomial in t for all integer t >= m.
+    Each m is one ``Family.first_positive`` scan.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    fam = family(n, r)
     best: Optional[RatioWitness] = None
     for m in range(1, m_max + 1):
         if best is None:
             stop = 10 * m + binom(s + n, n) + 1
         else:
             stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
-        for t, value in zip(range(m, stop), hilbert_values(n, r, s, m)):
-            if value > 0:
-                best = RatioWitness(t, m, value)
-                break
-        else:
-            if best is None:
-                raise ArithmeticError("no witness found in the safety band")
+        t = fam.first_positive(s, m, stop)
+        if t is not None:
+            best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
+        elif best is None:
+            raise ArithmeticError("no witness found in the safety band")
     assert best is not None
     return best
 
@@ -194,8 +190,6 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     if cs[0] != UniPoly([factorial(n)]):
         raise AssertionError("constant term of the regrouped polynomial must be n!")
 
-    lam = lambda_poly(n, r, s)
-
     # step (ii): largest x_lo <= candidate with all nonconstant c_i <= 0 on [1, x_lo]
     x_lo = candidate
     for ci in cs[1:]:
@@ -207,8 +201,9 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     # soundness of the band [1, x_lo]: the leading coefficient n! * lambda
     # must stay negative there (its first root >= 1 is the g bound)
     if x_lo > 1:
-        inside = count_roots_in(lam, Fraction(1), x_lo)
-        if lam(1) >= 0 or inside > 1 or (inside == 1 and lam(x_lo) != 0):
+        lead = cs[n]
+        inside = count_roots_in(lead, Fraction(1), x_lo)
+        if lead.sign(1) >= 0 or inside > 1 or (inside == 1 and lead.sign(x_lo) != 0):
             raise CertificationError("sign", "leading coefficient is not negative below x_lo")
 
     # step (iii): every nonconstant c_i nondecreasing on [x_lo, candidate]
@@ -242,12 +237,13 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     # step (v): exhaustive scan of every remaining pair with ratio < candidate
     pairs = 0
     for m in range(1, m_threshold):
-        for t, value in zip(range(m, ceil(m * candidate)), hilbert_values(n, r, s, m)):
-            pairs += 1
-            if value > 0:
-                raise CertificationError(
-                    "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"
-                )
+        stop = ceil(m * candidate)
+        t = fam.first_positive(s, m, stop)
+        if t is not None:
+            raise CertificationError(
+                "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"
+            )
+        pairs += stop - m  # >= 0 since candidate >= 1
 
     scan_desc = (
         f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"

@@ -1,6 +1,5 @@
 from contextlib import suppress
 from fractions import Fraction as F
-from itertools import islice
 from math import factorial
 
 import pytest
@@ -23,7 +22,6 @@ from fatflats.hilbert import (
     hilbert_poly_mixed,
     hilbert_poly_symbolic,
     hilbert_poly_uniform,
-    hilbert_values,
     identity_sum_binom,
     identity_sum_i_binom,
 )
@@ -223,27 +221,45 @@ def test_conditions_poly_matches_count():
             assert poly(t) == conditions_count(n, r, m, t)
 
 
+def _first_positive_direct(n, r, s, m, stop):
+    values = ((t, binom(t + n, n) - s * conditions_count(n, r, m, t)) for t in range(m, stop))
+    return next((t for t, value in values if value > 0), None)
+
+
 @st.composite
-def _stepper_cases(draw):
+def _scan_cases(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     s = draw(st.integers(min_value=1, max_value=20))
     r_max = n - 1 if s == 1 else (n - 1) // 2
     r = draw(st.integers(min_value=0, max_value=r_max))
     m = draw(st.integers(min_value=1, max_value=60))
-    length = draw(st.integers(min_value=0, max_value=3 * n + 40))
-    return n, r, s, m, length
+    # stop below m, inside the seed band m..m+r, or past it
+    offset = draw(
+        st.one_of(
+            st.integers(min_value=-3, max_value=0),
+            st.integers(min_value=1, max_value=r + 1),
+            st.integers(min_value=r + 2, max_value=4 * m + 40),
+        )
+    )
+    return n, r, s, m, m + offset
 
 
-@given(_stepper_cases())
-def test_hilbert_values_match_direct_counts(case):
-    n, r, s, m, length = case
-    stepped = list(islice(hilbert_values(n, r, s, m), length))
-    direct = [binom(t + n, n) - s * conditions_count(n, r, m, t) for t in range(m, m + length)]
-    assert stepped == direct
+@given(_scan_cases())
+@example((3, 1, 6, 11, 60))  # first positive t = 43, far past the seed band
+@example((7, 3, 2, 5, 20))  # four seeds, then stepped up to t = 10
+@example((5, 2, 20, 3, 6))  # stop inside the seed band
+@example((4, 1, 9, 2, 1))  # stop below m
+def test_first_positive_matches_direct_scan(case):
+    n, r, s, m, stop = case
+    fam = family(n, r)
+    t = fam.first_positive(s, m, stop)
+    assert t == _first_positive_direct(n, r, s, m, stop)
+    if t is not None:
+        assert fam.hilbert_value(s, m, t) == binom(t + n, n) - s * conditions_count(n, r, m, t) > 0
 
 
 def test_family_built_once_across_s_and_m(monkeypatch):
-    # every count, stepped value and certificate of (n, r) reads one family
+    # every count, scan and certificate of (n, r) reads one family
     import fatflats.hilbert as hilbert
 
     builds = []
@@ -260,9 +276,9 @@ def test_family_built_once_across_s_and_m(monkeypatch):
     try:
         for s in range(1, 9):
             for m in (1, 2, 7, 30, 500):
-                assert list(islice(hilbert_values(7, 3, s, m), 6)) == [
-                    binom(t + 7, 7) - s * _count_sum(7, 3, m, t) for t in range(m, m + 6)
-                ]
+                for stop in (m + 2, 4 * m + 9):
+                    direct = _first_positive_direct(7, 3, s, m, stop)
+                    assert hilbert.family(7, 3).first_positive(s, m, stop) == direct
                 assert conditions_count(7, 3, m, m + 9) == _count_sum(7, 3, m, m + 9)
         assert builds == [(7, 3)]
         for s in (2, 5, 6, 7):

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import g_value, lambda_poly
-from fatflats.polynomials import UniPoly
+from fatflats.polynomials import UniPoly, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
     cauchy_root_bound,
@@ -270,6 +270,30 @@ def test_g_value_builds_one_chain(monkeypatch, config):
     built = _count_chains(monkeypatch, asymptotic)
     g_value(*config, F(1, 10**50))
     assert built == [lambda_poly(*config)]
+
+
+def test_squarefree_chain_runs_one_remainder_sequence(monkeypatch):
+    import fatflats.polynomials as polynomials
+    import fatflats.roots as roots
+
+    runs = []
+    original = polynomials.remainder_sequence
+
+    def counting(a, b):
+        runs.append(a)
+        return original(a, b)
+
+    for module in (polynomials, roots):
+        monkeypatch.setattr(module, "remainder_sequence", counting)
+    g_value(3, 1, 6)
+    assert runs == [lambda_poly(3, 1, 6).nums]
+    # a repeated root: the gcd is divided out and the chain rerun once
+    sf = UniPoly([-2, 1]) * UniPoly([3, 1])
+    p = sf * UniPoly([-2, 1])
+    runs.clear()
+    chain = sturm_chain(p)
+    assert runs == [p.nums, sf.nums]
+    assert chain[0] == sf == squarefree_part(p)
 
 
 def test_refine_and_sign_at_build_no_chain(monkeypatch):
