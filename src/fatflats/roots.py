@@ -4,7 +4,11 @@ Root counts come from sign-variation chains (Sturm's method) computed on the
 squarefree part, so repeated roots cannot confuse the count; the chains, like
 the gcds, are built by primitive pseudo-remainders in integers.  Isolation is
 one midpoint bisection, ``bisect_root``: the counts narrow an interval to a
-single root, then the sign of the squarefree part alone refines it.  A
+single root, then the sign of the squarefree part alone refines it.  When
+many halvings remain, integer Newton predicts the dyadic cell they would end
+in, and opposite nonzero signs at its two ends confirm it (the idea of
+Abbott's quadratic interval refinement); anything unconfirmed goes back to
+halving, so the intervals are those of plain bisection.  A
 rational-candidate test reports rational roots exactly (a degenerate
 one-point interval) instead of as a narrow interval.  Signs are computed in
 integers (``UniPoly.sign``), so the hot path builds no ``Fraction``.
@@ -144,6 +148,78 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
         a, b, c, d = d, c - f * d, b, a - f * b
 
 
+_JUMP_FROM_BITS = 8  # try the Newton jump once the bracket is at most 2^-8 wide
+_JUMP_MIN_STEPS = 24  # and at least this many halvings are left
+_NEWTON_START_BITS = 32
+_NEWTON_GUARD_BITS = 16
+_NEWTON_STEPS = 8  # per precision level, which settles on a step of at most 1
+
+
+def _newton_cell(
+    sf: UniPoly, a: int, b: int, q: int, s_hi: int, width: Fraction
+) -> Optional[tuple[Fraction, Fraction]]:
+    """The cell that bisection of (a/q, b/q] to ``width`` ends in, or None.
+
+    (a/q, b/q] holds exactly one root of sf, and s_hi != 0 is the sign of
+    sf(b/q).  Bisection to ``width`` takes k halvings, the least k with
+    (b - a) / (q 2^k) <= width.  When no point of that depth-k dyadic grid is
+    the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Integer
+    Newton predicts j: x <- x - f // f' with f(x) = 2^(K deg) den sf(x / 2^K),
+    x clamped to the bracket, at precisions K that double from at most 32
+    bits up to 16 bits finer than a cell.  The cell is returned only when sf
+    has opposite nonzero signs at its two ends, which puts the root strictly
+    inside it; those two signs are the whole certificate.  Equal signs move
+    j one cell toward the root, at most twice.  None sends the caller back to
+    halving: a sign 0 (a grid point is the root), a move off the grid, fewer
+    than ``_JUMP_MIN_STEPS`` halvings to save, a zero derivative or a level
+    that does not settle.
+    """
+    span = b - a
+    num, den = span * width.denominator, width.numerator * q
+    k = max(num.bit_length() - den.bit_length(), 0)
+    if num > den << k:
+        k += 1
+    if k < _JUMP_MIN_STEPS:
+        return None
+    levels = [k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS]
+    while levels[-1] > _NEWTON_START_BITS:
+        levels.append((levels[-1] + 1) // 2)
+    nums = sf.nums[::-1]
+    x, x_q = a + b, 2 * q  # the midpoint, x / x_q
+    for prec in reversed(levels):
+        x = (x << prec) // x_q
+        x_lo, x_hi = -((-a << prec) // q), (b << prec) // q  # the bracket, rounded inward
+        for _ in range(_NEWTON_STEPS):
+            f = df = shift = 0
+            for c in nums:  # Horner for f and its derivative together
+                df = df * x + f
+                f = f * x + (c << shift)
+                shift += prec
+            if not df:
+                return None
+            step = f // df
+            x = min(max(x - step, x_lo), x_hi)
+            if -1 <= step <= 1:
+                break
+        else:
+            return None
+        x_q = 1 << prec
+    cells = 1 << k
+    j = min(max(((x * q - (a << prec)) << k) // (span << prec), 0), cells - 1)
+    q <<= k
+    for _ in range(3):
+        if not 0 <= j < cells:
+            return None
+        x0 = (a << k) + j * span
+        s0, s1 = sf.sign(x0, q), sf.sign(x0 + span, q)
+        if not (s0 and s1):
+            return None
+        if s0 != s1:
+            return Fraction(x0, q), Fraction(x0 + span, q)
+        j += -1 if s1 == s_hi else 1
+    return None
+
+
 def bisect_root(
     sf: UniPoly,
     lo: Fraction,
@@ -160,7 +236,11 @@ def bisect_root(
     exactly one root.  Once it does, the root is in (mid, hi] iff sf(hi) = 0
     or sf(mid) and sf(hi) differ in sign, so only the sign of sf is read.
     Returns (lo, hi) of width at most ``width`` holding the root; when a
-    midpoint is the largest root it returns (mid, mid).
+    midpoint is the largest root it returns (mid, mid).  Once the bracket is
+    at most 2^-8 wide, ``_newton_cell`` may jump straight to the final cell
+    of the halvings, certified by two signs; otherwise, and whenever it
+    declines, the halvings go on from where they stand, so the result is
+    the same either way.
     """
     if chain is not None:
         v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
@@ -178,7 +258,13 @@ def bisect_root(
     a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
     width = Fraction(width)
     s_hi = sf.sign(hi)
+    jump = width > 0  # a width <= 0 never ends the loop, and its k would be unbounded
     while (b - a) * width.denominator > width.numerator * q:
+        if jump and s_hi and (b - a) << _JUMP_FROM_BITS <= q:
+            jump = False
+            cell = _newton_cell(sf, a, b, q, s_hi, width)
+            if cell is not None:
+                return cell
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
         s_mid = sf.sign(mid, q)
         if s_mid == 0 and not smallest:

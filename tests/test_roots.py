@@ -1,19 +1,22 @@
 from fractions import Fraction as F
+from math import ceil, isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import g_value, lambda_poly
 from fatflats.polynomials import UniPoly, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
+    bisect_root,
     cauchy_root_bound,
     count_roots_geq,
     count_roots_in,
     isolate_largest_root,
     refine,
     sign_at,
+    sign_variations,
     simplest_rational_in,
     sturm_chain,
 )
@@ -305,3 +308,169 @@ def test_refine_and_sign_at_build_no_chain(monkeypatch):
     assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # shares the root
     assert sign_at(g, UniPoly([-4, 1])) == -1
     assert built == []
+
+
+# ---- the Newton jump of bisect_root against plain bisection -------------------
+
+
+def _plain_bisect(sf, lo, hi, width, chain=None, smallest=False):
+    """Reference: bisect_root's counting phase, then one halving per step on
+    ``Fraction`` values of sf, with no jump."""
+    if chain is not None:
+        v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
+        if v_lo == v_hi:
+            return None
+        while v_lo - v_hi > 1:
+            mid = (lo + hi) / 2
+            v_mid = sign_variations(chain, mid)
+            if (v_lo > v_mid) if smallest else (v_mid == v_hi):
+                hi, v_hi = mid, v_mid
+            else:
+                lo, v_lo = mid, v_mid
+
+    def sign(x):
+        v = sf(x)
+        return (v > 0) - (v < 0)
+
+    s_hi = sign(hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = sign(mid)
+        if s_mid == 0 and not smallest:
+            return mid, mid
+        if s_hi == 0 or s_mid == -s_hi:
+            lo = mid
+        else:
+            hi, s_hi = mid, s_mid
+    return lo, hi
+
+
+def _halvings(lo, hi, width):
+    k = 0
+    while (hi - lo) / 2**k > width:
+        k += 1
+    return k
+
+
+@st.composite
+def isolated_roots(draw):
+    """(sf, lo, hi, width): sf squarefree with integer coefficients and one
+    root in (lo, hi], often on a point of the dyadic grid bisection visits or
+    within one final cell of such a point."""
+    lo = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    hi = lo + draw(st.sampled_from([F(1), F(2), F(3), F(1, 3), F(7, 5)]))
+    span = hi - lo
+    k = draw(st.integers(2, 200))
+    width = F(1, 2**k) if draw(st.booleans()) else F(1, 10**k)
+    depth = _halvings(lo, hi, width)
+    e = draw(st.integers(1, depth))
+    theta = F(draw(st.integers(0, 2**e)), 2**e)  # a grid point, hi included
+    offset = F(draw(st.integers(-3, 3)), 2 ** draw(st.integers(max(depth - 4, 0), depth + 60)))
+    target = lo + span * min(max(theta + offset, F(1, 2**depth)), F(1))  # in (lo, hi]
+    if draw(st.booleans()):
+        factors = [UniPoly([-target, 1])]
+    else:
+        # x^2 - 2ux + u^2 - n/m^2 has the roots u +- sqrt(n)/m; u puts the upper
+        # one near target (within 2^-p) and the lower one below lo
+        m = draw(st.integers(1, 4))
+        n = draw(st.integers(ceil(m * span) ** 2, (4 * m) ** 2).filter(lambda v: isqrt(v) ** 2 != v))
+        p = draw(st.integers(8, depth + 60))
+        u = target - F(isqrt(n * 4**p), m * 2**p)
+        factors = [UniPoly([u * u - F(n, m * m), -2 * u, 1])]
+    for root in draw(st.lists(st.sampled_from([lo, lo - 1, hi + F(1, 3), hi + 2]), unique=True, max_size=2)):
+        factors.append(UniPoly([-root, 1]))
+    if draw(st.booleans()):
+        factors.append(UniPoly([3, 1, 1]))  # no real root
+    sf = UniPoly([draw(st.sampled_from([-2, 1, 3]))])
+    for factor in factors:
+        sf = sf * factor
+    sf = sf.primitive() * draw(st.sampled_from([-1, 1]))
+    assume(count_roots_in(sf, lo, hi) == 1)
+    return sf, lo, hi, width
+
+
+# (target root, width) on (1, 2]: a root on a grid point the jump lands next
+# to (so a cell end has sign 0), and roots a hair to either side of a final
+# grid point (so Newton's cell can be one off and a move runs); each as a
+# rational root beside the root 3, and as u + sqrt(2) just above it
+NEAR_GRID = [
+    (1 + F(5, 2**30), F(1, 2**60)),
+    (1 + F(5, 2**30) + F(1, 2**100), F(1, 2**60)),
+    (1 + F(5, 2**30) - F(1, 2**100), F(1, 2**60)),
+    (1 + F(3, 2**60) + F(1, 2**90), F(1, 2**60)),
+    (1 + F(3, 2**60) - F(1, 2**90), F(1, 2**60)),
+    (F(3, 2) + F(1, 10**70), F(1, 10**20)),
+    (F(3, 2) - F(1, 10**70), F(1, 10**20)),
+]
+
+
+@pytest.mark.parametrize("target, width", NEAR_GRID)
+@pytest.mark.parametrize("smallest", [False, True])
+def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, smallest):
+    u = target - F(isqrt(2 * 4**200), 2**200)  # u + sqrt(2) is within 2^-200 above target
+    lo, hi = F(1), F(2)
+    for sf in (UniPoly([-target, 1]) * UniPoly([-3, 1]), UniPoly([u * u - 2, -2 * u, 1])):
+        assert count_roots_in(sf, lo, hi) == 1
+        want = _plain_bisect(sf, lo, hi, width, smallest=smallest)
+        calls = _count_signs(monkeypatch)
+        assert bisect_root(sf, lo, hi, width, smallest=smallest) == want
+        monkeypatch.undo()
+        if target != NEAR_GRID[0][0]:  # off the grid: the jump, not 60-odd halvings
+            assert calls[0] <= 20
+
+
+@settings(max_examples=150)
+@given(isolated_roots(), st.booleans())
+def test_bisect_root_matches_plain_bisection(case, smallest):
+    sf, lo, hi, width = case
+    assert bisect_root(sf, lo, hi, width, smallest=smallest) == _plain_bisect(sf, lo, hi, width, smallest=smallest)
+
+
+@settings(max_examples=50)
+@given(isolated_roots(), st.booleans(), st.integers(0, 3), st.integers(0, 3))
+def test_bisect_root_with_chain_matches_plain_bisection(case, smallest, below, above):
+    sf, lo, hi, width = case
+    lo, hi = lo - below, hi + above  # the counting phase narrows this again
+    chain = sturm_chain(sf)
+    got = bisect_root(sf, lo, hi, width, chain, smallest)
+    assert got == _plain_bisect(sf, lo, hi, width, chain, smallest)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _count_signs(monkeypatch, stop_after=None):
+    """Count every UniPoly.sign call; raise _Stop after ``stop_after`` of them."""
+    calls = [0]
+    original = UniPoly.sign
+
+    def counting(self, x, q=1):
+        calls[0] += 1
+        if stop_after is not None and calls[0] > stop_after:
+            raise _Stop
+        return original(self, x, q)
+
+    monkeypatch.setattr(UniPoly, "sign", counting)
+    return calls
+
+
+@pytest.mark.parametrize("config, budget", [((12, 5, 100), 80), ((3, 1, 6), 50)])
+def test_g_value_sign_budget(monkeypatch, config, budget):
+    # plain bisection to 1e-50 takes 220 and 189 signs here
+    calls = _count_signs(monkeypatch)
+    g_value(*config, F(1, 10**50))
+    assert calls[0] <= budget
+
+
+@pytest.mark.parametrize("width", [0, -1, F(-1, 10**50)])
+def test_nonpositive_width_never_jumps(monkeypatch, width):
+    import fatflats.roots as roots
+
+    def no_jump(*args):
+        raise AssertionError("the Newton jump ran on a width <= 0")
+
+    monkeypatch.setattr(roots, "_newton_cell", no_jump)
+    _count_signs(monkeypatch, stop_after=400)  # the halvings never end on such a width
+    with pytest.raises(_Stop):
+        bisect_root(UniPoly([-2, 0, 1]), F(1), F(2), width)
