@@ -24,8 +24,10 @@ from .polynomials import UniPoly, binom, expand_scaled
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
-    count_roots_geq,
-    isolate_largest_root,
+    bisect_root,
+    cauchy_root_bound,
+    count_roots_in,
+    exact_if_rational,
     sturm_chain,
 )
 
@@ -82,14 +84,19 @@ def g_value(
     """
     lam = lambda_poly(n, r, s)
     chain = sturm_chain(lam)
-    above = count_roots_geq(lam, Fraction(1), chain)
+    sf, one = chain[0], Fraction(1)
+    # the chain is read once, at 1 and at the bound isolate_largest_root would
+    # use; with one root counted, bisection needs only the sign of sf
+    bound = max(cauchy_root_bound(sf), one + 1)
+    at_one = lam(one) == 0
+    above = at_one + count_roots_in(sf, one, bound, chain)
     if above != 1:
         raise ArithmeticError(
             f"expected exactly one root >= 1 for (n={n}, r={r}, s={s}), found {above}"
         )
-    root = isolate_largest_root(lam, Fraction(1), precision, chain)
-    assert root is not None
-    return root
+    if at_one:
+        return AlgebraicNumber(sf.primitive(), one, one)
+    return exact_if_rational(sf, *bisect_root(sf, one, bound, precision))
 
 
 def sign_profile_check(n: int, r: int, s: int, samples: int = 5) -> bool:

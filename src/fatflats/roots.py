@@ -299,12 +299,17 @@ def isolate_largest_root(
     found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)
     if found is None:
         return AlgebraicNumber(defining, lower, lower) if p.sign(lower) == 0 else None
-    lo, hi = found
+    return exact_if_rational(sf, *found)
+
+
+def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
+    """The one root of the squarefree sf in [lo, hi] (a ``bisect_root``
+    result), as a point when the simplest rational in the interval is it."""
     cand = simplest_rational_in(lo, hi)
     if lo < cand <= hi and sf.sign(cand) == 0:
         # the interval holds exactly one root of sf, so cand is that root
         lo = hi = cand
-    return AlgebraicNumber(defining, lo, hi)
+    return AlgebraicNumber(sf.primitive(), lo, hi)
 
 
 def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:

@@ -22,7 +22,10 @@ Everything here reads the one cached integer object of the family,
 without any symbolic expansion, and so do single Hilbert values, at
 O(n * r) each whatever m is.  Both (t, m) scans ask the family, one m at a
 time, for the least t in a range with P_m(t) > 0
-(``Family.first_positive``), which walks t upward exactly.  Ratio bounds
+(``Family.first_positive``), which walks t upward exactly.  The
+certificate's scan starts every m at t = m; ``e_empirical`` starts it just
+above m*x, where x is a band of ratios that the family excludes once for
+all m by Descartes' rule of signs (``Family.sign_band``).  Ratio bounds
 are turned into integer ranges of t by cross-multiplication, never by
 building a Fraction per pair.
 
@@ -69,28 +72,31 @@ class RatioWitness:
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    For each m, t runs upward from m only while t/m stays below the best
-    ratio so far (t * best.m < best.t * m); larger t cannot improve the
-    infimum estimate, and equal ratios keep the earlier, smaller m.  Before
-    any witness is found, t runs up to the safety band 10m + C(s + n, n).
-    Each m is one ``Family.first_positive`` scan.
+    At m = 1, t runs upward from 1 up to the safety band 11 + C(s + n, n).
+    Every later m runs t only while t/m stays below the best ratio so far
+    (t * best.m < best.t * m); larger t cannot improve the infimum
+    estimate, and equal ratios keep the earlier, smaller m.  It starts just
+    above m*x, where x is the family's sign band below the m = 1 ratio
+    (``Family.sign_band``), since no t/m <= x has a positive value; without
+    a band it starts at m.  Each m is one ``Family.first_positive`` scan,
+    and an m whose range is empty is skipped.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    best: Optional[RatioWitness] = None
-    for m in range(1, m_max + 1):
-        if best is None:
-            stop = 10 * m + binom(s + n, n) + 1
-        else:
-            stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
-        t = fam.first_positive(s, m, stop)
-        if t is not None:
-            best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
-        elif best is None:
-            raise ArithmeticError("no witness found in the safety band")
-    assert best is not None
+    t = fam.first_positive(s, 1, 1, 11 + binom(s + n, n))
+    if t is None:
+        raise ArithmeticError("no witness found in the safety band")
+    best = RatioWitness(t, 1, fam.hilbert_value(s, 1, t))
+    band = fam.sign_band(s, best.ratio)
+    for m in range(2, m_max + 1):
+        start = m if band is None else m * band.numerator // band.denominator + 1  # floor(m*x) + 1
+        stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
+        if start < stop:
+            t = fam.first_positive(s, m, start, stop)
+            if t is not None:
+                best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
     return best
 
 
@@ -238,7 +244,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     pairs = 0
     for m in range(1, m_threshold):
         stop = ceil(m * candidate)
-        t = fam.first_positive(s, m, stop)
+        t = fam.first_positive(s, m, m, stop)
         if t is not None:
             raise CertificationError(
                 "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"

@@ -117,3 +117,20 @@ def test_g_specials_rows():
     # direct evaluations behind two of the rows
     assert lambda_poly(4, 1, 9)(3) == 0
     assert lambda_poly(5, 1, 64)(4) == 0
+
+
+def test_g_value_reads_the_sturm_chain_at_two_points(monkeypatch):
+    # the root count and the isolation share one pair of chain evaluations
+    import fatflats.roots as roots
+
+    calls = []
+    variations = roots.sign_variations
+
+    def counting(chain, x):
+        calls.append(x)
+        return variations(chain, x)
+
+    monkeypatch.setattr(roots, "sign_variations", counting)
+    g = g_value(3, 1, 6)
+    assert calls == [1, 19]  # 1 and the Cauchy bound of lambda
+    assert g == roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1))
