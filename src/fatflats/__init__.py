@@ -22,7 +22,6 @@ from .polynomials import (
 )
 from .roots import (
     AlgebraicNumber,
-    count_roots_geq,
     count_roots_in,
     isolate_largest_root,
     refine,

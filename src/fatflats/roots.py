@@ -116,14 +116,6 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     return 1 + Fraction(max(map(abs, nums[:-1])), abs(nums[-1]))
 
 
-def count_roots_geq(p: UniPoly, x0: Fraction, chain: list[UniPoly] | None = None) -> int:
-    """Number of distinct real roots of p in [x0, infinity)."""
-    x0 = Fraction(x0)
-    bound = max(cauchy_root_bound(p), x0 + 1)
-    at_x0 = 1 if p(x0) == 0 else 0
-    return at_x0 + count_roots_in(p, x0, bound, chain)
-
-
 def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational with smallest denominator (then numerator) in [lo, hi]."""
     lo, hi = Fraction(lo), Fraction(hi)
@@ -226,15 +218,14 @@ def bisect_root(
     hi: Fraction,
     width: Fraction,
     chain: list[UniPoly] | None = None,
-    smallest: bool = False,
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Midpoint bisection to one root of the squarefree sf in (lo, hi].
 
     With a ``chain`` (the Sturm chain of sf), a counting phase first narrows
-    (lo, hi] to the largest root, or the smallest one; it returns None when
-    there is no root at all.  Without one, (lo, hi] must already hold
-    exactly one root.  Once it does, the root is in (mid, hi] iff sf(hi) = 0
-    or sf(mid) and sf(hi) differ in sign, so only the sign of sf is read.
+    (lo, hi] to the largest root; it returns None when there is no root at
+    all.  Without one, (lo, hi] must already hold exactly one root.  Once it
+    does, the root is in (mid, hi] iff sf(hi) = 0 or sf(mid) and sf(hi)
+    differ in sign, so only the sign of sf is read.
     Returns (lo, hi) of width at most ``width`` holding the root; when a
     midpoint is the largest root it returns (mid, mid).  Once the bracket is
     at most 2^-8 wide, ``_newton_cell`` may jump straight to the final cell
@@ -249,7 +240,7 @@ def bisect_root(
         while v_lo - v_hi > 1:
             mid = (lo + hi) / 2
             v_mid = sign_variations(chain, mid)
-            if (v_lo > v_mid) if smallest else (v_mid == v_hi):
+            if v_mid == v_hi:
                 hi, v_hi = mid, v_mid
             else:
                 lo, v_lo = mid, v_mid
@@ -267,7 +258,7 @@ def bisect_root(
                 return cell
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
         s_mid = sf.sign(mid, q)
-        if s_mid == 0 and not smallest:
+        if s_mid == 0:
             return Fraction(mid, q), Fraction(mid, q)
         if s_hi == 0 or s_mid == -s_hi:
             a = mid

@@ -6,16 +6,16 @@ The expected Waldschmidt constant of s fat r-flats in P^n is
 
 where P is the Hilbert polynomial at multiplicity m.  ``e_empirical`` scans
 (t, m) pairs for the minimum realized ratio; ``e_certify`` upgrades a
-candidate value to a proof that no smaller ratio exists, by a four-part
-argument on the regrouped polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
+candidate value to a proof that no smaller ratio exists, on the regrouped
+polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
 
-  1. below a threshold x_lo every nonconstant coefficient c_i is <= 0 and
-     the leading one is < 0, so P < 1 there;
-  2. on [x_lo, candidate] every c_i is nondecreasing (derivative sign via
-     exact root counting), so P(m*x) <= P(m*candidate);
-  3. for m at or above an explicit m_threshold the nonconstant part at
-     x = candidate is negative, so P(m*candidate) < 1;
-  4. the finitely many remaining (t, m) pairs are checked one by one.
+  1. for m at or above an explicit m_threshold the nonconstant part at
+     x = candidate is negative;
+  2. [1, candidate] is covered by pieces [a, b], split at midpoints, on
+     each of which the interval-Horner upper bounds U_i of the c_i give a
+     polynomial T(m) = sum U_i m^i that is negative for every
+     m >= m_threshold, so P(m*x) < 1 at every x in the piece;
+  3. the finitely many remaining (t, m) pairs are checked one by one.
 
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the coefficients c_i = A_i - s * B_i come from it
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, lcm
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
@@ -49,10 +49,10 @@ from .polynomials import UniPoly, binom, fraction_to_json
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
-    bisect_root,
+    _interval_eval,
+    cauchy_root_bound,
     count_roots_in,
     isolate_largest_root,
-    sturm_chain,
 )
 
 
@@ -101,26 +101,21 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
 
 
 @dataclass(frozen=True)
-class MonotonicityCheck:
-    """Verdict for one coefficient polynomial on the certification interval."""
-
-    index: int
-    interval: tuple[Fraction, Fraction]
-    verdict: str  # "increasing", "constant", or "vacuous" (one-point interval, nothing checked)
-
-
-@dataclass(frozen=True)
 class ECertificate:
-    """Machine-checkable proof that the empirical ratio is the exact infimum."""
+    """Machine-checkable proof that the empirical ratio is the exact infimum.
+
+    ``pieces`` tile [1, ratio] left to right; on each, P <= 0 at every
+    t/m with m >= m_threshold (see ``e_certify``).  A single flat needs no
+    cover and has none.
+    """
 
     n: int
     r: int
     s: int
     ratio: Fraction
     witness: RatioWitness
-    x_lo: Fraction
     m_threshold: int
-    coefficient_monotonicity: tuple[MonotonicityCheck, ...]
+    pieces: tuple[tuple[Fraction, Fraction], ...]
     finite_scan_range: str
     pairs_checked: int
 
@@ -128,23 +123,19 @@ class ECertificate:
         return {
             "ratio": fraction_to_json(self.ratio),
             "witness": {"t": self.witness.t, "m": self.witness.m, "value": self.witness.value},
-            "x_lo": fraction_to_json(self.x_lo),
             "m_threshold": self.m_threshold,
-            "monotonicity": [
-                {
-                    "index": c.index,
-                    "interval": [fraction_to_json(c.interval[0]), fraction_to_json(c.interval[1])],
-                    "verdict": c.verdict,
-                }
-                for c in self.coefficient_monotonicity
-            ],
+            "pieces": [[fraction_to_json(a), fraction_to_json(b)] for a, b in self.pieces],
             "finite_scan_range": self.finite_scan_range,
             "pairs_checked": self.pairs_checked,
         }
 
 
 class CertificationError(Exception):
-    """A certification step failed; ``step`` names which one."""
+    """A certification step failed; ``step`` names which one: "threshold"
+    (the nonconstant part at the candidate does not tend to -infinity),
+    "cover" (some piece of [1, candidate] is not excluded within
+    ``_COVER_PIECES`` pieces) or "scan" (a pair below the threshold beats
+    the candidate)."""
 
     def __init__(self, step: str, detail: str):
         self.step = step
@@ -153,6 +144,7 @@ class CertificationError(Exception):
 
 
 _WITNESS_TRIES = 128  # multiples k * (p, q) of the candidate p/q scanned for a witness
+_COVER_PIECES = 256  # the most pieces a cover of [1, candidate] may hold
 
 
 def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
@@ -167,12 +159,47 @@ def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
     raise ValueError(f"candidate {candidate} is not realized by any scanned witness")
 
 
+def _excluded(cs: list[UniPoly], lo: Fraction, hi: Fraction, m_threshold: int) -> bool:
+    """Whether sum_{i>=1} c_i(x) m^i < 0 at every x in [lo, hi] and real
+    m >= m_threshold, by one integer polynomial T in m.
+
+    T's coefficients are the interval-Horner upper bounds U_i of the
+    integer c_i on [lo, hi], all brought to the one positive scale q^n, so
+    T(m) < 0 bounds the whole piece.  A positive U_n fails at once (T grows
+    without bound), and every U_i <= 0 with U_n < 0 passes at once.
+    Otherwise T(m_threshold) < 0 is needed, and a Sturm count must find no
+    root of T above m_threshold.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    n = len(cs) - 1
+    bounds = [0] + [_interval_eval(ci, lo, hi)[1] * q ** (n - ci.degree) for ci in cs[1:]]
+    if bounds[n] > 0:
+        return False
+    if bounds[n] < 0 and max(bounds) <= 0:
+        return True
+    tail = UniPoly(bounds)
+    if tail.sign(m_threshold) >= 0:
+        return False
+    top = max(cauchy_root_bound(tail), Fraction(m_threshold + 1))
+    return count_roots_in(tail, m_threshold, top) == 0
+
+
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     """Certify that the expected Waldschmidt constant equals ``candidate``.
 
-    Raises :class:`CertificationError` naming the failing step when the
-    argument cannot be completed, and ValueError when the candidate is not
-    realized by any witness at all.
+    With n! * P(m*x) = n! + sum_{i>=1} c_i(x) m^i, and P an integer at every
+    integer t >= m, "P < 1" is "P <= 0".  The proof has three steps, each
+    named by the :class:`CertificationError` it raises:
+
+      threshold: the nonconstant part at x = candidate is negative for every
+        real m >= m_threshold, one more than the floor of the upper end of a
+        1e-6 bracket of its largest root;
+      cover: [1, candidate] splits at midpoints into pieces, each excluded
+        for m >= m_threshold by ``_excluded``;
+      scan: the finitely many pairs with m < m_threshold and
+        m <= t < m * candidate are checked one by one.
+
+    A ValueError means the candidate is not realized by any witness at all.
     """
     check_flat_domain(n, r, s)
     candidate = Fraction(candidate)
@@ -186,8 +213,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
             raise CertificationError("scan", "a single flat realizes ratio 1, beating the candidate")
         witness = RatioWitness(1, 1, fam.hilbert_value(1, 1, 1))
         return ECertificate(
-            n, r, s, candidate, witness, Fraction(1), 1, (),
-            "empty: t >= m forces every ratio >= 1", 0,
+            n, r, s, candidate, witness, 1, (), "empty: t >= m forces every ratio >= 1", 0
         )
 
     witness = _find_witness_for(fam, s, candidate)
@@ -196,51 +222,29 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     if cs[0] != UniPoly([factorial(n)]):
         raise AssertionError("constant term of the regrouped polynomial must be n!")
 
-    # step (ii): largest x_lo <= candidate with all nonconstant c_i <= 0 on [1, x_lo]
-    x_lo = candidate
-    for ci in cs[1:]:
-        if ci.is_zero:
-            continue
-        x_lo = min(x_lo, _coefficient_sign_limit(ci, candidate))
-        if x_lo == 1:
-            break
-    # soundness of the band [1, x_lo]: the leading coefficient n! * lambda
-    # must stay negative there (its first root >= 1 is the g bound)
-    if x_lo > 1:
-        lead = cs[n]
-        inside = count_roots_in(lead, Fraction(1), x_lo)
-        if lead.sign(1) >= 0 or inside > 1 or (inside == 1 and lead.sign(x_lo) != 0):
-            raise CertificationError("sign", "leading coefficient is not negative below x_lo")
-
-    # step (iii): every nonconstant c_i nondecreasing on [x_lo, candidate]
-    checks = []
-    for i in range(1, n + 1):
-        der = cs[i].derivative()
-        if der.is_zero:
-            checks.append(MonotonicityCheck(i, (x_lo, candidate), "constant"))
-            continue
-        if x_lo == candidate:
-            checks.append(MonotonicityCheck(i, (x_lo, candidate), "vacuous"))
-            continue
-        if count_roots_in(der, x_lo, candidate) != 0 or der(candidate) <= 0:
-            raise CertificationError(
-                "monotonicity", f"coefficient of m^{i} is not increasing on the interval"
-            )
-        checks.append(MonotonicityCheck(i, (x_lo, candidate), "increasing"))
-
-    # step (iv): threshold with the nonconstant part negative at x = candidate
+    # threshold: the nonconstant part at x = candidate
     tail = UniPoly([0] + [ci(candidate) for ci in cs[1:]])
     if tail.is_zero or tail.leading >= 0:
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
-    top = isolate_largest_root(tail, Fraction(0), Fraction(1, 10**6))
-    if top is None:
-        m_threshold = 1
-    else:
-        m_threshold = int(top.hi) + 1
-    if tail(m_threshold) >= 0:
-        raise CertificationError("threshold", "threshold sanity evaluation failed")
+    top = isolate_largest_root(tail, Fraction(0), Fraction(1, 10**6))  # m = 0 is a root
+    m_threshold = int(top.hi) + 1
 
-    # step (v): exhaustive scan of every remaining pair with ratio < candidate
+    # cover: leftmost piece on top of the stack, so the pieces come out in order
+    pieces: list[tuple[Fraction, Fraction]] = []
+    todo = [(Fraction(1), candidate)]
+    while todo:
+        lo, hi = todo.pop()
+        if _excluded(cs, lo, hi, m_threshold):
+            pieces.append((lo, hi))
+        elif len(pieces) + len(todo) + 2 > _COVER_PIECES:
+            raise CertificationError(
+                "cover", f"piece [{lo}, {hi}] is not excluded within {_COVER_PIECES} pieces"
+            )
+        else:
+            mid = (lo + hi) / 2
+            todo += [(mid, hi), (lo, mid)]
+
+    # scan: every remaining pair with ratio < candidate
     pairs = 0
     for m in range(1, m_threshold):
         stop = ceil(m * candidate)
@@ -251,37 +255,10 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
             )
         pairs += stop - m  # >= 0 since candidate >= 1
 
-    scan_desc = (
-        f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"
-        f" (band below x_lo={x_lo} already excluded by sign)"
-    )
+    scan_desc = f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"
     return ECertificate(
-        n, r, s, candidate, witness, x_lo, m_threshold, tuple(checks), scan_desc, pairs
+        n, r, s, candidate, witness, m_threshold, tuple(pieces), scan_desc, pairs
     )
-
-
-def _coefficient_sign_limit(ci: UniPoly, candidate: Fraction) -> Fraction:
-    """Largest x in [1, candidate] with a certificate that ci <= 0 on [1, x].
-
-    The certificate is: ci(1) <= 0, no roots of ci in (1, x], and ci(x) < 0,
-    which pins the sign of ci on the whole of (1, x].  Returns 1 when no
-    nontrivial band can be certified.
-    """
-    one = Fraction(1)
-    if ci.sign(one) > 0:
-        return one
-    chain = sturm_chain(ci)
-    # the lower end of a 1e-6 bracket of the smallest root in (1, candidate]:
-    # ci has no root in (1, limit], so its sign there is that of ci(limit)
-    found = bisect_root(chain[0], one, candidate, Fraction(1, 10**6), chain, smallest=True)
-    if found is None:
-        # no root in the interval, so ci(candidate) != 0 and the sign there
-        # rules the whole of (1, candidate]
-        return candidate if ci.sign(candidate) < 0 else one
-    limit = found[0]
-    if limit > one and ci.sign(limit) < 0:
-        return limit
-    return one
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,8 @@ from fatflats.polynomials import UniPoly
 from fatflats.verifier import nosymetry_bounds, nosymetry_enumerate
 from fatflats.waldschmidt import bounds_report, e_certify, e_empirical
 
+from certificate_check import recheck
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -129,11 +131,15 @@ def criterion_6_e_certificates():
     assert w_lines.ratio == F(27, 7)
     cert_lines = e_certify(3, 1, 6, F(27, 7))
     assert cert_lines.m_threshold >= 1 and cert_lines.pairs_checked >= 1
+    # both re-checked from the symbolic expansion, independently of the family
+    recheck(cert_points)
+    recheck(cert_lines)
     elapsed = time.time() - start
     assert elapsed < 30, f"certification took {elapsed:.1f}s"
     return (
-        f"3/2 (threshold {cert_points.m_threshold}) and 27/7 "
-        f"(threshold {cert_lines.m_threshold}) certified in {elapsed:.2f}s"
+        f"3/2 (threshold {cert_points.m_threshold}, {len(cert_points.pieces)} piece) and 27/7 "
+        f"(threshold {cert_lines.m_threshold}, {len(cert_lines.pieces)} pieces) certified"
+        f" and re-checked in {elapsed:.2f}s"
     )
 
 

@@ -11,7 +11,6 @@ from fatflats.roots import (
     AlgebraicNumber,
     bisect_root,
     cauchy_root_bound,
-    count_roots_geq,
     count_roots_in,
     isolate_largest_root,
     refine,
@@ -128,8 +127,10 @@ def test_counts_match_constructed_roots(roots, lead):
     assert count_roots_in(p, -bound, bound) == len(roots)
     top = isolate_largest_root(p, -bound)
     assert top.is_exact and top.value == max(roots)
-    strictly_above = sorted(roots)[-1]
-    assert count_roots_geq(p, strictly_above) == 1
+    # distinct fractions with denominators <= 6 lie at least 1/36 apart, so
+    # (top - 1/36, bound] holds the top root alone
+    top_root = max(roots)
+    assert count_roots_in(p, top_root - F(1, 36), bound) == 1
 
 
 def test_sign_scan_oracle_on_separated_roots():
@@ -247,7 +248,9 @@ def test_refine_and_threshold_golden_bytes():
         "interval": ["77540961102671154559/18446744073709551616", "155081922205342309139/36893488147419103232"],
         "decimal": "4.203503924",
     }
-    assert e_certify(3, 1, 6, F(27, 7)).x_lo == F(20018267, 7340032)
+    cert = e_certify(3, 1, 6, F(27, 7)).to_json()
+    assert (cert["m_threshold"], len(cert["pieces"])) == (48, 18)
+    assert cert["pieces"][-2:] == [["442363/114688", "884731/229376"], ["884731/229376", "27/7"]]
 
 
 def _count_chains(monkeypatch, *modules):
@@ -313,7 +316,7 @@ def test_refine_and_sign_at_build_no_chain(monkeypatch):
 # ---- the Newton jump of bisect_root against plain bisection -------------------
 
 
-def _plain_bisect(sf, lo, hi, width, chain=None, smallest=False):
+def _plain_bisect(sf, lo, hi, width, chain=None):
     """Reference: bisect_root's counting phase, then one halving per step on
     ``Fraction`` values of sf, with no jump."""
     if chain is not None:
@@ -323,7 +326,7 @@ def _plain_bisect(sf, lo, hi, width, chain=None, smallest=False):
         while v_lo - v_hi > 1:
             mid = (lo + hi) / 2
             v_mid = sign_variations(chain, mid)
-            if (v_lo > v_mid) if smallest else (v_mid == v_hi):
+            if v_mid == v_hi:
                 hi, v_hi = mid, v_mid
             else:
                 lo, v_lo = mid, v_mid
@@ -336,7 +339,7 @@ def _plain_bisect(sf, lo, hi, width, chain=None, smallest=False):
     while hi - lo > width:
         mid = (lo + hi) / 2
         s_mid = sign(mid)
-        if s_mid == 0 and not smallest:
+        if s_mid == 0:
             return mid, mid
         if s_hi == 0 or s_mid == -s_hi:
             lo = mid
@@ -405,35 +408,35 @@ NEAR_GRID = [
 
 
 @pytest.mark.parametrize("target, width", NEAR_GRID)
-@pytest.mark.parametrize("smallest", [False, True])
-def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, smallest):
+@pytest.mark.parametrize("with_chain", [False, True])
+def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, with_chain):
     u = target - F(isqrt(2 * 4**200), 2**200)  # u + sqrt(2) is within 2^-200 above target
     lo, hi = F(1), F(2)
     for sf in (UniPoly([-target, 1]) * UniPoly([-3, 1]), UniPoly([u * u - 2, -2 * u, 1])):
         assert count_roots_in(sf, lo, hi) == 1
-        want = _plain_bisect(sf, lo, hi, width, smallest=smallest)
+        chain = sturm_chain(sf) if with_chain else None  # its counting phase has nothing to narrow
+        want = _plain_bisect(sf, lo, hi, width, chain)
         calls = _count_signs(monkeypatch)
-        assert bisect_root(sf, lo, hi, width, smallest=smallest) == want
+        assert bisect_root(sf, lo, hi, width, chain) == want
         monkeypatch.undo()
         if target != NEAR_GRID[0][0]:  # off the grid: the jump, not 60-odd halvings
             assert calls[0] <= 20
 
 
 @settings(max_examples=150)
-@given(isolated_roots(), st.booleans())
-def test_bisect_root_matches_plain_bisection(case, smallest):
+@given(isolated_roots())
+def test_bisect_root_matches_plain_bisection(case):
     sf, lo, hi, width = case
-    assert bisect_root(sf, lo, hi, width, smallest=smallest) == _plain_bisect(sf, lo, hi, width, smallest=smallest)
+    assert bisect_root(sf, lo, hi, width) == _plain_bisect(sf, lo, hi, width)
 
 
 @settings(max_examples=50)
-@given(isolated_roots(), st.booleans(), st.integers(0, 3), st.integers(0, 3))
-def test_bisect_root_with_chain_matches_plain_bisection(case, smallest, below, above):
+@given(isolated_roots(), st.integers(0, 3), st.integers(0, 3))
+def test_bisect_root_with_chain_matches_plain_bisection(case, below, above):
     sf, lo, hi, width = case
     lo, hi = lo - below, hi + above  # the counting phase narrows this again
     chain = sturm_chain(sf)
-    got = bisect_root(sf, lo, hi, width, chain, smallest)
-    assert got == _plain_bisect(sf, lo, hi, width, chain, smallest)
+    assert bisect_root(sf, lo, hi, width, chain) == _plain_bisect(sf, lo, hi, width, chain)
 
 
 class _Stop(Exception):

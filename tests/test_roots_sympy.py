@@ -83,8 +83,8 @@ def test_isolated_interval_holds_sympys_largest_root(p, lower, width):
 
 
 @settings(deadline=None)
-@given(integer_polys(), endpoints, endpoints, st.booleans())
-def test_bisection_brackets_sympys_extreme_root(p, a, b, smallest):
+@given(integer_polys(), endpoints, endpoints)
+def test_bisection_brackets_sympys_extreme_root(p, a, b):
     lo, hi = min(a, b), max(a, b)
     if lo == hi:
         hi += 1
@@ -96,11 +96,11 @@ def test_bisection_brackets_sympys_extreme_root(p, a, b, smallest):
         if not u == v == lo
     ]
     chain = sturm_chain(p)
-    found = bisect_root(chain[0], lo, hi, F(1, 1000), chain, smallest)
+    found = bisect_root(chain[0], lo, hi, F(1, 1000), chain)
     if not inside:
         assert found is None
         return
-    u, v = min(inside) if smallest else max(inside)
+    u, v = max(inside)
     left, right = max(u, found[0]), min(v, found[1])
     assert found[1] - found[0] <= F(1, 1000) and left <= right
     assert sp.count_roots(_rational(left), _rational(right)) >= 1

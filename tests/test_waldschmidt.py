@@ -1,23 +1,27 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from math import ceil
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import lambda_poly
-from fatflats.hilbert import conditions_count, hilbert_poly_symbolic
-from fatflats.polynomials import binom, expand_scaled
+from fatflats.hilbert import conditions_count
+from fatflats.polynomials import UniPoly, binom
 from fatflats.waldschmidt import (
     CertificationError,
     RatioWitness,
+    _excluded,
     bounds_report,
     e_certify,
     e_empirical,
     gamma_known_lookup,
     gamma_points_closed,
 )
+
+from certificate_check import recheck
 
 
 def test_e_empirical_examples():
@@ -132,31 +136,32 @@ def test_e_empirical_scans_start_above_the_band(monkeypatch, config):
 
 def test_certify_points_case():
     cert = e_certify(3, 0, 4, F(3, 2))
-    assert cert.x_lo == 1  # the linear coefficient is already positive at 1
+    assert cert.pieces == ((1, F(3, 2)),)  # one piece covers [1, 3/2]
     assert cert.m_threshold == 6
-    assert all(c.verdict in ("increasing", "constant") for c in cert.coefficient_monotonicity)
     assert cert.pairs_checked > 0
     assert cert.witness.ratio == F(3, 2)
+    recheck(cert)
 
 
 def test_certify_lines_case():
     cert = e_certify(3, 1, 6, F(27, 7))
     assert cert.m_threshold == 48
-    # the sign band reaches (just below) 30/11
-    assert abs(cert.x_lo - F(30, 11)) < F(1, 10**5)
-    assert cert.x_lo <= F(30, 11)
+    # the pieces shrink toward the candidate, where T's margin is thinnest
+    assert len(cert.pieces) == 18
+    assert cert.pieces[0] == (1, F(17, 7)) and cert.pieces[-1] == (F(884731, 229376), F(27, 7))
     # every pair 1 <= m < 48, m <= t < 27m/7 is scanned exactly once
     assert cert.pairs_checked == 3243
     assert cert.pairs_checked == sum(-(-27 * m // 7) - m for m in range(1, 48))
+    recheck(cert)
 
 
 def test_certify_degenerate_interval_is_vacuous():
-    # candidate 1 puts x_lo on the candidate: no monotonicity is checked
+    # candidate 1: the cover is the one point [1, 1] and the scan is empty
     cert = e_certify(3, 0, 2, F(1))
-    assert cert.x_lo == 1
-    assert [c.verdict for c in cert.coefficient_monotonicity] == ["vacuous"] * 3
-    assert all(c.interval == (1, 1) for c in cert.coefficient_monotonicity)
-    assert cert.to_json()["monotonicity"][0] == {"index": 1, "interval": [1, 1], "verdict": "vacuous"}
+    assert cert.pieces == ((1, 1),)
+    assert cert.pairs_checked == 0
+    assert cert.to_json()["pieces"] == [[1, 1]]
+    recheck(cert)
 
 
 def test_certify_nonobvious_value():
@@ -164,43 +169,72 @@ def test_certify_nonobvious_value():
     cert = e_certify(4, 0, 5, F(76, 51))
     assert cert.pairs_checked > 0
     assert lambda_poly(4, 0, 5)(F(76, 51)) < 0
+    recheck(cert)
 
 
-def test_coefficient_sign_limit_guards_tangent_coefficients():
-    # a coefficient that vanishes at 1 and rises positive before its first
-    # counted root must not receive a nontrivial sign band
-    from fatflats.polynomials import UniPoly
-    from fatflats.waldschmidt import _coefficient_sign_limit
-
-    tangent = UniPoly([-2, 3, -1])  # (x-1)(2-x), positive on (1, 2)
-    assert tangent(1) == 0
-    assert _coefficient_sign_limit(tangent, F(3)) == 1
-    honest = UniPoly([-30, 11])
-    limit = _coefficient_sign_limit(honest, F(27, 7))
-    assert F(30, 11) - F(1, 10**5) < limit <= F(30, 11)
+def _cs(*coeff_lists):
+    return [UniPoly(c) for c in coeff_lists]
 
 
-def test_sign_limit_builds_one_chain_per_coefficient(monkeypatch):
-    import fatflats.roots as roots
+@pytest.mark.parametrize(
+    "cs, threshold, excluded",
+    [
+        # T = 0: every bound is <= 0, yet T is not negative
+        (_cs([2], [], []), 1, False),
+        # T = 2m - m^2 vanishes at the threshold 2 and is negative above it
+        (_cs([2], [2], [-1]), 2, False),
+        (_cs([2], [2], [-1]), 3, True),
+        # T = -m^3 + 7m^2 - 12m is -6 at 1 but has the roots 3 and 4
+        (_cs([6], [-12], [7], [-1]), 1, False),
+        (_cs([6], [-12], [7], [-1]), 5, True),
+        # T = -m^3 + 6m^2 - 10m has a positive coefficient but no root above 0
+        (_cs([6], [-10], [6], [-1]), 1, True),
+        # a positive leading bound fails however negative the rest
+        (_cs([2], [-100], [1]), 1, False),
+        # every bound <= 0 with a negative leading one passes at once
+        (_cs([2], [0], [-1]), 1, True),
+    ],
+)
+def test_piece_exclusion(cs, threshold, excluded):
+    assert _excluded(cs, F(1), F(1), threshold) is excluded
+
+
+def test_piece_exclusion_bounds_the_whole_piece():
+    # c_1 = (x - 1)(2 - x) is positive on (1, 2) and 0 at both ends, so T is
+    # negative at either end point but not on the piece [1, 2]
+    cs = _cs([2], [-2, 3, -1], [-1])
+    assert _excluded(cs, F(1), F(1), 1) and _excluded(cs, F(2), F(2), 1)
+    assert not _excluded(cs, F(1), F(2), 1)
+    assert not _excluded(cs, F(1), F(3, 2), 1)
+
+
+def test_cover_stops_at_its_piece_cap(monkeypatch):
     import fatflats.waldschmidt as waldschmidt
 
-    built = []
-    original = roots.sturm_chain
+    monkeypatch.setattr(waldschmidt, "_COVER_PIECES", 4)  # (3, 1, 6) needs 18
+    with pytest.raises(CertificationError) as err:
+        e_certify(3, 1, 6, F(27, 7))
+    assert err.value.step == "cover"
+    assert "is not excluded within 4 pieces" in err.value.detail
 
-    def counting(p):
-        built.append(p)
-        return original(p)
 
-    monkeypatch.setattr(roots, "sturm_chain", counting)
-    monkeypatch.setattr(waldschmidt, "sturm_chain", counting)
-    cs = expand_scaled(6 * hilbert_poly_symbolic(3, 1, 6)).coeffs_in_m
-    bisected = 0
-    for ci in cs[1:]:
-        before = len(built)
-        limit = waldschmidt._coefficient_sign_limit(ci, F(27, 7))
-        assert len(built) - before == (0 if ci(1) > 0 else 1)
-        bisected += 1 < limit < F(27, 7)
-    assert bisected >= 1  # the smallest-root bisection ran on the one chain
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (n - 1) // 2), st.integers(2, 14))
+    )
+)
+def test_certified_e_has_no_smaller_ratio_in_a_direct_scan(config):
+    n, r, s = config
+    e = e_empirical(n, r, s).ratio
+    try:
+        cert = e_certify(n, r, s, e)
+    except CertificationError:
+        return
+    # past the threshold as well, where the cover alone excludes the pairs
+    for m in range(1, 2 * cert.m_threshold + 6):
+        for t in range(m, ceil(m * e)):
+            assert binom(t + n, n) - s * conditions_count(n, r, m, t) <= 0, (t, m)
 
 
 def test_certify_trivial_single_flat():
@@ -218,7 +252,15 @@ def test_certify_fails_on_beatable_candidate():
     # ratio 2 is realized at (t, m) = (2, 1) but 3/2 beats it
     with pytest.raises(CertificationError) as err:
         e_certify(3, 0, 4, F(2))
-    assert err.value.step in ("scan", "threshold", "sign", "monotonicity")
+    assert err.value.step == "threshold"  # 2 lies above g = 4^(1/3)
+
+
+def test_certify_fails_on_a_realized_ratio_above_e():
+    # 65/34 lies below g and is realized, but the scan finds 21/11 below it
+    with pytest.raises(CertificationError) as err:
+        e_certify(3, 0, 7, F(65, 34))
+    assert err.value.step == "scan"
+    assert err.value.detail == "P > 0 at (t=21, m=11) with ratio 21/11 < 65/34"
 
 
 def test_gamma_points_closed_forms():
@@ -283,24 +325,24 @@ def test_single_flat_grid_e_equals_g_equals_one():
             assert report.g.is_exact and report.g.value == 1
 
 
-# sha256 of the whole grid 2 <= n <= 8, 0 <= r <= (n-1)/2, s = 2..20 (361
-# configurations): per configuration the canonical bounds_report JSON line,
-# then the outcome of certifying its e (certificate JSON, or failing step and
-# detail), each line ending in a newline
-GRID_SHA256 = "dbfd8a7f08c01b8ea42c8b4fc9b092e4e780071e054f87e92d5c00943add708f"
+# the grid 2 <= n <= 8, 0 <= r <= (n-1)/2, s = 2..20 (361 configurations)
+GRID = [(n, r, s) for n in range(2, 9) for r in range((n - 1) // 2 + 1) for s in range(2, 21)]
+
+# sha256 of the whole grid: per configuration the canonical bounds_report
+# JSON line, then the outcome of certifying its e (certificate JSON, or
+# failing step and detail), each line ending in a newline
+GRID_SHA256 = "78019a4ed0c5da542d4f1551171ade5695028e449fc8ed455802c616e2432ada"
 
 
 def _grid_lines():
-    for n in range(2, 9):
-        for r in range((n - 1) // 2 + 1):
-            for s in range(2, 21):
-                report = bounds_report(n, r, s)
-                yield json.dumps(report.to_json(), sort_keys=True)
-                try:
-                    outcome = {"certificate": e_certify(n, r, s, report.e).to_json()}
-                except CertificationError as exc:
-                    outcome = {"step": exc.step, "detail": exc.detail}
-                yield json.dumps(outcome, sort_keys=True)
+    for n, r, s in GRID:
+        report = bounds_report(n, r, s)
+        yield json.dumps(report.to_json(), sort_keys=True)
+        try:
+            outcome = {"certificate": e_certify(n, r, s, report.e).to_json()}
+        except CertificationError as exc:
+            outcome = {"step": exc.step, "detail": exc.detail}
+        yield json.dumps(outcome, sort_keys=True)
 
 
 def test_whole_grid_bytes():
@@ -308,3 +350,16 @@ def test_whole_grid_bytes():
     assert len(lines) == 2 * 361
     text = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_SHA256
+
+
+def test_every_grid_certificate_rechecks():
+    certified = 0
+    for n, r, s in GRID:
+        try:
+            cert = e_certify(n, r, s, e_empirical(n, r, s).ratio)
+        except CertificationError as exc:
+            assert exc.step == "threshold", (n, r, s)
+            continue
+        recheck(cert)
+        certified += 1
+    assert certified == 95
