@@ -9,12 +9,15 @@ claim reduces to a finite region for 7 <= s <= 12:
     d <= -g(11g - 5s)/(6g^2 - 3sg - 3s),
     d*s/g < sum(m_j) <= -s(11g - 5s)/(6g^2 - 3sg - 3s),
 
-which this module enumerates exhaustively (multiplicity vectors as
-nondecreasing sequences), checking P <= 0 throughout.  All comparisons
-against the algebraic bound g are exact: ratio tests go through the sign of
-the scaling-limit polynomial and cap tests through ``sign_at``.  For
-s >= 13 the analytic branch rests on two polynomial positivity checks that
-are verified directly.
+which this module enumerates exhaustively, multiplicity vectors as
+nondecreasing sequences.  No pair (v, d) is skipped, but few are evaluated:
+for each multiplicity sum the admissible degrees form one run, because
+lambda(3, 1, s) is convex for x > 0, and along that run P(d) is convex in d,
+so P <= 0 at the two ends of a vector's row proves P <= 0 on all of it.
+All comparisons against the algebraic bound g are exact: ratio tests go
+through the sign of the scaling-limit polynomial and cap tests through
+``sign_at``.  For s >= 13 the analytic branch rests on two polynomial
+positivity checks that are verified directly.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
-from typing import Callable, Iterator
+from typing import Callable
 
 from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_check
 from .blowup import alt_sum_one, alt_sum_zero, identity_check
@@ -125,6 +128,12 @@ class NosymetryReport:
         }
 
 
+def _bound_parts(s: int) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """den(g) = 6g^2 - 3sg - 3s and the constant parts g(11g - 5s) and
+    s(11g - 5s) of the two cap polynomials (see :func:`_bound_polys`)."""
+    return UniPoly([-3 * s, -3 * s, 6]), UniPoly([0, -5 * s, 11]), UniPoly([-5 * s * s, 11 * s])
+
+
 def _bound_polys(s: int, value: int) -> tuple[UniPoly, UniPoly]:
     """Cap-test polynomials in g for the degree and multiplicity-sum bounds.
 
@@ -132,14 +141,12 @@ def _bound_polys(s: int, value: int) -> tuple[UniPoly, UniPoly]:
 
         d  < -g(11g - 5s)/den   and   k <= -s(11g - 5s)/den
 
-    become sign conditions: d admissible iff psi_d(g) > 0, k admissible iff
-    phi_k(g) >= 0, where both polynomials are returned here.
+    become sign conditions: d admissible iff psi_d(g) = d*den + g(11g - 5s)
+    > 0, k admissible iff phi_k(g) = k*den + s(11g - 5s) >= 0, where both
+    polynomials are returned here.
     """
-    den = UniPoly([-3 * s, -3 * s, 6])
-    num = UniPoly([0, -5 * s, 11])  # g*(11g - 5s)
-    psi = UniPoly([value]) * den + num  # d*den + g(11g-5s) > 0  <=>  d < -num/den
-    phi = UniPoly([value]) * den + s * UniPoly([-5 * s, 11])
-    return psi, phi
+    den, psi0, phi0 = _bound_parts(s)
+    return value * den + psi0, value * den + phi0
 
 
 def nosymetry_bounds(s: int, precision: Fraction = Fraction(1, 10**18)) -> tuple[AlgebraicNumber, Fraction, Fraction]:
@@ -189,81 +196,127 @@ def _cap(g: AlgebraicNumber, poly: Callable[[int], UniPoly], start: Fraction, st
     return k
 
 
-def _nondecreasing_vectors(s: int, total: int) -> Iterator[tuple[int, ...]]:
-    """All nondecreasing s-tuples (s >= 1) of nonnegative integers with the
-    given sum, in lexicographic order.
+def _degree_runs(lam: UniPoly, s: int, sum_cap: int, d_top: int) -> tuple[list[int], list[int]]:
+    """The degrees 1 <= d <= d_top with d*s/total < g, as a run [low, high]
+    for each total 0..sum_cap; an empty run reads low = d_top + 1, high = 0.
 
-    The next tuple raises the rightmost entry that can grow by one, sets
-    every later entry but the last to that value and gives the rest of the
-    sum to the last entry.
+    d*s/total < g(3, 1, s) is the sign lambda(3, 1, s)(d*s/total) < 0.
+    lambda'' = x, so lambda is convex for x > 0 and negative on one interval
+    there; the degrees in it form one run, read off the sign table.
     """
-    vec = [0] * (s - 1) + [total]
-    while True:
-        yield tuple(vec)
-        rest = vec[-1]
-        for i in range(s - 2, -1, -1):
-            rest += vec[i]
-            value = vec[i] + 1
-            if value * (s - i) <= rest:
-                vec[i:-1] = [value] * (s - 1 - i)
-                vec[-1] = rest - value * (s - 1 - i)
-                break
-        else:
-            return
+    lows, highs = [d_top + 1] * (sum_cap + 1), [0] * (sum_cap + 1)
+    for total in range(1, sum_cap + 1):
+        run = [d for d in range(1, d_top + 1) if lam.sign(d * s, total) < 0]
+        if run:
+            if run[-1] - run[0] + 1 != len(run):
+                raise ArithmeticError(f"ratio test d*{s}/{total} < g holds on no single run: {run}")
+            lows[total], highs[total] = run[0], run[-1]
+    return lows, highs
 
 
-def _scan_sum_block(
-    lam: UniPoly, s: int, total: int, d_cap: int, counts: dict[int, int], violations: list[Violation]
-) -> tuple[int, int]:
-    """Scan the vectors with one multiplicity sum into ``counts`` and
-    ``violations``; returns (sequences, pairs).
+def _scan_region(
+    lam: UniPoly, s: int, sum_cap: int, d_cap: int
+) -> tuple[int, dict[int, int], int, list[Violation]]:
+    """Scan every nondecreasing s-vector with multiplicity sum 1..sum_cap;
+    returns (sequences, counts by degree, pairs, violations).
 
-    The ratio test d*s/total < g (the sign of ``lam`` = lambda(3, 1, s))
-    does not depend on the vector, so it is tabled once per d.  For d >= m,
-    c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3) (``conditions_count_lines``),
-    so P = C(d+3,3) - (d+1)*A + 2*B with A, B summed once per vector.
+    One pass over all sums.  A recursion over the first s - 1 entries
+    carries their sum and their partial sums A = sum C(m+1, 2) and
+    B = sum C(m+1, 3); the last entry m then runs upward, so a head's sums
+    are shared by every total it reaches.
+
+    A run of degrees per total.  The degrees with d*s/total < g form one run
+    [low, high] (:func:`_degree_runs`).  A vector with largest entry m covers
+    the row max(2, m, low)..min(high, d_cap), plus d = 1 when m <= 1 and
+    low = 1 (belt and braces: the d = 1 row is handled separately in the
+    argument).  ``counts`` comes from a difference array over the rows, and
+    ``pairs`` from their lengths.
+
+    Two ends per row.  For d >= m, c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3)
+    (``conditions_count_lines``), so P(d) = C(d+3,3) - (d+1)*A + 2*B.  Its
+    second derivative is d + 2, so it is convex for d >= 0, and P <= 0 at
+    both ends of a row proves P <= 0 on the whole row.  Only a row with a
+    positive end is evaluated d by d, so every violation is still listed.
+    Violations are sorted by sum, then lexicographically by vector, then by
+    d with d = 1 last.
     """
-    below = [False] + [lam.sign(d * s, total) < 0 for d in range(1, max(d_cap, 1) + 1)]
-    pair_counts = [binom(m + 1, 2) for m in range(total + 1)]
-    triple_counts = [binom(m + 1, 3) for m in range(total + 1)]
-    sequences = pairs = 0
-    for vec in _nondecreasing_vectors(s, total):
-        sequences += 1
-        top = vec[-1]
-        a = sum(map(pair_counts.__getitem__, vec))
-        b = sum(map(triple_counts.__getitem__, vec))
-        degrees = range(max(2, top), d_cap + 1)
-        # belt and braces: the d = 1 row, handled separately in the argument
-        for d in (*degrees, 1) if top <= 1 else degrees:
-            if not below[d]:
+    d_top = max(d_cap, 1)
+    lows, highs = _degree_runs(lam, s, sum_cap, d_top)
+    starts = [max(2, low) for low in lows]
+    ends = [min(high, d_cap) for high in highs]
+    pair_counts = [binom(m + 1, 2) for m in range(sum_cap + 1)]
+    triple_counts = [binom(m + 1, 3) for m in range(sum_cap + 1)]
+    cubes = [binom(d + 3, 3) for d in range(d_cap + 1)]
+    diff = [0] * (d_cap + 2)
+    vec = [0] * s
+    violations: list[Violation] = []
+    sequences = pairs = ones = 0
+
+    def last_entry(low: int, used: int, a0: int, b0: int) -> None:
+        nonlocal sequences, pairs, ones
+        first = low if used else 1  # the zero vector has sum 0
+        sequences += sum_cap - used - first + 1
+        # from m = max(d_cap, 1) + 1 on, the row starts above d_cap and d = 1 is out
+        for m in range(first, min(sum_cap - used, d_top) + 1):
+            total = used + m
+            a = a0 + pair_counts[m]
+            b2 = 2 * (b0 + triple_counts[m])
+            if m <= 1 and lows[total] == 1:
+                ones += 1
+                value = 4 - 2 * a + b2  # P(1), with C(4, 3) = 4
+                if value > 0:
+                    vec[-1] = m
+                    violations.append(Violation(1, tuple(vec), value))
+            lo, hi = starts[total], ends[total]
+            if lo < m:
+                lo = m
+            if lo > hi:
                 continue
-            counts[d] = counts.get(d, 0) + 1
-            pairs += 1
-            value = binom(d + 3, 3) - (d + 1) * a + 2 * b
-            if value > 0:
-                violations.append(Violation(d, vec, value))
-    return sequences, pairs
+            diff[lo] += 1
+            diff[hi + 1] -= 1
+            pairs += hi - lo + 1
+            if cubes[lo] - (lo + 1) * a + b2 > 0 or cubes[hi] - (hi + 1) * a + b2 > 0:
+                vec[-1] = m
+                for d in range(lo, hi + 1):
+                    value = cubes[d] - (d + 1) * a + b2
+                    if value > 0:
+                        violations.append(Violation(d, tuple(vec), value))
+
+    def heads(slot: int, low: int, used: int, a: int, b: int) -> None:
+        if slot == s - 1:
+            last_entry(low, used, a, b)
+            return
+        for m in range(low, (sum_cap - used) // (s - slot) + 1):
+            vec[slot] = m
+            heads(slot + 1, m, used + m, a + pair_counts[m], b + triple_counts[m])
+
+    heads(0, 0, 0, 0, 0)
+    counts, running = {}, 0
+    for d in range(2, d_cap + 1):
+        running += diff[d]
+        if running:
+            counts[d] = running
+    if ones:
+        counts[1] = ones
+    violations.sort(key=lambda v: (sum(v.mults), v.mults, v.d == 1, v.d))
+    return sequences, counts, pairs + ones, violations
 
 
 def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:
     """Exhaustive scan of the finite region; zero violations expected.
 
     Multiplicity vectors run over nondecreasing sequences to quotient out
-    the permutation symmetry, in increasing sum order, so the per-degree
-    case counts and the violations are deterministic.  ``threads`` is
-    accepted for compatibility and ignored: the scan is serial.
+    the permutation symmetry, each checked at every degree of its row (see
+    :func:`_scan_region`).  Violations are listed by multiplicity sum, then
+    lexicographically by vector, then by degree with d = 1 last, so the
+    report is deterministic.  ``threads`` is accepted for compatibility and
+    ignored: the scan is serial.
     """
     g, d_bound, sum_bound = nosymetry_bounds(s)
-    d_cap = _cap(g, lambda k: _bound_polys(s, k)[0], d_bound, strict=True)
-    sum_cap = _cap(g, lambda k: _bound_polys(s, k)[1], sum_bound, strict=False)
-    lam = lambda_poly(3, 1, s)
-    sequences = pairs = 0
-    counts: dict[int, int] = {}
-    violations: list[Violation] = []
-    for total in range(1, sum_cap + 1):
-        seq, prs = _scan_sum_block(lam, s, total, d_cap, counts, violations)
-        sequences += seq
-        pairs += prs
+    den, psi0, phi0 = _bound_parts(s)
+    d_cap = _cap(g, lambda k: k * den + psi0, d_bound, strict=True)
+    sum_cap = _cap(g, lambda k: k * den + phi0, sum_bound, strict=False)
+    sequences, counts, pairs, violations = _scan_region(lambda_poly(3, 1, s), s, sum_cap, d_cap)
     return NosymetryReport(
         s, g, d_bound, sum_bound, d_cap, sum_cap,
         sequences, tuple(sorted(counts.items())), pairs, tuple(violations),

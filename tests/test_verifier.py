@@ -1,8 +1,11 @@
 import json
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fatflats.asymptotic import lambda_poly
 from fatflats.hilbert import conditions_count
@@ -12,7 +15,7 @@ from fatflats.verifier import (
     Violation,
     _bound_polys,
     _cap,
-    _scan_sum_block,
+    _scan_region,
     analytic_branch_check,
     identities_report,
     nosymetry_bounds,
@@ -126,9 +129,20 @@ def test_replay_expected_values():
     assert rep.assertions[0].expected == "27/7"
 
 
+@cache
+def _ratio_below_g(s, d, total):
+    return lambda_poly(3, 1, s)(Fraction(d * s, total)) < 0
+
+
+@cache
+def _line_conditions(m, d):
+    return conditions_count(3, 1, m, d)
+
+
 def _naive_block(s, total, d_cap):
-    """Per-pair reference scan of one sum block: every ratio test and every
-    condition count made afresh, the d = 1 row checked after the others."""
+    """Per-pair reference scan of one sum block: every pair gets its own
+    ratio test and condition counts (memoised as the pure functions they
+    are), the d = 1 row checked after the others."""
 
     def vectors_from(slots, low, rest):
         if slots == 1:
@@ -139,45 +153,70 @@ def _naive_block(s, total, d_cap):
             for tail in vectors_from(slots - 1, first, rest - first)
         ]
 
-    lam = lambda_poly(3, 1, s)
     vectors = vectors_from(s, 0, total)
     assert vectors == sorted(vectors)
     counts, pairs, violations = {}, 0, []
     for vec in vectors:
         degrees = list(range(max(2, vec[-1]), d_cap + 1)) + ([1] if vec[-1] <= 1 else [])
         for d in degrees:
-            if not lam(Fraction(d * s, total)) < 0:
+            if not _ratio_below_g(s, d, total):
                 continue
             counts[d] = counts.get(d, 0) + 1
             pairs += 1
-            value = binom(d + 3, 3) - sum(conditions_count(3, 1, m, d) for m in vec if m > 0)
+            value = binom(d + 3, 3) - sum(_line_conditions(m, d) for m in vec if m > 0)
             if value > 0:
                 violations.append(Violation(d, vec, value))
     return len(vectors), counts, pairs, violations
 
 
-def _fast_block(s, total, d_cap):
-    counts, violations = {}, []
-    sequences, pairs = _scan_sum_block(lambda_poly(3, 1, s), s, total, d_cap, counts, violations)
+def _naive_region(s, sum_cap, d_cap):
+    """The per-pair reference summed over the totals 1..sum_cap."""
+    sequences, counts, pairs, violations = 0, {}, 0, []
+    for total in range(1, sum_cap + 1):
+        seq, block_counts, prs, found = _naive_block(s, total, d_cap)
+        sequences += seq
+        pairs += prs
+        violations += found
+        for d, count in block_counts.items():
+            counts[d] = counts.get(d, 0) + count
     return sequences, counts, pairs, violations
 
 
-def test_block_scan_matches_naive_scan_on_the_finite_branch():
+def _fast_region(s, sum_cap, d_cap):
+    return _scan_region(lambda_poly(3, 1, s), s, sum_cap, d_cap)
+
+
+def test_region_scan_matches_naive_scan_on_the_finite_branch():
     for s in range(7, 13):
         rep = nosymetry_enumerate(s)
-        for total in range(1, rep.sum_cap + 1):
-            assert _fast_block(s, total, rep.d_cap) == _naive_block(s, total, rep.d_cap), (s, total)
+        assert _fast_region(s, rep.sum_cap, rep.d_cap) == _naive_region(s, rep.sum_cap, rep.d_cap), s
 
 
-def test_block_scan_matches_naive_scan_with_violations():
+def test_region_scan_matches_naive_scan_with_violations():
     # six lines lie outside the finite branch: (2,2,2,2,3,3) at d = 9 has
     # P = 4 > 0 at the ratio 9*6/14 = 27/7 < g(3,1,6)
-    fast = _fast_block(6, 14, 9)
-    assert fast == _naive_block(6, 14, 9)
-    assert fast[3] == [Violation(9, (2, 2, 2, 2, 3, 3), 4)]
-    fast = _fast_block(6, 42, 27)
-    assert fast == _naive_block(6, 42, 27)
-    assert fast[3] == [Violation(27, (6, 7, 7, 7, 7, 8), 14), Violation(27, (7,) * 6, 28)]
+    fast = _fast_region(6, 14, 9)
+    assert fast == _naive_region(6, 14, 9)
+    assert [v for v in fast[3] if sum(v.mults) == 14] == [Violation(9, (2, 2, 2, 2, 3, 3), 4)]
+    fast = _fast_region(6, 42, 27)
+    assert fast == _naive_region(6, 42, 27)
+    assert [v for v in fast[3] if sum(v.mults) == 42] == [
+        Violation(27, (6, 7, 7, 7, 7, 8), 14),
+        Violation(27, (7,) * 6, 28),
+    ]
+    # five lines: fifteen violations spread over seven degrees
+    fast = _fast_region(5, 24, 24)
+    assert fast == _naive_region(5, 24, 24)
+    assert len(fast[3]) == 15 and len({v.d for v in fast[3]}) == 7
+
+
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+)
+def test_region_scan_matches_naive_scan_on_small_regions(s, sum_cap, d_cap):
+    assert _fast_region(s, sum_cap, d_cap) == _naive_region(s, sum_cap, d_cap)
 
 
 def test_enumeration_golden_bytes():
