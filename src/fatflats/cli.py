@@ -14,6 +14,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from decimal import Decimal
@@ -72,9 +73,9 @@ def _emit(report: dict, args, text_lines: list[str]) -> None:
     if args.json:
         print(json.dumps(report, separators=(",", ":")))
     elif args.csv:
-        print("key,value")
-        for key, value in _flatten(report):
-            print(f"{key},{value}")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((key, str(value)) for key, value in _flatten(report))
     else:
         for line in text_lines:
             print(line)

@@ -322,8 +322,12 @@ def verify_gamma_points_case(n: int, s: int, h_range: Iterable[int] = range(1, 4
     For each h: the witness system must reduce to nonempty, the system one
     degree lower (where an emptiness chain is available) must reduce to
     empty, and the realized ratio degree/multiplicity must match the closed
-    form for the Waldschmidt constant.
+    form for the Waldschmidt constant.  An empty h range, or any h < 1, is
+    rejected: it would pass with nothing checked.
     """
+    h_range = list(h_range)
+    if not h_range or min(h_range) < 1:
+        raise ValueError(f"need a nonempty range of h >= 1, got {h_range}")
     gamma = gamma_points_closed(n, s)
     rows = []
     endpoint_note = ""

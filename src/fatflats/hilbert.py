@@ -9,17 +9,15 @@ degrees t >= m such vanishing imposes exactly
 independent conditions.  The count depends on the family (n, r) only, and
 ``family(n, r)`` builds it once, in integers, as n! * c with both t and m
 left free; every count below is an evaluation of that object, O(n * r) for
-any m, and so is the family's scan for the least degree with a positive
-Hilbert value at a fixed m.  The family also certifies, once for all m, a
-band of ratios t/m >= 1 where no Hilbert value is positive (Descartes' rule
-of signs on the regrouped coefficients), so scans can start above it.  This
-module also provides an independent monomial-enumeration oracle for the
-count, the Hilbert function of a single fat flat via the iterated-summation
-recursion, Hilbert polynomials of unions with uniform or mixed
-multiplicities (including a fully symbolic variant where the multiplicity
-stays a formal variable, kept as an independent cross-check of the
-family), and the closed-form initial-degree formulas for general points
-and lines.
+any m.  At a fixed m the degrees t >= m with a positive Hilbert value
+form a half-line (``Family.first_positive``), so the least of them below a
+bound is one Hilbert value plus a bisection.  This module also provides
+an independent monomial-enumeration oracle for the count, the Hilbert
+function of a single fat flat via the iterated-summation recursion,
+Hilbert polynomials of unions with uniform or mixed multiplicities
+(including a fully symbolic variant where the multiplicity stays a formal
+variable, kept as an independent cross-check of the family), and the
+closed-form initial-degree formulas for general points and lines.
 """
 
 from __future__ import annotations
@@ -27,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, zip_longest
-from math import comb, factorial, floor
+from itertools import combinations
+from math import comb, factorial
 from typing import Sequence
 
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
 ORACLE_GUARD = 10**7
-_BAND_BITS = 4  # the sign band ends on the grid x = 1 + j / 2^4
 
 
 @dataclass(frozen=True)
@@ -84,23 +81,6 @@ def _falling(shift: int, k: int) -> list[int]:
     return out
 
 
-def _taylor_at_one(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """The coefficients of p(1 + u), lowest degree first, for p given by coeffs."""
-    return tuple(sum(c * comb(d, k) for d, c in enumerate(coeffs)) for k in range(len(coeffs)))
-
-
-def _rises_once(coeffs: Sequence[int]) -> bool:
-    """Whether p(u) <= 0 on all of [0, u0] follows from p(u0) <= 0, for u0 >= 0.
-
-    True when the lowest nonzero coefficient is negative and the signs vary
-    at most once (or p = 0): by Descartes' rule p then has at most one root
-    u > 0, where it changes sign from - to +, so {u >= 0 : p(u) <= 0} is an
-    interval starting at 0.
-    """
-    signs = [c > 0 for c in coeffs if c]
-    return not signs or (not signs[0] and sum(a != b for a, b in zip(signs, signs[1:])) <= 1)
-
-
 def _forward_differences(values: list[int]) -> list[int]:
     """[values[0], (delta values)[0], (delta^2 values)[0], ...]."""
     out = []
@@ -119,13 +99,12 @@ class Family:
     t = m*x regroups the Hilbert polynomial as
     n! * P(m*x) = sum_i (A_i(x) - s * B_i(x)) * m^i, with A_i from
     n! * C(t + n, n) and B_i from n! * c; ``a_coeffs[i]`` and ``b_coeffs[i]``
-    are their integer coefficient lists in x, and ``a_shift[i]`` and
-    ``b_shift[i]`` those of A_i(1 + u) and B_i(1 + u).  s enters only there,
+    are their integer coefficient lists in x.  s enters only there,
     as a factor, so one object serves every s.  Immutable by convention; use
     the cached ``family(n, r)`` rather than building one.
     """
 
-    __slots__ = ("n", "r", "scale", "counts", "a_coeffs", "b_coeffs", "a_shift", "b_shift")
+    __slots__ = ("n", "r", "scale", "counts", "a_coeffs", "b_coeffs")
 
     def __init__(self, n: int, r: int):
         """Build from exact counts by finite differences.
@@ -159,8 +138,6 @@ class Family:
         self.b_coeffs = tuple(
             tuple(counts[a][i - a] for a in range(min(i, r) + 1)) for i in range(n + 1)
         )
-        self.a_shift = tuple(map(_taylor_at_one, self.a_coeffs))
-        self.b_shift = tuple(map(_taylor_at_one, self.b_coeffs))
 
     def count_in_t(self, m: int) -> list[int]:
         """n! * c(n, r; t, m) at this m, as integer coefficients in t."""
@@ -174,64 +151,40 @@ class Family:
         """P_m(t) = C(t + n, n) - s * c(n, r; t, m), the value for s flats."""
         return comb(t + self.n, self.n) - s * self.count(m, t)
 
-    def first_positive(self, s: int, m: int, start: int, stop: int) -> int | None:
-        """The least t in [start, stop) with P_m(t) > 0 for s flats, or None.
+    def first_positive(self, s: int, m: int, stop: int) -> int | None:
+        """The least t in [m, stop) with P_m(t) > 0 for s flats, or None.
 
-        At every integer t >= m the count is the degree-r polynomial in t
-        that ``count_in_t(m)`` gives, so its values at t = start..start+r
-        seed a table of backward differences and each later count costs r
-        integer additions.  Callers validate, and keep start >= m.
+        For t >= m the family polynomial is c(t), the number of degree-t
+        monomials whose exponents on the last n - r variables sum to less
+        than m.  Pair each counted monomial of degree t + 1 with each
+        variable dividing it, weighted by its exponent: that is
+        (t + 1) * c(t + 1) in all.  Dividing out the variable lands in the
+        count at t, and a monomial there receives weight t + n + 1 at most,
+        so (t + 1) * c(t + 1) <= (t + n + 1) * c(t), with equality for
+        C(t + n, n), which counts every monomial.  Hence (t + 1) * P_m(t + 1)
+        >= (t + n + 1) * P_m(t): once positive at some t >= m, P_m stays
+        positive and rises, and the positive t >= m form a half-line.
+        So None exactly when P_m(stop - 1) <= 0, and otherwise a bisection
+        finds the least positive t: at most 1 + ceil(log2(stop - m)) values.
+        Callers validate.
         """
-        n, r = self.n, self.r
-        in_t = self.count_in_t(m)
-        diffs: list[int] = []  # diffs[k] is the k-th backward difference of the counts at t
-        for t in range(start, min(stop, start + r + 1)):
-            count = _horner(in_t, t) // self.scale
-            for k in range(len(diffs)):
-                diffs[k], count = count, count - diffs[k]
-            diffs.append(count)
-            if comb(t + n, n) > s * diffs[0]:
-                return t
-        steps = range(r - 1, -1, -1)
-        for t in range(start + r + 1, stop):
-            for k in steps:
-                diffs[k] += diffs[k + 1]
-            if comb(t + n, n) > s * diffs[0]:
-                return t
-        return None
-
-    def sign_band(self, s: int, upper: Fraction) -> Fraction | None:
-        """The largest x = 1 + j / 2^_BAND_BITS <= upper with P_m(t) <= 0 for
-        s flats at every m >= 1 and every integer t in [m, m*x], or None.
-
-        n! * P(m*x) = n! + sum_{i>=1} c_i(x) m^i, so P < 1, hence P <= 0, at
-        every t/m in [1, x] once each c_i <= 0 there and c_n = n! * lambda
-        < 0 there.  In u = x - 1 the coefficients of c_i(1 + u) are
-        A_i(1 + u) - s * B_i(1 + u).  When each has a negative lowest
-        nonzero coefficient and at most one sign variation, Descartes' rule
-        makes "c_i <= 0 on [1, x]" the single sign c_i(x) <= 0, so j comes
-        from a bisection of integer signs; every other case gives None.
-        """
-        cs = [
-            [a - s * b for a, b in zip_longest(a_i, b_i, fillvalue=0)]
-            for a_i, b_i in zip(self.a_shift, self.b_shift)
-        ]
-        if cs[0] != [self.scale]:
-            raise AssertionError("constant term of the regrouped polynomial must be n!")
-        if cs[self.n][0] >= 0 or not all(map(_rises_once, cs[1:])):
+        if stop <= m:
             return None
-        *rest, lead = (UniPoly(c) for c in cs[1:])
-        q = 1 << _BAND_BITS
-        # j = lo is inside: every c_i(1) <= 0 by its shape and c_n(1) < 0;
-        # j = hi is past upper
-        lo, hi = 0, floor((upper - 1) * q) + 1
+        n, scale, in_t = self.n, self.scale, self.count_in_t(m)
+
+        def positive(t: int) -> bool:
+            return scale * comb(t + n, n) > s * _horner(in_t, t)
+
+        if not positive(stop - 1):
+            return None
+        lo, hi = m - 1, stop - 1  # the least positive t is in (lo, hi]
         while hi - lo > 1:
-            j = (lo + hi) // 2
-            if lead.sign(j, q) < 0 and all(c.sign(j, q) <= 0 for c in rest):
-                lo = j
+            mid = (lo + hi) // 2
+            if positive(mid):
+                hi = mid
             else:
-                hi = j
-        return 1 + Fraction(lo, q)
+                lo = mid
+        return hi
 
     def scaled_coeffs(self, s: int) -> list[UniPoly]:
         """c_0, ..., c_n of n! * P(m*x) = sum_i c_i(x) m^i for s flats."""

@@ -142,9 +142,7 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 _JUMP_FROM_BITS = 8  # try the Newton jump once the bracket is at most 2^-8 wide
 _JUMP_MIN_STEPS = 24  # and at least this many halvings are left
-_NEWTON_START_BITS = 32
 _NEWTON_GUARD_BITS = 16
-_NEWTON_STEPS = 8  # per precision level, which settles on a step of at most 1
 
 
 def _newton_cell(
@@ -157,14 +155,16 @@ def _newton_cell(
     (b - a) / (q 2^k) <= width.  When no point of that depth-k dyadic grid is
     the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Integer
     Newton predicts j: x <- x - f // f' with f(x) = 2^(K deg) den sf(x / 2^K),
-    x clamped to the bracket, at precisions K that double from at most 32
-    bits up to 16 bits finer than a cell.  The cell is returned only when sf
+    x clamped to the bracket, from its midpoint at the one precision K 16
+    bits finer than a cell, until a step of at most 1.  From a bracket at
+    most 2^-8 wide each step about doubles the correct bits, so
+    log2(K) + 2 steps are allowed.  The cell is returned only when sf
     has opposite nonzero signs at its two ends, which puts the root strictly
     inside it; those two signs are the whole certificate.  Equal signs move
     j one cell toward the root, at most twice.  None sends the caller back to
     halving: a sign 0 (a grid point is the root), a move off the grid, fewer
-    than ``_JUMP_MIN_STEPS`` halvings to save, a zero derivative or a level
-    that does not settle.
+    than ``_JUMP_MIN_STEPS`` halvings to save, a zero derivative or no step
+    of at most 1 within those steps.
     """
     span = b - a
     num, den = span * width.denominator, width.numerator * q
@@ -173,29 +173,24 @@ def _newton_cell(
         k += 1
     if k < _JUMP_MIN_STEPS:
         return None
-    levels = [k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS]
-    while levels[-1] > _NEWTON_START_BITS:
-        levels.append((levels[-1] + 1) // 2)
+    prec = k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS
     nums = sf.nums[::-1]
-    x, x_q = a + b, 2 * q  # the midpoint, x / x_q
-    for prec in reversed(levels):
-        x = (x << prec) // x_q
-        x_lo, x_hi = -((-a << prec) // q), (b << prec) // q  # the bracket, rounded inward
-        for _ in range(_NEWTON_STEPS):
-            f = df = shift = 0
-            for c in nums:  # Horner for f and its derivative together
-                df = df * x + f
-                f = f * x + (c << shift)
-                shift += prec
-            if not df:
-                return None
-            step = f // df
-            x = min(max(x - step, x_lo), x_hi)
-            if -1 <= step <= 1:
-                break
-        else:
+    x = ((a + b) << prec) // (2 * q)  # the midpoint
+    x_lo, x_hi = -((-a << prec) // q), (b << prec) // q  # the bracket, rounded inward
+    for _ in range(prec.bit_length() + 2):
+        f = df = shift = 0
+        for c in nums:  # Horner for f and its derivative together
+            df = df * x + f
+            f = f * x + (c << shift)
+            shift += prec
+        if not df:
             return None
-        x_q = 1 << prec
+        step = f // df
+        x = min(max(x - step, x_lo), x_hi)
+        if -1 <= step <= 1:
+            break
+    else:
+        return None
     cells = 1 << k
     j = min(max(((x * q - (a << prec)) << k) // (span << prec), 0), cells - 1)
     q <<= k
@@ -268,23 +263,18 @@ def bisect_root(
 
 
 def isolate_largest_root(
-    p: UniPoly,
-    lower: Fraction,
-    precision: Fraction = DEFAULT_PRECISION,
-    chain: list[UniPoly] | None = None,
+    p: UniPoly, lower: Fraction, precision: Fraction = DEFAULT_PRECISION
 ) -> Optional[AlgebraicNumber]:
     """Largest real root of p that is >= lower, or None if there is none.
 
     Found by ``bisect_root`` on the squarefree part; the returned interval
     has width at most ``precision``.  A rational root is detected by
-    candidate testing and reported exactly.  ``chain`` is the Sturm chain of
-    p, when the caller has already built it.
+    candidate testing and reported exactly.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     lower = Fraction(lower)
-    if chain is None:
-        chain = sturm_chain(p)
+    chain = sturm_chain(p)
     sf = chain[0]
     defining = sf.primitive()
     found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)

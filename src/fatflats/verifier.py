@@ -12,8 +12,9 @@ claim reduces to a finite region for 7 <= s <= 12:
 which this module enumerates exhaustively, multiplicity vectors as
 nondecreasing sequences.  No pair (v, d) is skipped, but few are evaluated:
 for each multiplicity sum the admissible degrees form one run, because
-lambda(3, 1, s) is convex for x > 0, and along that run P(d) is convex in d,
-so P <= 0 at the two ends of a vector's row proves P <= 0 on all of it.
+lambda(3, 1, s) is convex for x > 0, and along a vector's row d >= max m_j,
+where P(d) > 0 forces P(d + 1) > P(d), so P <= 0 at the row's high end
+proves P <= 0 on all of it.
 All comparisons against the algebraic bound g are exact: ratio tests go
 through the sign of the scaling-limit polynomial and cap tests through
 ``sign_at``.  For s >= 13 the analytic branch rests on two polynomial
@@ -149,7 +150,7 @@ def _bound_polys(s: int, value: int) -> tuple[UniPoly, UniPoly]:
     return value * den + psi0, value * den + phi0
 
 
-def nosymetry_bounds(s: int, precision: Fraction = Fraction(1, 10**18)) -> tuple[AlgebraicNumber, Fraction, Fraction]:
+def nosymetry_bounds(s: int) -> tuple[AlgebraicNumber, Fraction, Fraction]:
     """The root bound g(3,1,s) and the two enumeration bounds to high accuracy.
 
     The reported bounds are interval-midpoint rationals whose certified
@@ -157,7 +158,7 @@ def nosymetry_bounds(s: int, precision: Fraction = Fraction(1, 10**18)) -> tuple
     """
     if not 7 <= s <= 12:
         raise ValueError("the finite branch covers 7 <= s <= 12")
-    g = refine(g_value(3, 1, s), precision)
+    g = refine(g_value(3, 1, s), Fraction(1, 10**18))
     lo, hi = g.lo, g.hi
     # interval arithmetic through the two rational expressions
     num_lo, num_hi = 5 * s * lo - 11 * hi * hi, 5 * s * hi - 11 * lo * lo  # -g(11g-5s)
@@ -232,11 +233,14 @@ def _scan_region(
     argument).  ``counts`` comes from a difference array over the rows, and
     ``pairs`` from their lengths.
 
-    Two ends per row.  For d >= m, c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3)
-    (``conditions_count_lines``), so P(d) = C(d+3,3) - (d+1)*A + 2*B.  Its
-    second derivative is d + 2, so it is convex for d >= 0, and P <= 0 at
-    both ends of a row proves P <= 0 on the whole row.  Only a row with a
-    positive end is evaluated d by d, so every violation is still listed.
+    One end per row.  For d >= m, c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3)
+    (``conditions_count_lines``), so P(d) = C(d+3,3) - (d+1)*A + 2*B.  Each
+    entry's count obeys (d + 1) * c(d + 1) <= (d + 4) * c(d) at d >= its
+    multiplicity (``hilbert.Family.first_positive``), with equality for
+    C(d+3, 3), so on a row, where d >= max m, P(d) > 0 forces
+    P(d + 1) > P(d), and P <= 0 at the high end proves P <= 0 on the whole
+    row.  Only a row with a positive high end is evaluated d by d, so every
+    violation is still listed.
     Violations are sorted by sum, then lexicographically by vector, then by
     d with d = 1 last.
     """
@@ -275,7 +279,7 @@ def _scan_region(
             diff[lo] += 1
             diff[hi + 1] -= 1
             pairs += hi - lo + 1
-            if cubes[lo] - (lo + 1) * a + b2 > 0 or cubes[hi] - (hi + 1) * a + b2 > 0:
+            if cubes[hi] - (hi + 1) * a + b2 > 0:
                 vec[-1] = m
                 for d in range(lo, hi + 1):
                     value = cubes[d] - (d + 1) * a + b2

@@ -15,19 +15,19 @@ polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
      each of which the interval-Horner upper bounds U_i of the c_i give a
      polynomial T(m) = sum U_i m^i that is negative for every
      m >= m_threshold, so P(m*x) < 1 at every x in the piece;
-  3. the finitely many remaining (t, m) pairs are checked one by one.
+  3. the finitely many remaining (t, m) pairs are settled by one Hilbert
+     value per m, at the largest t of the m's range.
 
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the coefficients c_i = A_i - s * B_i come from it
 without any symbolic expansion, and so do single Hilbert values, at
 O(n * r) each whatever m is.  Both (t, m) scans ask the family, one m at a
-time, for the least t in a range with P_m(t) > 0
-(``Family.first_positive``), which walks t upward exactly.  The
-certificate's scan starts every m at t = m; ``e_empirical`` starts it just
-above m*x, where x is a band of ratios that the family excludes once for
-all m by Descartes' rule of signs (``Family.sign_band``).  Ratio bounds
-are turned into integer ranges of t by cross-multiplication, never by
-building a Fraction per pair.
+time, for the least t in [m, stop) with P_m(t) > 0
+(``Family.first_positive``).  At a fixed m the positive t >= m form a
+half-line, so that is one Hilbert value at stop - 1, plus a bisection only
+when it is positive: the certificate's scan of m < m_threshold costs one
+value per m.  Ratio bounds are turned into integer ranges of t by
+cross-multiplication, never by building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the constant term n! can be carried along exactly rather than
@@ -72,31 +72,25 @@ class RatioWitness:
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    At m = 1, t runs upward from 1 up to the safety band 11 + C(s + n, n).
-    Every later m runs t only while t/m stays below the best ratio so far
+    At m = 1, t ranges from 1 up to the safety band 11 + C(s + n, n).
+    Every later m takes t only while t/m stays below the best ratio so far
     (t * best.m < best.t * m); larger t cannot improve the infimum
-    estimate, and equal ratios keep the earlier, smaller m.  It starts just
-    above m*x, where x is the family's sign band below the m = 1 ratio
-    (``Family.sign_band``), since no t/m <= x has a positive value; without
-    a band it starts at m.  Each m is one ``Family.first_positive`` scan,
-    and an m whose range is empty is skipped.
+    estimate, and equal ratios keep the earlier, smaller m.  Each m is one
+    ``Family.first_positive`` call on [m, stop), empty when stop <= m.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    t = fam.first_positive(s, 1, 1, 11 + binom(s + n, n))
+    t = fam.first_positive(s, 1, 11 + binom(s + n, n))
     if t is None:
         raise ArithmeticError("no witness found in the safety band")
     best = RatioWitness(t, 1, fam.hilbert_value(s, 1, t))
-    band = fam.sign_band(s, best.ratio)
     for m in range(2, m_max + 1):
-        start = m if band is None else m * band.numerator // band.denominator + 1  # floor(m*x) + 1
         stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
-        if start < stop:
-            t = fam.first_positive(s, m, start, stop)
-            if t is not None:
-                best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
+        t = fam.first_positive(s, m, stop)
+        if t is not None:
+            best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
     return best
 
 
@@ -197,7 +191,10 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
       cover: [1, candidate] splits at midpoints into pieces, each excluded
         for m >= m_threshold by ``_excluded``;
       scan: the finitely many pairs with m < m_threshold and
-        m <= t < m * candidate are checked one by one.
+        m <= t < m * candidate are settled per m by ``Family.first_positive``:
+        P_m <= 0 at the largest t of the range covers the whole range,
+        since the positive t >= m form a half-line, and a positive value
+        is bisected down to the least t that beats the candidate.
 
     A ValueError means the candidate is not realized by any witness at all.
     """
@@ -244,11 +241,11 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
             mid = (lo + hi) / 2
             todo += [(mid, hi), (lo, mid)]
 
-    # scan: every remaining pair with ratio < candidate
+    # scan: every remaining pair with ratio < candidate, one value per m when none beats it
     pairs = 0
     for m in range(1, m_threshold):
         stop = ceil(m * candidate)
-        t = fam.first_positive(s, m, m, stop)
+        t = fam.first_positive(s, m, stop)
         if t is not None:
             raise CertificationError(
                 "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"

@@ -29,8 +29,9 @@ def recheck(cert):
 
     Checks the witness, that the pieces tile [1, ratio], that on each piece
     T(m) = sum_{i>=1} U_i m^i (U_i the interval-Horner upper bound of c_i)
-    is negative for every real m >= m_threshold, and the count of the
-    pairs below the threshold.
+    is negative for every real m >= m_threshold, and every pair below the
+    threshold: P(t) <= 0 at each m < m_threshold and m <= t < m * ratio,
+    one value at a time, and the count of those pairs.
     """
     n, r, s, ratio, threshold = cert.n, cert.r, cert.s, cert.ratio, cert.m_threshold
     w = cert.witness
@@ -48,5 +49,10 @@ def recheck(cert):
         assert tail.sign(threshold) < 0, (a, b)
         top = max(cauchy_root_bound(tail), F(threshold + 1))
         assert count_roots_in(tail, threshold, top) == 0, (a, b)
-    assert cert.pairs_checked == sum(ceil(m * ratio) - m for m in range(1, threshold))
+    pairs = 0
+    for m in range(1, threshold):
+        for t in range(m, ceil(m * ratio)):
+            assert hilbert(t, m) <= 0, (t, m)
+            pairs += 1
+    assert cert.pairs_checked == pairs
 

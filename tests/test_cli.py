@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -126,6 +128,13 @@ def test_verify_gamma_case(capsys):
     assert [row["alpha"] for row in payload["rows"]] == [4, 8, 12]
 
 
+@pytest.mark.parametrize("hmax", ["0", "-2"])
+def test_verify_gamma_case_rejects_an_empty_h_range(capsys, hmax):
+    # no rows would mean a vacuous "overall: pass"
+    code, out = run_cli(capsys, "verify", "gamma-case", "3", "6", "--hmax", hmax)
+    assert code == 2 and "overall" not in out
+
+
 def test_bounds_json_round_trip(capsys):
     code, out = run_cli(capsys, "bounds", "3", "0", "4", "--json")
     assert code == 0
@@ -190,6 +199,20 @@ def test_csv_output(capsys):
     assert rows["gamma.value"] == "4/3"
     assert rows["e"] == "3/2"
     assert rows["g.decimal"].startswith("1.5874")
+
+
+@pytest.mark.parametrize(
+    "system, flag",
+    [("4;3,3,3,3", "--reduce"), ("4;3,3,3,3", "--witness"), ("12;7,7,7,7,7,7", "--reduce")],
+)
+def test_csv_fields_with_commas_read_back(capsys, system, flag):
+    code, out = run_cli(capsys, "cremona", "--dim", "3", "--system", system, flag, "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    if flag == "--reduce":
+        assert dict(rows[1:])["start"] == system
 
 
 def test_rational_poly_serialization(capsys):

@@ -194,6 +194,12 @@ def test_gamma_case_reports():
     assert "matches" in rep.endpoint_note
 
 
+@pytest.mark.parametrize("h_range", [[], range(1, 1), [0], [1, 0], [2, -1]])
+def test_gamma_case_rejects_empty_or_nonpositive_h(h_range):
+    with pytest.raises(ValueError, match="h >= 1"):
+        verify_gamma_points_case(3, 6, h_range)
+
+
 def test_gamma_case_all_small_dimensions():
     for n in range(2, 6):
         for s in (n + 1, n + 2, n + 3):

@@ -1,5 +1,4 @@
 from contextlib import suppress
-from fractions import Fraction as F
 from math import factorial
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from fatflats.hilbert import (
     FlatConfig,
-    _rises_once,
     alpha2_points_expected,
     alpha_lines_general,
     alpha_points_general,
@@ -222,8 +220,8 @@ def test_conditions_poly_matches_count():
             assert poly(t) == conditions_count(n, r, m, t)
 
 
-def _first_positive_direct(n, r, s, m, start, stop):
-    values = ((t, binom(t + n, n) - s * conditions_count(n, r, m, t)) for t in range(start, stop))
+def _first_positive_direct(n, r, s, m, stop):
+    values = ((t, binom(t + n, n) - s * conditions_count(n, r, m, t)) for t in range(m, stop))
     return next((t for t, value in values if value > 0), None)
 
 
@@ -234,31 +232,72 @@ def _scan_cases(draw):
     r_max = n - 1 if s == 1 else (n - 1) // 2
     r = draw(st.integers(min_value=0, max_value=r_max))
     m = draw(st.integers(min_value=1, max_value=60))
-    start = m + draw(st.one_of(st.just(0), st.integers(min_value=1, max_value=3 * m)))
-    # stop below start, inside the seed band start..start+r, or past it
+    # stop at or below m (an empty range), just above it, or far past it
     offset = draw(
         st.one_of(
             st.integers(min_value=-3, max_value=0),
-            st.integers(min_value=1, max_value=r + 1),
-            st.integers(min_value=r + 2, max_value=4 * m + 40),
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=4, max_value=4 * m + 40),
         )
     )
-    return n, r, s, m, start, start + offset
+    return n, r, s, m, m + offset
 
 
 @given(_scan_cases())
-@example((3, 1, 6, 11, 11, 60))  # first positive t = 43, far past the seed band
-@example((3, 1, 6, 11, 30, 60))  # the same t from just above the sign band 43/16
-@example((7, 3, 2, 5, 5, 20))  # four seeds, then stepped up to t = 10
-@example((5, 2, 20, 3, 3, 6))  # stop inside the seed band
-@example((4, 1, 9, 2, 2, 1))  # stop below m
+@example((3, 1, 6, 11, 60))  # first positive t = 43, far above m
+@example((3, 1, 6, 11, 44))  # the first positive t is the last of the range
+@example((3, 1, 6, 11, 43))  # the range ends just below it: None
+@example((7, 3, 2, 5, 20))  # first positive t = 10
+@example((4, 1, 9, 2, 1))  # stop below m
 def test_first_positive_matches_direct_scan(case):
-    n, r, s, m, start, stop = case
+    n, r, s, m, stop = case
     fam = family(n, r)
-    t = fam.first_positive(s, m, start, stop)
-    assert t == _first_positive_direct(n, r, s, m, start, stop)
+    t = fam.first_positive(s, m, stop)
+    assert t == _first_positive_direct(n, r, s, m, stop)
     if t is not None:
         assert fam.hilbert_value(s, m, t) == binom(t + n, n) - s * conditions_count(n, r, m, t) > 0
+
+
+@st.composite
+def _rise_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    r = draw(st.integers(min_value=0, max_value=n - 1))
+    m = draw(st.integers(min_value=1, max_value=5))
+    t = draw(st.integers(min_value=m, max_value=m + 6))
+    return n, r, m, t
+
+
+@given(_rise_cases())
+@example((3, 1, 4, 4))
+@example((5, 0, 1, 1))
+def test_monomial_count_rises_no_faster_than_all_monomials(case):
+    # pairing each counted monomial of degree t + 1 with each variable
+    # dividing it; equality for all monomials, C(t + n, n)
+    n, r, m, t = case
+    lower, upper = (conditions_count_oracle(n, r, m, d) for d in (t, t + 1))
+    assert (t + 1) * upper <= (t + n + 1) * lower
+    assert (t + 1) * binom(t + 1 + n, n) == (t + n + 1) * binom(t + n, n)
+
+
+@st.composite
+def _hilbert_rise_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    s = draw(st.integers(min_value=1, max_value=60))
+    r = draw(st.integers(min_value=0, max_value=n - 1 if s == 1 else (n - 1) // 2))
+    m = draw(st.integers(min_value=1, max_value=60))
+    t = draw(st.integers(min_value=m, max_value=12 * m + 40))
+    return n, r, s, m, t
+
+
+@settings(max_examples=300)
+@given(_hilbert_rise_cases())
+@example((3, 1, 6, 7, 27))  # the first positive value of six lines at m = 7
+@example((2, 0, 9, 4, 12))  # P_m(3m) = 1 for nine points in P^2
+def test_positive_hilbert_values_stay_positive_and_rise(case):
+    n, r, s, m, t = case
+    here, after = (binom(d + n, n) - s * _count_sum(n, r, m, d) for d in (t, t + 1))
+    if here > 0:
+        assert after > here
 
 
 def test_family_built_once_across_s_and_m(monkeypatch):
@@ -280,8 +319,8 @@ def test_family_built_once_across_s_and_m(monkeypatch):
         for s in range(1, 9):
             for m in (1, 2, 7, 30, 500):
                 for stop in (m + 2, 4 * m + 9):
-                    direct = _first_positive_direct(7, 3, s, m, m, stop)
-                    assert hilbert.family(7, 3).first_positive(s, m, m, stop) == direct
+                    direct = _first_positive_direct(7, 3, s, m, stop)
+                    assert hilbert.family(7, 3).first_positive(s, m, stop) == direct
                 assert conditions_count(7, 3, m, m + 9) == _count_sum(7, 3, m, m + 9)
         assert builds == [(7, 3)]
         for s in (2, 5, 6, 7):
@@ -351,74 +390,3 @@ def test_conditions_lines_validates_through_the_domain_check():
         conditions_count_lines(3, 0, 3)
     with pytest.raises(ValueError, match="requires t >= m"):
         conditions_count_lines(3, 4, 3)
-
-
-def _shifted_coeffs(n, r, s):
-    """The numerators of c_i(1 + u), i = 0..n, from the family's c_i(x)."""
-    return [_compose(c, UniPoly([1, 1])).nums for c in family(n, r).scaled_coeffs(s)]
-
-
-def _positive_lowest(nums):
-    return next((c for c in nums if c), 0) > 0
-
-
-def test_rises_once_reads_descartes_shapes():
-    for nums in ([], [-1], [-1, -2], [-3, 0, 2], [0, -1, 5], [-2, 1, 0, 7]):
-        assert _rises_once(nums)
-    for nums in ([1], [0, 2], [1, -1], [0, 2, -1], [3, 0, -1, 4]):
-        assert not _rises_once(nums)  # positive lowest coefficient
-    for nums in ([-1, 3, -1], [-1, 2, -3, 4], [0, -1, 0, 1, -1]):
-        assert not _rises_once(nums)  # two or more sign variations
-
-
-def test_sign_band_is_none_exactly_on_a_positive_lowest_coefficient():
-    # no c_i(1 + u) here has two sign variations, so a positive lowest
-    # coefficient is the only way to lose the band
-    for n in range(1, 9):
-        for r in range(n):
-            fam = family(n, r)
-            for s in range(1, 41) if n >= 2 * r + 1 else (1,):
-                shifted = _shifted_coeffs(n, r, s)
-                assert shifted[0] == [factorial(n)]
-                band = fam.sign_band(s, F(5))
-                assert (band is None) == any(map(_positive_lowest, shifted[1:]))
-                assert all(_rises_once(c) or _positive_lowest(c) for c in shifted[1:])
-
-
-@st.composite
-def _band_cases(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    s = draw(st.integers(min_value=1, max_value=40))
-    r = draw(st.integers(min_value=0, max_value=n - 1 if s == 1 else (n - 1) // 2))
-    m = draw(st.integers(min_value=1, max_value=40))
-    at_one = next(t for t in range(1, 10**4) if binom(t + n, n) > s * _count_sum(n, r, 1, t))
-    upper = draw(st.one_of(st.just(F(at_one)), st.fractions(min_value=1, max_value=8)))
-    return n, r, s, m, upper
-
-
-@settings(max_examples=200)
-@given(_band_cases())
-@example((2, 0, 9, 4, F(3)))  # g = 3 = 1 + 32/16 is a root of c_2 and of c_1; P_m(3m) = 1
-@example((3, 1, 6, 7, F(4)))
-@example((8, 3, 40, 40, F(8)))
-def test_sign_band_is_sound(case):
-    n, r, s, m, upper = case
-    band = family(n, r).sign_band(s, upper)
-    if band is None:
-        return
-    assert 1 <= band <= upper and ((band - 1) * 16).denominator == 1
-    for t in range(m, m * band.numerator // band.denominator + 1):
-        assert binom(t + n, n) - s * _count_sum(n, r, m, t) <= 0
-    # the next grid point is past upper or fails the coefficient signs
-    x = band + F(1, 16)
-    cs = family(n, r).scaled_coeffs(s)
-    assert x > upper or cs[n](x) >= 0 or any(c(x) > 0 for c in cs[1:n])
-
-
-def test_sign_band_stops_below_a_root_on_its_grid():
-    # nine points in P^2: c_1 = 3x - 9 and c_2 = x^2 - 9 both vanish at
-    # x = 3, where P_m(3m) = 1 for every m
-    assert family(2, 0).sign_band(9, F(3)) == F(47, 16)
-    assert all(binom(3 * m + 2, 2) - 9 * _count_sum(2, 0, m, 3 * m) == 1 for m in range(1, 9))
-    assert family(3, 1).sign_band(6, F(4)) == F(43, 16)
-    assert family(2, 0).sign_band(3, F(2)) is None  # c_1(1 + u) = 3u

@@ -90,15 +90,16 @@ def _naive_e_empirical(n, r, s, m_max):
         (6, 1, 11, 20),
         (8, 3, 4, 12),
         (3, 1, 1, 5),
-        # no sign band: a c_i(1 + u) with a positive lowest coefficient
         (2, 0, 3, 40),
         (4, 1, 3, 30),
         (5, 2, 2, 30),
         (7, 3, 2, 20),
-        # long scans above a band
+        (5, 2, 7, 60),
+        # long scans
+        (3, 1, 6, 60),
         (3, 1, 6, 150),
+        (2, 0, 20, 60),
         (2, 0, 20, 150),
-        # the first positive t of some m is the first t above the band
         (2, 0, 10, 60),
         (4, 0, 23, 60),
     ],
@@ -107,31 +108,31 @@ def test_e_empirical_matches_naive_scan(n, r, s, m_max):
     assert e_empirical(n, r, s, m_max) == _naive_e_empirical(n, r, s, m_max)
 
 
-# t-values the per-m scans visit with every scan starting at t = m, and the
-# share of them a scan starting above the sign band may still visit
-_STEP_BUDGETS = {
-    (3, 1, 6, 60): (5256, 0.41),  # 2138 above the band x = 43/16
-    (5, 2, 7, 60): (4684, 0.46),  # 2136
-    (2, 0, 20, 60): (6441, 0.02),  # 123
-}
-
-
-@pytest.mark.parametrize("config", sorted(_STEP_BUDGETS))
-def test_e_empirical_scans_start_above_the_band(monkeypatch, config):
+@pytest.mark.parametrize("config", [(3, 1, 6, 60), (5, 2, 7, 60), (2, 0, 20, 60), (8, 3, 4, 12)])
+def test_e_empirical_scans_bisect(monkeypatch, config):
+    # P_m at the top of the range, then a bisection: at most
+    # 1 + ceil(log2(stop - m)) Hilbert values per scan, none for an empty range
     import fatflats.hilbert as hilbert
 
-    scan = hilbert.Family.first_positive
-    visits = []
+    scan, comb = hilbert.Family.first_positive, hilbert.comb
+    values = [0]
+    budgets = []
 
-    def counting(self, s, m, start, stop):
-        t = scan(self, s, m, start, stop)
-        visits.append(stop - start if t is None else t - start + 1)
+    def counting_comb(a, b):
+        values[0] += 1
+        return comb(a, b)
+
+    def counting(self, s, m, stop):
+        before = values[0]
+        t = scan(self, s, m, stop)
+        budgets.append((values[0] - before, 1 + (stop - m - 1).bit_length() if stop > m else 0))
         return t
 
+    monkeypatch.setattr(hilbert, "comb", counting_comb)
     monkeypatch.setattr(hilbert.Family, "first_positive", counting)
-    from_m, share = _STEP_BUDGETS[config]
     assert e_empirical(*config) == _naive_e_empirical(*config)
-    assert sum(visits) <= share * from_m
+    assert len(budgets) == config[-1] and any(used for used, _ in budgets)
+    assert all(used <= budget for used, budget in budgets), budgets
 
 
 def test_certify_points_case():
