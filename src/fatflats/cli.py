@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -70,15 +71,23 @@ def _parse_mults(text: str) -> tuple[int, ...]:
 
 
 def _emit(report: dict, args, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, separators=(",", ":")))
-    elif args.csv:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("key", "value"))
-        writer.writerows((key, str(value)) for key, value in _flatten(report))
-    else:
-        for line in text_lines:
-            print(line)
+    """Write the report to stdout; a reader that has gone away (a closed
+    pipe) is no error, so the command still returns its own status."""
+    try:
+        if args.json:
+            print(json.dumps(report, separators=(",", ":")))
+        elif args.csv:
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(("key", "value"))
+            writer.writerows((key, str(value)) for key, value in _flatten(report))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the unwritten bytes stay buffered; with stdout on devnull the
+        # flush at shutdown cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _flatten(obj, prefix: str = ""):
@@ -86,7 +95,7 @@ def _flatten(obj, prefix: str = ""):
         for key, value in obj.items():
             yield from _flatten(value, f"{prefix}{key}." if prefix else f"{key}.")
     elif isinstance(obj, list):
-        yield prefix.rstrip("."), json.dumps(obj, separators=(",", ":")).replace(",", ";")
+        yield prefix.rstrip("."), json.dumps(obj, separators=(",", ":"))
     else:
         yield prefix.rstrip("."), obj
 

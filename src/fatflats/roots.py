@@ -276,21 +276,34 @@ def isolate_largest_root(
     lower = Fraction(lower)
     chain = sturm_chain(p)
     sf = chain[0]
-    defining = sf.primitive()
     found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)
     if found is None:
-        return AlgebraicNumber(defining, lower, lower) if p.sign(lower) == 0 else None
+        return AlgebraicNumber(sf.primitive(), lower, lower) if p.sign(lower) == 0 else None
     return exact_if_rational(sf, *found)
 
 
 def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
-    """The one root of the squarefree sf in [lo, hi] (a ``bisect_root``
-    result), as a point when the simplest rational in the interval is it."""
-    cand = simplest_rational_in(lo, hi)
-    if lo < cand <= hi and sf.sign(cand) == 0:
+    """The one root of the squarefree sf in (lo, hi] (a ``bisect_root``
+    result), as a point when it is rational.
+
+    A rational root of the primitive part has a denominator dividing its
+    leading coefficient lc.  When (hi - lo) * lc < 1 at most one k / lc lies
+    in (lo, hi], the one with k = floor(hi * lc), so one sign decides.  A
+    wider interval tests the simplest rational in it.
+    """
+    defining = sf.primitive()
+    lc = defining.nums[-1]
+    if (hi - lo) * lc < 1:
+        k = hi.numerator * lc // hi.denominator
+        cand = Fraction(k, lc)
+        rational = lo < cand and defining.sign(k, lc) == 0
+    else:
+        cand = simplest_rational_in(lo, hi)
+        rational = lo < cand <= hi and defining.sign(cand) == 0
+    if rational:
         # the interval holds exactly one root of sf, so cand is that root
         lo = hi = cand
-    return AlgebraicNumber(sf.primitive(), lo, hi)
+    return AlgebraicNumber(defining, lo, hi)
 
 
 def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
@@ -319,24 +332,32 @@ def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
 
 
 def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
-    """Exact sign of p at the algebraic number (-1, 0, +1)."""
+    """Exact sign of p at the algebraic number (-1, 0, +1).
+
+    The interval enclosure of p on the bracket decides first: when it
+    excludes zero, p has that sign on the whole bracket.  Only a straddling
+    enclosure pays the gcd test for a shared root and then refines.
+    """
     if p.is_zero:
         return 0
     if alg.is_exact:
         return p.sign(alg.value)
-    g = poly_gcd(p, alg.defining)
-    if g.degree > 0:
-        # g is squarefree and its roots in (lo, hi] are the defining root or
-        # none, so a sign change of g there (from just right of lo) shares it
-        at_hi = g.sign(alg.hi)
-        if at_hi == 0 or (g.sign(alg.lo) or g.derivative().sign(alg.lo)) != at_hi:
-            return 0
-    current = alg
-    for _ in range(8192):
-        vlo, vhi = _interval_eval(p, current.lo, current.hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        current = refine(current, (current.hi - current.lo) / 4)
-    raise ArithmeticError("sign_at failed to separate from zero")
+    vlo, vhi = _interval_eval(p, alg.lo, alg.hi)
+    if vlo <= 0 <= vhi:
+        g = poly_gcd(p, alg.defining)
+        if g.degree > 0:
+            # g is squarefree and its roots in (lo, hi] are the defining root
+            # or none, so a sign change of g there (from just right of lo)
+            # shares it
+            at_hi = g.sign(alg.hi)
+            if at_hi == 0 or (g.sign(alg.lo) or g.derivative().sign(alg.lo)) != at_hi:
+                return 0
+        current = alg
+        for _ in range(8192):
+            current = refine(current, (current.hi - current.lo) / 4)
+            vlo, vhi = _interval_eval(p, current.lo, current.hi)
+            if vlo > 0 or vhi < 0:
+                break
+        else:
+            raise ArithmeticError("sign_at failed to separate from zero")
+    return 1 if vlo > 0 else -1

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 from typing import Callable
 
 from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_check
@@ -43,7 +43,7 @@ from .hilbert import (
     identity_sum_i_binom,
 )
 from .polynomials import UniPoly, binom, decimal_str, expand_scaled
-from .roots import AlgebraicNumber, refine, sign_at
+from .roots import AlgebraicNumber, sign_at
 from .waldschmidt import (
     CertificationError,
     bounds_report,
@@ -158,22 +158,33 @@ def nosymetry_bounds(s: int) -> tuple[AlgebraicNumber, Fraction, Fraction]:
     """
     if not 7 <= s <= 12:
         raise ValueError("the finite branch covers 7 <= s <= 12")
-    g = refine(g_value(3, 1, s), Fraction(1, 10**18))
-    lo, hi = g.lo, g.hi
-    # interval arithmetic through the two rational expressions
-    num_lo, num_hi = 5 * s * lo - 11 * hi * hi, 5 * s * hi - 11 * lo * lo  # -g(11g-5s)
-    den_lo, den_hi = 6 * lo * lo - 3 * s * hi - 3 * s, 6 * hi * hi - 3 * s * lo - 3 * s
-    if den_hi >= 0:
+    g = g_value(3, 1, s, Fraction(1, 10**18))
+    # interval arithmetic through the two rational expressions, in integers
+    # over lo = a/q and hi = b/q; every quotient is a pair (num, den > 0)
+    q = lcm(g.lo.denominator, g.hi.denominator)
+    a, b = g.lo.numerator * (q // g.lo.denominator), g.hi.numerator * (q // g.hi.denominator)
+    nums = 5 * s * a * q - 11 * b * b, 5 * s * b * q - 11 * a * a  # -g(11g-5s) q^2
+    dens = 6 * a * a - 3 * s * b * q - 3 * s * q * q, 6 * b * b - 3 * s * a * q - 3 * s * q * q
+    if dens[1] >= 0:
         raise ArithmeticError("denominator interval must be negative for 7 <= s <= 12")
-    quots = [n / d for n in (num_lo, num_hi) for d in (den_lo, den_hi)]
-    d_lo, d_hi = min(quots), max(quots)
-    sum_quots = [q * s for q in quots]
+    quots = [(-n, -d) for n in nums for d in dens]
     # -g(...)/den versus -s(...)/den differ by the factor s/g
-    sum_lo = min(q / g_mid for q in sum_quots for g_mid in (lo, hi))
-    sum_hi = max(q / g_mid for q in sum_quots for g_mid in (lo, hi))
-    if d_hi - d_lo > Fraction(1, 10**6) or sum_hi - sum_lo > Fraction(1, 10**6):
+    sums = [(n * s * q, d * g_num) for n, d in quots for g_num in (a, b)]
+    return g, _midpoint(quots), _midpoint(sums)
+
+
+def _midpoint(quots: list[tuple[int, int]]) -> Fraction:
+    """The midpoint of the least and greatest of the quotients n/d (d > 0),
+    which must lie at most 1e-6 apart."""
+    n0, d0 = n1, d1 = quots[0]
+    for n, d in quots[1:]:
+        if n * d0 < n0 * d:
+            n0, d0 = n, d
+        if n * d1 > n1 * d:
+            n1, d1 = n, d
+    if (n1 * d0 - n0 * d1) * 10**6 > d0 * d1:
         raise ArithmeticError("bound intervals did not converge")
-    return g, (d_lo + d_hi) / 2, (sum_lo + sum_hi) / 2
+    return Fraction(n0 * d1 + n1 * d0, 2 * d0 * d1)
 
 
 def _cap(g: AlgebraicNumber, poly: Callable[[int], UniPoly], start: Fraction, strict: bool) -> int:

@@ -213,6 +213,9 @@ def test_csv_fields_with_commas_read_back(capsys, system, flag):
     assert all(len(row) == 2 for row in rows)
     if flag == "--reduce":
         assert dict(rows[1:])["start"] == system
+    else:  # a list value is its JSON, commas and all
+        witness = json.loads(dict(rows[1:])["witness"])
+        assert witness[0] == {"points": [0, 1, 2], "weight": 1}
 
 
 def test_rational_poly_serialization(capsys):
@@ -252,6 +255,25 @@ def test_subprocess_exit_codes():
     usage = _run_subprocess("lambda")
     assert usage.returncode == 2
     assert usage.stderr
+
+
+def test_closed_stdout_is_no_error():
+    # the reader goes away before the report is written: the command still
+    # exits with its own status and prints no traceback
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fatflats", "e", "3", "1", "6", "--certify", "--csv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.communicate(timeout=300)[1]
+    finally:
+        proc.kill()
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_bad_threads_environment_is_ignored():

@@ -12,6 +12,7 @@ from fatflats.roots import (
     bisect_root,
     cauchy_root_bound,
     count_roots_in,
+    exact_if_rational,
     isolate_largest_root,
     refine,
     sign_at,
@@ -179,6 +180,156 @@ def test_refine_and_sign_at():
     assert sign_at(tight, UniPoly([-1, 1])) == 1  # sqrt(2) - 1 > 0
     assert sign_at(tight, UniPoly([3, -2])) == 1  # 3 - 2*sqrt(2) > 0
     assert sign_at(root, UniPoly([F(-3, 2), 1])) == -1  # sqrt(2) < 3/2, coarse interval
+
+
+@pytest.mark.parametrize(
+    "config", [(3, 1, 7), (3, 1, 9), (3, 1, 12), (3, 0, 10), (4, 1, 9), (12, 5, 100)]
+)
+@pytest.mark.parametrize(
+    "width", [F(1, 10**13), F(1, 10**18), F(1, 2**70), F(1, 10**30), F(1, 10**50)]
+)
+def test_one_bisection_equals_refining_the_default(config, width):
+    # bisect_root halves one dyadic grid on (1, bound] and refine continues
+    # those halvings, so both end in the same cell
+    assert g_value(*config, width) == refine(g_value(*config), width)
+
+
+def _value_in_quadratic_field(p, u, n, m):
+    """Exact sign of p(u + sqrt(n)/m) for a non-square n, by Horner on
+    pairs (a, b) meaning a + b*t with t = sqrt(n)/m > 0."""
+    t2 = F(n, m * m)
+    a = b = F(0)
+    for c in reversed(p.coeffs):
+        a, b = a * u + b * t2 + c, a + b * u
+    if a >= 0 and b >= 0 or a <= 0 and b <= 0:
+        v = a + b
+    else:  # opposite signs: the larger of a^2 and b^2 t^2 wins
+        v = a if a * a > b * b * t2 else b
+    return (v > 0) - (v < 0)
+
+
+@st.composite
+def signs_at_roots(draw):
+    """(alg, p, expected sign): alg is a rational root r or a quadratic
+    irrational u + sqrt(n)/m in a bracket (lo, hi] of random width (hi = r
+    at times); p shares the root, has a root of its own on the bracket's
+    dyadic grid (so the enclosure straddles zero and refining lands on it),
+    or is random."""
+    if draw(st.booleans()):
+        r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
+        factor, approx = UniPoly([-r, 1]), r
+        expected = lambda p: p.sign(r)  # noqa: E731
+    else:
+        u = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        m = draw(st.integers(1, 3))
+        n = draw(st.integers(2, 30).filter(lambda v: isqrt(v) ** 2 != v))
+        factor = UniPoly([u * u - F(n, m * m), -2 * u, 1])
+        approx = u + F(isqrt(n * 4**80), m * 2**80)  # within 2^-80 below the root
+        expected = lambda p: _value_in_quadratic_field(p, u, n, m)  # noqa: E731
+    defining = (factor * UniPoly([draw(st.integers(4, 9)), 1])).primitive()  # and a root below -3
+    below = F(1, 2 ** draw(st.integers(3, 120)))
+    above = F(1, 2 ** draw(st.integers(3, 120)))
+    if factor.degree == 1 and draw(st.booleans()):
+        above = F(0)  # the root is the bracket's right end
+    lo, hi = approx - below, approx + (factor.degree - 1) * F(1, 2**80) + above
+    assume(count_roots_in(defining, lo, hi) == 1 and defining.sign(lo) != 0)
+    alg = AlgebraicNumber(defining, lo, hi)
+    kind = draw(st.sampled_from(["shared", "grid", "random"]))
+    h = UniPoly(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)))
+    assume(not h.is_zero)
+    if kind == "shared":
+        p = factor * h
+    elif kind == "grid":
+        e = draw(st.integers(1, 12))
+        c = lo + (hi - lo) * F(draw(st.integers(1, 2**e - 1)), 2**e)
+        p = UniPoly([-c, 1]) * UniPoly([draw(st.sampled_from([-3, -1, 2]))])
+    else:
+        p = h
+    return alg, p, expected(p)
+
+
+@settings(max_examples=200)
+@given(signs_at_roots())
+def test_sign_at_matches_exact_reference(case):
+    alg, p, expected = case
+    assert sign_at(alg, p) == expected
+
+
+def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
+    import fatflats.roots as roots
+
+    calls = []
+    original = roots.poly_gcd
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(roots, "poly_gcd", counting)
+    g = g_value(3, 1, 6, F(1, 10**50))
+    assert sign_at(g, lambda_poly(3, 1, 7)) == -1
+    assert calls == []
+    assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # straddles: the gcd decides
+    assert len(calls) == 1
+
+
+@st.composite
+def rational_roots_in_brackets(draw):
+    """(sf, lo, hi): sf squarefree with one root in (lo, hi], either k/lc
+    in a bracket narrower than 1/lc^2 (hi = k/lc at times) or a root in a
+    bracket of random width."""
+    lc = draw(st.integers(1, 60))
+    k = draw(st.integers(-5 * lc, 5 * lc))
+    root = F(k, lc)
+    if draw(st.booleans()):
+        factor = UniPoly([-k, lc])
+    else:  # an irrational root near k/lc: lc x^2 - 2k x + k^2/lc - 1/(j lc)
+        j = draw(st.integers(2, 10**6).filter(lambda v: isqrt(v) ** 2 != v))
+        factor = UniPoly([root * root - F(1, j * lc * lc), -2 * root, 1])
+        root += F(isqrt(4**80 // j), lc * 2**80)  # just below the upper root
+    sf = factor * UniPoly([draw(st.sampled_from([1, 5, 7])), 0, 1])  # no other real root
+    if draw(st.booleans()):
+        width = F(1, lc * lc * draw(st.integers(2, 10**9)))
+    else:
+        width = F(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)))
+    if draw(st.booleans()):
+        lo, hi = root - width, root
+    else:
+        t = F(draw(st.integers(1, 99)), 100)
+        lo, hi = root - width * t, root + width * (1 - t)
+    assume(count_roots_in(sf, lo, hi) == 1 and sf.sign(lo) != 0)
+    return sf, lo, hi
+
+
+@settings(max_examples=300)
+@given(rational_roots_in_brackets())
+def test_exact_if_rational_matches_simplest_rational(case):
+    sf, lo, hi = case
+    got = exact_if_rational(sf, lo, hi)
+    defining = sf.primitive()
+    lc = defining.coeffs[-1]
+    cand = simplest_rational_in(lo, hi)
+    if (hi - lo) * lc * lc < 1 or (hi - lo) * lc >= 1:
+        # the only brackets where the two tests can differ hold a simpler
+        # non-root rational beside k/lc, which needs a width >= 1/lc^2
+        if lo < cand <= hi and defining.sign(cand) == 0:
+            assert got == AlgebraicNumber(defining, cand, cand)
+        else:
+            assert got == AlgebraicNumber(defining, lo, hi)
+    if got.is_exact:
+        assert lo < got.value <= hi and sf(got.value) == 0
+
+
+def test_exact_if_rational_one_candidate_examples():
+    # 1/2 is the simplest rational in [0.42, 0.51], but the root is 3/7; the
+    # bracket is narrower than 1/7, so 3/7 is the one candidate
+    got = exact_if_rational(UniPoly([-3, 7]), F(42, 100), F(51, 100))
+    assert got.is_exact and got.value == F(3, 7)
+    wide = exact_if_rational(UniPoly([-3, 7]), F(2, 10), F(51, 100))
+    assert not wide.is_exact  # wider than 1/7: the simplest rational, 1/2, decides
+    # x (x^2 - 10x + 1): the candidate k = 0 is the root at lo, outside (lo, hi]
+    low = exact_if_rational(UniPoly([0, 1, -10, 1]), F(0), F(1, 5))
+    assert not low.is_exact
 
 
 def test_sturm_chain_shape():

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fatflats.asymptotic import lambda_poly
+from fatflats.asymptotic import g_value, lambda_poly
 from fatflats.hilbert import conditions_count
-from fatflats.polynomials import binom
-from fatflats.roots import sign_at
+from fatflats.polynomials import UniPoly, binom
+from fatflats.roots import AlgebraicNumber, refine, sign_at
 from fatflats.verifier import (
     Violation,
     _bound_polys,
     _cap,
+    _midpoint,
     _scan_region,
     analytic_branch_check,
     identities_report,
@@ -67,6 +68,40 @@ def test_bound_table_values():
         assert abs(float(g.midpoint) - g_ref) < 1e-3
         assert abs(float(d_bound) - d_ref) < 1e-3
         assert abs(float(sum_bound) - sum_ref) < 1e-3
+
+
+def _bounds_reference(s):
+    """nosymetry_bounds as first written: refine to 1e-18, then interval
+    quotients in Fraction."""
+    g = refine(g_value(3, 1, s), Fraction(1, 10**18))
+    lo, hi = g.lo, g.hi
+    num_lo, num_hi = 5 * s * lo - 11 * hi * hi, 5 * s * hi - 11 * lo * lo
+    den_lo, den_hi = 6 * lo * lo - 3 * s * hi - 3 * s, 6 * hi * hi - 3 * s * lo - 3 * s
+    assert den_hi < 0
+    quots = [n / d for n in (num_lo, num_hi) for d in (den_lo, den_hi)]
+    d_lo, d_hi = min(quots), max(quots)
+    sums = [q * s / g_end for q in quots for g_end in (lo, hi)]
+    sum_lo, sum_hi = min(sums), max(sums)
+    assert d_hi - d_lo <= Fraction(1, 10**6) and sum_hi - sum_lo <= Fraction(1, 10**6)
+    return g, (d_lo + d_hi) / 2, (sum_lo + sum_hi) / 2
+
+
+@pytest.mark.parametrize("s", range(7, 13))
+def test_bounds_match_the_fraction_reference(s):
+    assert nosymetry_bounds(s) == _bounds_reference(s)
+
+
+def test_bound_checks_still_fire(monkeypatch):
+    import fatflats.verifier as verifier
+
+    # den(g) = 6g^2 - 21g - 21 vanishes near 4.31, inside this bracket
+    wide = AlgebraicNumber(UniPoly([-9, 2]), Fraction(4), Fraction(5))
+    monkeypatch.setattr(verifier, "g_value", lambda *args: wide)
+    with pytest.raises(ArithmeticError, match="denominator"):
+        verifier.nosymetry_bounds(7)
+    assert _midpoint([(0, 1), (1, 3 * 10**6), (1, 10**6)]) == Fraction(1, 2 * 10**6)
+    with pytest.raises(ArithmeticError, match="converge"):
+        _midpoint([(0, 1), (1, 10**6 - 1)])
 
 
 def test_bounds_reject_out_of_range():
