@@ -99,28 +99,26 @@ def g_value(
     return exact_if_rational(sf, *bisect_root(sf, one, bound, precision))
 
 
-def sign_profile_check(n: int, r: int, s: int, samples: int = 5) -> bool:
+def sign_profile_check(n: int, r: int, s: int) -> bool:
     """Negativity strictly below the largest root and positivity above it.
 
-    Checks ``samples`` rational points in [1, g) and ``samples`` points in
-    (g, g + 2], using the certified isolating interval for g.
+    Checks five rational points in [1, g) and five points in (g, g + 2],
+    using the certified isolating interval for g.
     """
     if s < 2:
         raise ValueError("sign profile is only nontrivial for s >= 2")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     lam = lambda_poly(n, r, s)
     g = g_value(n, r, s)
     below_width = g.lo - 1
     if below_width <= 0:
         return False
-    for k in range(samples):
-        tau = 1 + below_width * Fraction(k, samples)  # in [1, g.lo)
+    for k in range(5):
+        tau = 1 + below_width * Fraction(k, 5)  # in [1, g.lo)
         if lam(tau) >= 0:
             return False
     above_width = (g.lo + 2) - g.hi
-    for k in range(1, samples + 1):
-        tau = g.hi + above_width * Fraction(k, samples)  # in (g, g + 2]
+    for k in range(1, 6):
+        tau = g.hi + above_width * Fraction(k, 5)  # in (g, g + 2]
         if lam(tau) <= 0:
             return False
     return True
@@ -141,11 +139,11 @@ class SpecialRootRow:
         return self.value_is_zero and self.is_largest
 
 
-def g_specials(n_range=range(3, 9)) -> list[SpecialRootRow]:
-    """For each n, verify exactly that tau = n - 1 is the largest root of
-    the scaling-limit polynomial of (n-1)^(n-2) lines in P^n."""
+def g_specials() -> list[SpecialRootRow]:
+    """For each 3 <= n <= 8, verify exactly that tau = n - 1 is the largest
+    root of the scaling-limit polynomial of (n-1)^(n-2) lines in P^n."""
     rows = []
-    for n in n_range:
+    for n in range(3, 9):
         s = (n - 1) ** (n - 2)
         lam = lambda_poly(n, 1, s)
         root = n - 1

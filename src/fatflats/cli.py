@@ -175,9 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cremona", help="linear systems and Cremona reduction")
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
     p.add_argument("--system", type=str, required=True, help='system as "d;m1,m2,..."')
-    p.add_argument("--transform", type=str, help="comma-separated indices of n+1 points")
-    p.add_argument("--reduce", action="store_true")
-    p.add_argument("--witness", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--transform", type=str, help="comma-separated indices of n+1 points")
+    mode.add_argument("--reduce", action="store_true")
+    mode.add_argument("--witness", action="store_true")
     p.add_argument("--max-steps", type=int, default=64)
     _add_common(p)
 
@@ -334,7 +335,7 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_cremona(args) -> int:
     sys_ = LinearSystem.parse(args.dim, args.system)
-    if args.transform:
+    if args.transform is not None:
         idx = _parse_mults(args.transform)
         out, c = cremona_transform(sys_, idx)
         report = {"c": c, "system": out.format()}
@@ -348,16 +349,14 @@ def _cmd_cremona(args) -> int:
         ] + [f"  {list(subset)} x{w}" for subset, w in witness.factors]
         _emit(report, args, lines)
         return 0
-    if args.reduce:
-        trace = reduce_system(sys_, max_steps=args.max_steps)
-        report = trace.to_json()
-        lines = [f"start: {trace.start.format()}"] + [
-            f"  step {i + 1}: idx={list(st.chosen)} c={st.c} -> {st.result.format()}"
-            for i, st in enumerate(trace.steps)
-        ] + [f"verdict: {trace.verdict} ({trace.certificate})"]
-        _emit(report, args, lines)
-        return 0 if trace.verdict != "undecided" else 1
-    raise SystemExit2("choose one of --transform, --reduce, --witness")
+    trace = reduce_system(sys_, max_steps=args.max_steps)
+    report = trace.to_json()
+    lines = [f"start: {trace.start.format()}"] + [
+        f"  step {i + 1}: idx={list(st.chosen)} c={st.c} -> {st.result.format()}"
+        for i, st in enumerate(trace.steps)
+    ] + [f"verdict: {trace.verdict} ({trace.certificate})"]
+    _emit(report, args, lines)
+    return 0 if trace.verdict != "undecided" else 1
 
 
 def _cmd_intersections(args) -> int:

@@ -11,14 +11,17 @@ claim reduces to a finite region for 7 <= s <= 12:
 
 which this module enumerates exhaustively, multiplicity vectors as
 nondecreasing sequences.  No pair (v, d) is skipped, but few are evaluated:
-for each multiplicity sum the admissible degrees form one run, because
-lambda(3, 1, s) is convex for x > 0, and along a vector's row d >= max m_j,
-where P(d) > 0 forces P(d + 1) > P(d), so P <= 0 at the row's high end
-proves P <= 0 on all of it.
-All comparisons against the algebraic bound g are exact: ratio tests go
-through the sign of the scaling-limit polynomial and cap tests through
-``sign_at``.  For s >= 13 the analytic branch rests on two polynomial
-positivity checks that are verified directly.
+d*s/sum(m_j) grows with d, so for each multiplicity sum the admissible
+degrees are those up to one high end, and along a vector's row
+d >= max m_j, where P(d) > 0 forces P(d + 1) > P(d), P <= 0 at the row's
+high end proves P <= 0 on all of it.
+Every comparison against the algebraic bound g is one integer comparison
+with g's certified bracket [a/q, b/q] of width 1e-18: the caps come from
+bound midpoints certified to within 5e-7, and a ratio test d*s/total < g
+holds when d*s*q < total*a and fails when d*s*q >= total*b.  A comparison
+the bracket cannot decide raises rather than guesses.  For s >= 13 the
+analytic branch rests on two polynomial positivity checks that are
+verified directly.
 """
 
 from __future__ import annotations
@@ -26,8 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, lcm
-from typing import Callable
+from math import lcm
 
 from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_check
 from .blowup import alt_sum_one, alt_sum_zero, identity_check
@@ -42,8 +44,8 @@ from .hilbert import (
     identity_sum_binom,
     identity_sum_i_binom,
 )
-from .polynomials import UniPoly, binom, decimal_str, expand_scaled
-from .roots import AlgebraicNumber, sign_at
+from .polynomials import binom, decimal_str, expand_scaled
+from .roots import AlgebraicNumber
 from .waldschmidt import (
     CertificationError,
     bounds_report,
@@ -129,40 +131,27 @@ class NosymetryReport:
         }
 
 
-def _bound_parts(s: int) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """den(g) = 6g^2 - 3sg - 3s and the constant parts g(11g - 5s) and
-    s(11g - 5s) of the two cap polynomials (see :func:`_bound_polys`)."""
-    return UniPoly([-3 * s, -3 * s, 6]), UniPoly([0, -5 * s, 11]), UniPoly([-5 * s * s, 11 * s])
-
-
-def _bound_polys(s: int, value: int) -> tuple[UniPoly, UniPoly]:
-    """Cap-test polynomials in g for the degree and multiplicity-sum bounds.
-
-    With den(g) = 6g^2 - 3sg - 3s negative on 7 <= s <= 12, the conditions
-
-        d  < -g(11g - 5s)/den   and   k <= -s(11g - 5s)/den
-
-    become sign conditions: d admissible iff psi_d(g) = d*den + g(11g - 5s)
-    > 0, k admissible iff phi_k(g) = k*den + s(11g - 5s) >= 0, where both
-    polynomials are returned here.
-    """
-    den, psi0, phi0 = _bound_parts(s)
-    return value * den + psi0, value * den + phi0
+def _bracket(g: AlgebraicNumber) -> tuple[int, int, int]:
+    """g's interval as integers (a, b, q) with lo = a/q and hi = b/q."""
+    q = lcm(g.lo.denominator, g.hi.denominator)
+    return g.lo.numerator * (q // g.lo.denominator), g.hi.numerator * (q // g.hi.denominator), q
 
 
 def nosymetry_bounds(s: int) -> tuple[AlgebraicNumber, Fraction, Fraction]:
-    """The root bound g(3,1,s) and the two enumeration bounds to high accuracy.
+    """The root bound g(3,1,s), bracketed to width 1e-18, and the midpoints
+    of the degree and multiplicity-sum bounds.
 
-    The reported bounds are interval-midpoint rationals whose certified
-    error is far below 1e-4; integer caps are decided exactly elsewhere.
+    Each bound's interval, taken through its rational expression in g, is
+    certified at most 1e-6 wide (:func:`_midpoint`), so the true bound lies
+    within 5e-7 of the reported midpoint; :func:`_cap` reads the integer
+    caps from that.
     """
     if not 7 <= s <= 12:
         raise ValueError("the finite branch covers 7 <= s <= 12")
     g = g_value(3, 1, s, Fraction(1, 10**18))
     # interval arithmetic through the two rational expressions, in integers
     # over lo = a/q and hi = b/q; every quotient is a pair (num, den > 0)
-    q = lcm(g.lo.denominator, g.hi.denominator)
-    a, b = g.lo.numerator * (q // g.lo.denominator), g.hi.numerator * (q // g.hi.denominator)
+    a, b, q = _bracket(g)
     nums = 5 * s * a * q - 11 * b * b, 5 * s * b * q - 11 * a * a  # -g(11g-5s) q^2
     dens = 6 * a * a - 3 * s * b * q - 3 * s * q * q, 6 * b * b - 3 * s * a * q - 3 * s * q * q
     if dens[1] >= 0:
@@ -187,47 +176,42 @@ def _midpoint(quots: list[tuple[int, int]]) -> Fraction:
     return Fraction(n0 * d1 + n1 * d0, 2 * d0 * d1)
 
 
-def _cap(g: AlgebraicNumber, poly: Callable[[int], UniPoly], start: Fraction, strict: bool) -> int:
-    """The largest k >= 0 with poly(k)(g) > 0 (``strict``) or >= 0, and k = 0 if none.
+def _cap(bound: Fraction) -> int:
+    """The largest integer k below the true bound, read from its midpoint.
 
-    poly(k)(g) = k*den(g) + const with den(g) < 0 (enforced in
-    :func:`nosymetry_bounds`), so it decreases in k and the admissible k
-    form an initial run.  The search starts at the approximate bound and
-    steps until k is admissible and k + 1 is not, each decided by ``sign_at``.
+    The true bound lies within 5e-7 of ``bound`` (:func:`nosymetry_bounds`).
+    When ``bound`` is more than 5e-7 from every integer, the true bound is
+    no integer and has the same floor, so floor(bound) is both the largest
+    k < bound (the degree cap) and the largest k <= bound (the sum cap).
+    Otherwise this raises.
     """
-
-    def admissible(k: int) -> bool:
-        sign = sign_at(g, poly(k))
-        return sign > 0 or (not strict and sign == 0)
-
-    k = max(floor(start), 0)
-    while k > 0 and not admissible(k):
-        k -= 1
-    while admissible(k + 1):
-        k += 1
+    k, rest = divmod(bound.numerator, bound.denominator)
+    if 2 * 10**6 * min(rest, bound.denominator - rest) <= bound.denominator:
+        raise ArithmeticError(f"bound {decimal_str(bound, 9)} lies within 5e-7 of an integer")
     return k
 
 
-def _degree_runs(lam: UniPoly, s: int, sum_cap: int, d_top: int) -> tuple[list[int], list[int]]:
-    """The degrees 1 <= d <= d_top with d*s/total < g, as a run [low, high]
-    for each total 0..sum_cap; an empty run reads low = d_top + 1, high = 0.
+def _high_ends(g: AlgebraicNumber, s: int, sum_cap: int) -> list[int]:
+    """For each total 0..sum_cap, the largest d with d*s/total < g (0 at total 0).
 
-    d*s/total < g(3, 1, s) is the sign lambda(3, 1, s)(d*s/total) < 0.
-    lambda'' = x, so lambda is convex for x > 0 and negative on one interval
-    there; the degrees in it form one run, read off the sign table.
+    With g in [a/q, b/q], high = ceil(total*b/(s*q)) - 1 is the largest d
+    with d*s*q < total*b, so high + 1 is at or above g.  When also
+    high*s*q < total*a, high lies below g, and so does every smaller d;
+    otherwise the bracket is too wide to decide and this raises.
     """
-    lows, highs = [d_top + 1] * (sum_cap + 1), [0] * (sum_cap + 1)
+    a, b, q = _bracket(g)
+    sq = s * q
+    highs = [0] * (sum_cap + 1)
     for total in range(1, sum_cap + 1):
-        run = [d for d in range(1, d_top + 1) if lam.sign(d * s, total) < 0]
-        if run:
-            if run[-1] - run[0] + 1 != len(run):
-                raise ArithmeticError(f"ratio test d*{s}/{total} < g holds on no single run: {run}")
-            lows[total], highs[total] = run[0], run[-1]
-    return lows, highs
+        high = (total * b - 1) // sq
+        if high * sq >= total * a:
+            raise ArithmeticError(f"g's bracket does not decide d*{s}/{total} < g at d = {high}")
+        highs[total] = high
+    return highs
 
 
 def _scan_region(
-    lam: UniPoly, s: int, sum_cap: int, d_cap: int
+    g: AlgebraicNumber, s: int, sum_cap: int, d_cap: int
 ) -> tuple[int, dict[int, int], int, list[Violation]]:
     """Scan every nondecreasing s-vector with multiplicity sum 1..sum_cap;
     returns (sequences, counts by degree, pairs, violations).
@@ -237,12 +221,12 @@ def _scan_region(
     B = sum C(m+1, 3); the last entry m then runs upward, so a head's sums
     are shared by every total it reaches.
 
-    A run of degrees per total.  The degrees with d*s/total < g form one run
-    [low, high] (:func:`_degree_runs`).  A vector with largest entry m covers
-    the row max(2, m, low)..min(high, d_cap), plus d = 1 when m <= 1 and
-    low = 1 (belt and braces: the d = 1 row is handled separately in the
-    argument).  ``counts`` comes from a difference array over the rows, and
-    ``pairs`` from their lengths.
+    One high end per total.  The degrees with d*s/total < g are 1..high
+    (:func:`_high_ends`).  A vector with largest entry m covers the row
+    max(2, m)..min(high, d_cap), plus d = 1 when m <= 1 and high >= 1 (belt
+    and braces: the d = 1 row is handled separately in the argument).
+    ``counts`` comes from a difference array over the rows, and ``pairs``
+    from their lengths.
 
     One end per row.  For d >= m, c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3)
     (``conditions_count_lines``), so P(d) = C(d+3,3) - (d+1)*A + 2*B.  Each
@@ -256,8 +240,7 @@ def _scan_region(
     d with d = 1 last.
     """
     d_top = max(d_cap, 1)
-    lows, highs = _degree_runs(lam, s, sum_cap, d_top)
-    starts = [max(2, low) for low in lows]
+    highs = _high_ends(g, s, sum_cap)
     ends = [min(high, d_cap) for high in highs]
     pair_counts = [binom(m + 1, 2) for m in range(sum_cap + 1)]
     triple_counts = [binom(m + 1, 3) for m in range(sum_cap + 1)]
@@ -276,15 +259,13 @@ def _scan_region(
             total = used + m
             a = a0 + pair_counts[m]
             b2 = 2 * (b0 + triple_counts[m])
-            if m <= 1 and lows[total] == 1:
+            if m <= 1 and highs[total] >= 1:
                 ones += 1
                 value = 4 - 2 * a + b2  # P(1), with C(4, 3) = 4
                 if value > 0:
                     vec[-1] = m
                     violations.append(Violation(1, tuple(vec), value))
-            lo, hi = starts[total], ends[total]
-            if lo < m:
-                lo = m
+            lo, hi = (m if m > 2 else 2), ends[total]
             if lo > hi:
                 continue
             diff[lo] += 1
@@ -328,10 +309,8 @@ def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:
     ignored: the scan is serial.
     """
     g, d_bound, sum_bound = nosymetry_bounds(s)
-    den, psi0, phi0 = _bound_parts(s)
-    d_cap = _cap(g, lambda k: k * den + psi0, d_bound, strict=True)
-    sum_cap = _cap(g, lambda k: k * den + phi0, sum_bound, strict=False)
-    sequences, counts, pairs, violations = _scan_region(lambda_poly(3, 1, s), s, sum_cap, d_cap)
+    d_cap, sum_cap = _cap(d_bound), _cap(sum_bound)
+    sequences, counts, pairs, violations = _scan_region(g, s, sum_cap, d_cap)
     return NosymetryReport(
         s, g, d_bound, sum_bound, d_cap, sum_cap,
         sequences, tuple(sorted(counts.items())), pairs, tuple(violations),

@@ -47,7 +47,6 @@ from .asymptotic import g_value, lambda_poly
 from .hilbert import Family, check_flat_domain, family
 from .polynomials import UniPoly, binom, fraction_to_json
 from .roots import (
-    DEFAULT_PRECISION,
     AlgebraicNumber,
     _interval_eval,
     cauchy_root_bound,
@@ -351,13 +350,7 @@ class BoundsReport:
         }
 
 
-def bounds_report(
-    n: int,
-    r: int,
-    s: int,
-    m_max: int = 60,
-    precision: Fraction = DEFAULT_PRECISION,
-) -> BoundsReport:
+def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     """Assemble gamma (when known), e (certified when possible), and g.
 
     The assertable parts of the ordering gamma <= e <= g are checked with
@@ -374,7 +367,7 @@ def bounds_report(
         certified = True
     except CertificationError:
         certified = False
-    g = g_value(n, r, s, precision)
+    g = g_value(n, r, s)
     lam = lambda_poly(n, r, s)
 
     if gamma is not None and gamma.exact:

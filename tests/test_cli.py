@@ -93,6 +93,22 @@ def test_cremona_transform_reduce_witness(capsys):
     assert len(json.loads(out)["witness"]) == 4
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--transform", "0,1,2,3", "--reduce"],
+        ["--witness", "--reduce"],
+        ["--transform", "0,1,2,3", "--witness"],
+        [],
+    ],
+)
+def test_cremona_takes_exactly_one_mode(capsys, modes):
+    with pytest.raises(SystemExit) as err:
+        main(["cremona", "--dim", "3", "--system", "4;3,3,3,3", *modes])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_gamma_points_and_alpha(capsys):
     code, out = run_cli(capsys, "gamma-points", "3", "4", "--json")
     assert code == 0 and json.loads(out)["gamma"] == "4/3"

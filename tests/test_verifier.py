@@ -13,8 +13,8 @@ from fatflats.polynomials import UniPoly, binom
 from fatflats.roots import AlgebraicNumber, refine, sign_at
 from fatflats.verifier import (
     Violation,
-    _bound_polys,
     _cap,
+    _high_ends,
     _midpoint,
     _scan_region,
     analytic_branch_check,
@@ -217,8 +217,13 @@ def _naive_region(s, sum_cap, d_cap):
     return sequences, counts, pairs, violations
 
 
+@cache
+def _g(s):
+    return g_value(3, 1, s)
+
+
 def _fast_region(s, sum_cap, d_cap):
-    return _scan_region(lambda_poly(3, 1, s), s, sum_cap, d_cap)
+    return _scan_region(_g(s), s, sum_cap, d_cap)
 
 
 def test_region_scan_matches_naive_scan_on_the_finite_branch():
@@ -263,8 +268,8 @@ def test_enumeration_golden_bytes():
 def test_enumeration_call_counts(monkeypatch):
     import fatflats.verifier as verifier
 
-    calls = {"conditions_count": 0, "lambda_poly": 0, "sign_at": 0}
-    for name in calls:
+    calls = {"conditions_count": 0, "lambda_poly": 0, "sign": 0}
+    for name in ("conditions_count", "lambda_poly"):
         original = getattr(verifier, name)
 
         def counting(*args, _name=name, _original=original):
@@ -272,28 +277,85 @@ def test_enumeration_call_counts(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(verifier, name, counting)
-    rep = verifier.nosymetry_enumerate(7)
-    assert (rep.cases_checked, rep.pairs_checked) == (4149, 16969)
+    original_sign = UniPoly.sign
+
+    def counting_sign(self, *args):
+        calls["sign"] += 1
+        return original_sign(self, *args)
+
+    monkeypatch.setattr(UniPoly, "sign", counting_sign)
+    for s in range(7, 13):
+        calls["sign"] = 0
+        g_value(3, 1, s, Fraction(1, 10**18))
+        alone = calls["sign"]
+        calls["sign"] = 0
+        rep = verifier.nosymetry_enumerate(s)
+        # every sign of a sweep is g's own isolation
+        assert calls["sign"] == alone, s
+        if s == 7:
+            assert (rep.cases_checked, rep.pairs_checked) == (4149, 16969)
     assert calls["conditions_count"] == 0
-    assert calls["lambda_poly"] == 1
-    assert calls["sign_at"] <= 6
+    assert calls["lambda_poly"] == 0
+
+
+def _cap_polys(s, k):
+    """With den(g) = 6g^2 - 3sg - 3s < 0 on 7 <= s <= 12, the cap conditions
+
+        k < -g(11g - 5s)/den   and   k <= -s(11g - 5s)/den
+
+    read psi_k(g) > 0 and phi_k(g) >= 0 for the two polynomials returned."""
+    den = UniPoly([-3 * s, -3 * s, 6])
+    return k * den + UniPoly([0, -5 * s, 11]), k * den + UniPoly([-5 * s * s, 11 * s])
 
 
 def test_caps_match_a_walk_from_zero():
     for s in range(7, 13):
-        g, d_bound, sum_bound = nosymetry_bounds(s)
+        g = nosymetry_bounds(s)[0]
         d_walk = 0
-        while sign_at(g, _bound_polys(s, d_walk + 1)[0]) > 0:
+        while sign_at(g, _cap_polys(s, d_walk + 1)[0]) > 0:
             d_walk += 1
         sum_walk = 0
-        while sign_at(g, _bound_polys(s, sum_walk + 1)[1]) >= 0:
+        while sign_at(g, _cap_polys(s, sum_walk + 1)[1]) >= 0:
             sum_walk += 1
-        psi = lambda k: _bound_polys(s, k)[0]  # noqa: E731
-        phi = lambda k: _bound_polys(s, k)[1]  # noqa: E731
-        for start in (d_bound, d_bound + 3, max(d_bound - 3, 0), 0):
-            assert _cap(g, psi, start, strict=True) == d_walk
-        for start in (sum_bound, sum_bound + 3, max(sum_bound - 3, 0), 0):
-            assert _cap(g, phi, start, strict=False) == sum_walk
+        rep = nosymetry_enumerate(s)
+        assert (rep.d_cap, rep.sum_cap) == (d_walk, sum_walk), s
+
+
+def test_cap_refuses_a_midpoint_near_an_integer():
+    assert _cap(Fraction(7, 2)) == 3
+    assert _cap(3 + Fraction(1, 2 * 10**6 - 1)) == 3
+    assert _cap(4 - Fraction(1, 2 * 10**6 - 1)) == 3
+    for bound in (Fraction(3), 3 + Fraction(1, 2 * 10**6), 4 - Fraction(1, 2 * 10**6)):
+        with pytest.raises(ArithmeticError, match="5e-7"):
+            _cap(bound)
+
+
+def _high_reference(s, total):
+    """The largest d with d*s/total < g, walked up from d = 0: a ratio below
+    1 lies below g >= 1, and from 1 on the ratio lies below g exactly where
+    lambda(3, 1, s) is negative."""
+    lam = lambda_poly(3, 1, s)
+    d = 0
+    while Fraction((d + 1) * s, total) < 1 or lam(Fraction((d + 1) * s, total)) < 0:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("s", range(1, 13))
+def test_high_ends_match_a_fraction_reference(s):
+    assert _high_ends(_g(s), s, 40) == [0] + [_high_reference(s, t) for t in range(1, 41)]
+
+
+def test_scan_refuses_a_bracket_too_wide():
+    # g in [2, 5/2] at s = 1: d = 2 at total 1 sits on the bracket's low end,
+    # so 2/1 < g is undecided
+    wide = AlgebraicNumber(UniPoly([-9, 4]), Fraction(2), Fraction(5, 2))
+    with pytest.raises(ArithmeticError, match="bracket"):
+        _scan_region(wide, 1, 1, 3)
+    # a bracket about g(3, 1, 7) ~ 4.2035 that holds 21/5 = 7*3/5
+    wide = AlgebraicNumber(UniPoly([-21, 5]), Fraction(419, 100), Fraction(421, 100))
+    with pytest.raises(ArithmeticError, match="bracket"):
+        _scan_region(wide, 7, 5, 3)
 
 
 def test_identities_report():
