@@ -5,7 +5,9 @@ emitted as human-readable text, canonical single-line JSON (--json), or
 flat CSV rows (--csv).  Authoritative numeric fields are exact: integers
 appear plainly and non-integer rationals as "num/den" strings, with decimal
 renderings provided separately, so no floating point enters any payload and
-parsing then re-serializing a JSON result is byte-identical.
+parsing then re-serializing a JSON result is byte-identical.  Each
+subcommand names its handler, and ``main`` dispatches once and prints once;
+a flag the chosen mode would ignore is a usage error.
 
 Exit codes: 0 on success or verified, 1 on verification failure, 2 on
 usage errors.
@@ -45,6 +47,7 @@ from .verifier import (
     identities_report,
     nosymetry_enumerate,
     replay_appendix,
+    replay_ids,
 )
 from .waldschmidt import (
     CertificationError,
@@ -100,15 +103,11 @@ def _flatten(obj, prefix: str = ""):
         yield prefix.rstrip("."), obj
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="canonical single-line JSON output")
-    parser.add_argument("--csv", action="store_true", help="flat CSV output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored; every command runs serially",
-    )
+def _add_common(parser: argparse.ArgumentParser, handler) -> None:
+    parser.set_defaults(handler=handler)
+    form = parser.add_mutually_exclusive_group()
+    form.add_argument("--json", action="store_true", help="canonical single-line JSON output")
+    form.add_argument("--csv", action="store_true", help="flat CSV output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("t", type=int)
     p.add_argument("--oracle", action="store_true", help="cross-check by monomial enumeration")
-    _add_common(p)
+    _add_common(p, _cmd_conditions)
 
     p = sub.add_parser("hilbert", help="Hilbert polynomial of a union of fat flats")
     p.add_argument("n", type=int)
@@ -134,17 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int, nargs="?")
     p.add_argument("--mults", type=str, help="comma-separated multiplicities, one per flat")
     p.add_argument("--at", type=int, help="evaluate at this degree")
-    p.add_argument("--poly", action="store_true", help="print the coefficient array")
-    _add_common(p)
+    _add_common(p, _cmd_hilbert)
 
     p = sub.add_parser("lambda", help="scaling-limit polynomial and its largest root")
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
-    p.add_argument("--poly", action="store_true")
     p.add_argument("--g", action="store_true", help="isolate the largest root")
-    p.add_argument("--prec", type=str, default="1e-12", help="isolation interval width")
-    _add_common(p)
+    p.add_argument("--prec", type=str, help="isolation interval width (with --g)")
+    _add_common(p, _cmd_lambda)
 
     p = sub.add_parser("e", help="expected Waldschmidt constant by certified search")
     p.add_argument("n", type=int)
@@ -152,25 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("s", type=int)
     p.add_argument("--mmax", type=int, default=60)
     p.add_argument("--certify", action="store_true")
-    _add_common(p)
+    _add_common(p, _cmd_e)
 
     p = sub.add_parser("bounds", help="the chain gamma <= e <= g for one configuration")
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--mmax", type=int, default=60)
-    _add_common(p)
+    _add_common(p, _cmd_bounds)
 
     p = sub.add_parser("gamma-points", help="closed-form Waldschmidt constant of general points")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    _add_common(p)
+    _add_common(p, _cmd_gamma_points)
 
     p = sub.add_parser("alpha", help="initial-degree formulas for general points and lines")
     p.add_argument("kind", choices=["points", "points2", "lines"])
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    _add_common(p)
+    _add_common(p, _cmd_alpha)
 
     p = sub.add_parser("cremona", help="linear systems and Cremona reduction")
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n")
@@ -179,41 +176,45 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--transform", type=str, help="comma-separated indices of n+1 points")
     mode.add_argument("--reduce", action="store_true")
     mode.add_argument("--witness", action="store_true")
-    p.add_argument("--max-steps", type=int, default=64)
-    _add_common(p)
+    p.add_argument("--max-steps", type=int, help="reduction step limit (with --reduce)")
+    _add_common(p, _cmd_cremona)
 
     p = sub.add_parser("intersections", help="self-intersection expansion on the blow-up")
     p.add_argument("n", type=int)
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--check", action="store_true", help="verify the identity with the scaling limit")
-    _add_common(p)
+    _add_common(p, _cmd_intersections)
 
     p = sub.add_parser("verify", help="finite verification drivers")
     vsub = p.add_subparsers(dest="verify_command", required=True)
 
     v = vsub.add_parser("nosymetry", help="enumerate the finite region for s lines in P^3")
     v.add_argument("s", type=int)
-    _add_common(v)
+    _add_common(v, _cmd_verify_nosymetry)
 
     v = vsub.add_parser("appendix", help="replay a registered worked example")
-    v.add_argument("id", type=str)
-    _add_common(v)
+    v.add_argument("id", choices=replay_ids())
+    _add_common(v, _cmd_verify_appendix)
 
     v = vsub.add_parser("gamma-case", help="alpha bookkeeping for s general points")
     v.add_argument("n", type=int)
     v.add_argument("s", type=int)
     v.add_argument("--hmax", type=int, default=3)
-    _add_common(v)
+    _add_common(v, _cmd_verify_gamma_case)
 
     v = vsub.add_parser("identities", help="identity sweeps and seeded spot checks")
     v.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
-    _add_common(v)
+    _add_common(v, _cmd_verify_identities)
 
     return parser
 
 
-def _cmd_conditions(args) -> int:
+# Each handler returns (report, text lines, exit status); main prints one of
+# the three forms of the report.
+
+
+def _cmd_conditions(args):
     count = conditions_count(args.n, args.r, args.m, args.t)
     report = {"n": args.n, "r": args.r, "m": args.m, "t": args.t, "count": count}
     lines = [f"conditions({args.n},{args.r},{args.m},{args.t}) = {count}"]
@@ -222,11 +223,10 @@ def _cmd_conditions(args) -> int:
         report["oracle"] = oracle
         report["match"] = oracle == count
         lines.append(f"oracle = {oracle} ({'match' if oracle == count else 'MISMATCH'})")
-    _emit(report, args, lines)
-    return 0 if not args.oracle or report["match"] else 1
+    return report, lines, 0 if not args.oracle or report["match"] else 1
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args):
     if args.mults is not None:
         if args.s is not None or args.m is not None:
             raise SystemExit2("give either s m or --mults, not both")
@@ -238,32 +238,28 @@ def _cmd_hilbert(args) -> int:
             raise SystemExit2("give s and m, or --mults")
         poly = hilbert_poly_uniform(args.n, args.r, args.s, args.m)
         spec = {"n": args.n, "r": args.r, "s": args.s, "m": args.m}
-    if args.at is not None:
-        value = poly(args.at)
-        report = {**spec, "t": args.at, "value": fraction_to_json(value)}
-        _emit(report, args, [f"value at t={args.at}: {fraction_to_json(value)}"])
-    else:
-        report = {**spec, "poly": poly.to_json()}
-        _emit(report, args, [f"coefficients (low degree first): {poly.to_json()}"])
-    return 0
+    if args.at is None:
+        return {**spec, "poly": poly.to_json()}, [f"coefficients (low degree first): {poly.to_json()}"], 0
+    value = fraction_to_json(poly(args.at))
+    return {**spec, "t": args.at, "value": value}, [f"value at t={args.at}: {value}"], 0
 
 
-def _cmd_lambda(args) -> int:
-    lam = lambda_poly(args.n, args.r, args.s)
-    if args.g:
-        root = g_value(args.n, args.r, args.s, _parse_fraction(args.prec))
-        report = root.to_json()
-        lines = [f"g({args.n},{args.r},{args.s}) = {root.decimal}"]
-        if root.is_exact:
-            lines.append("exact rational root")
-        _emit(report, args, lines)
-    else:
+def _cmd_lambda(args):
+    if not args.g:
+        if args.prec is not None:
+            raise SystemExit2("--prec needs --g")
+        lam = lambda_poly(args.n, args.r, args.s)
         report = {"n": args.n, "r": args.r, "s": args.s, "poly": lam.to_json()}
-        _emit(report, args, [f"coefficients (low degree first): {lam.to_json()}"])
-    return 0
+        return report, [f"coefficients (low degree first): {lam.to_json()}"], 0
+    width = {} if args.prec is None else {"precision": _parse_fraction(args.prec)}
+    root = g_value(args.n, args.r, args.s, **width)
+    lines = [f"g({args.n},{args.r},{args.s}) = {root.decimal}"]
+    if root.is_exact:
+        lines.append("exact rational root")
+    return root.to_json(), lines, 0
 
 
-def _cmd_e(args) -> int:
+def _cmd_e(args):
     witness = e_empirical(args.n, args.r, args.s, args.mmax)
     report = {
         "e": fraction_to_json(witness.ratio),
@@ -282,13 +278,11 @@ def _cmd_e(args) -> int:
             report["failure"] = {"step": err.step, "detail": err.detail}
             lines.append(f"certification failed at step {err.step}: {err.detail}")
             code = 1
-    _emit(report, args, lines)
-    return code
+    return report, lines, code
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     report = bounds_report(args.n, args.r, args.s, args.mmax)
-    payload = report.to_json()
     gamma_text = "unknown"
     if report.gamma is not None:
         tag = "" if report.gamma.exact else " (upper bound only)"
@@ -298,11 +292,10 @@ def _cmd_bounds(args) -> int:
         f"e = {fraction_to_json(report.e)} ({'certified' if report.e_certified else 'empirical'})",
         f"g = {report.g.decimal}",
     ]
-    _emit(payload, args, lines)
-    return 0
+    return report.to_json(), lines, 0
 
 
-def _cmd_gamma_points(args) -> int:
+def _cmd_gamma_points(args):
     value = gamma_points_closed(args.n, args.s)
     report = {
         "n": args.n,
@@ -310,11 +303,10 @@ def _cmd_gamma_points(args) -> int:
         "gamma": fraction_to_json(value),
         "decimal": decimal_str(value),
     }
-    _emit(report, args, [f"gamma({args.n}, {args.s} points) = {fraction_to_json(value)}"])
-    return 0
+    return report, [f"gamma({args.n}, {args.s} points) = {fraction_to_json(value)}"], 0
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args):
     if args.kind == "points":
         value = alpha_points_general(args.n, args.s)
         note = None
@@ -329,37 +321,32 @@ def _cmd_alpha(args) -> int:
     if note:
         report["note"] = note
         lines.append(note)
-    _emit(report, args, lines)
-    return 0
+    return report, lines, 0
 
 
-def _cmd_cremona(args) -> int:
+def _cmd_cremona(args):
+    if args.max_steps is not None and not args.reduce:
+        raise SystemExit2("--max-steps needs --reduce")
     sys_ = LinearSystem.parse(args.dim, args.system)
     if args.transform is not None:
-        idx = _parse_mults(args.transform)
-        out, c = cremona_transform(sys_, idx)
-        report = {"c": c, "system": out.format()}
-        _emit(report, args, [f"c = {c}", f"system: {out.format()}"])
-        return 0
+        out, c = cremona_transform(sys_, _parse_mults(args.transform))
+        return {"c": c, "system": out.format()}, [f"c = {c}", f"system: {out.format()}"], 0
     if args.witness:
         witness = hyperplane_product_witness(sys_)
-        report = {"witness": witness.to_json() if witness else None}
         lines = ["no hyperplane-product witness"] if witness is None else [
             "witness factors (points, weight):"
         ] + [f"  {list(subset)} x{w}" for subset, w in witness.factors]
-        _emit(report, args, lines)
-        return 0
-    trace = reduce_system(sys_, max_steps=args.max_steps)
-    report = trace.to_json()
+        return {"witness": witness.to_json() if witness else None}, lines, 0
+    limit = {} if args.max_steps is None else {"max_steps": args.max_steps}
+    trace = reduce_system(sys_, **limit)
     lines = [f"start: {trace.start.format()}"] + [
         f"  step {i + 1}: idx={list(st.chosen)} c={st.c} -> {st.result.format()}"
         for i, st in enumerate(trace.steps)
     ] + [f"verdict: {trace.verdict} ({trace.certificate})"]
-    _emit(report, args, lines)
-    return 0 if trace.verdict != "undecided" else 1
+    return trace.to_json(), lines, 0 if trace.verdict != "undecided" else 1
 
 
-def _cmd_intersections(args) -> int:
+def _cmd_intersections(args):
     poly = expand_self_intersection(args.n, args.r, args.s)
     report = {"n": args.n, "r": args.r, "s": args.s, "expansion": poly.to_json()}
     lines = [f"(tau*H - E)^{args.n} coefficients: {poly.to_json()}"]
@@ -369,37 +356,28 @@ def _cmd_intersections(args) -> int:
         report["identity"] = ok
         lines.append(f"identity with n! * scaling limit: {'holds' if ok else 'FAILS'}")
         code = 0 if ok else 1
-    _emit(report, args, lines)
-    return code
+    return report, lines, code
 
 
-def _cmd_verify_nosymetry(args) -> int:
+def _cmd_verify_nosymetry(args):
     report = nosymetry_enumerate(args.s)
-    payload = report.to_json()
     lines = [
         f"s={args.s} g={report.g.decimal} d_cap={report.d_cap} sum_cap={report.sum_cap}",
         f"cases={report.cases_checked} violations={len(report.violations)}",
     ]
-    _emit(payload, args, lines)
-    return 0 if report.ok else 1
+    return report.to_json(), lines, 0 if report.ok else 1
 
 
-def _cmd_verify_appendix(args) -> int:
-    try:
-        report = replay_appendix(args.id)
-    except KeyError as err:
-        print(str(err.args[0]), file=sys.stderr)
-        return 2
-    payload = report.to_json()
+def _cmd_verify_appendix(args):
+    report = replay_appendix(args.id)
     lines = [f"{args.id}: {'pass' if report.passed else 'FAIL'}"] + [
         f"  {'ok  ' if a.passed else 'FAIL'} {a.name}: expected {a.expected}, got {a.got}"
         for a in report.assertions
     ]
-    _emit(payload, args, lines)
-    return 0 if report.passed else 1
+    return report.to_json(), lines, 0 if report.passed else 1
 
 
-def _cmd_verify_gamma_case(args) -> int:
+def _cmd_verify_gamma_case(args):
     report = verify_gamma_points_case(args.n, args.s, range(1, args.hmax + 1))
     lines = [
         f"h={row.h}: alpha={row.alpha} ratio={fraction_to_json(row.ratio)} "
@@ -408,51 +386,25 @@ def _cmd_verify_gamma_case(args) -> int:
     ] + [f"overall: {'pass' if report.ok else 'FAIL'}"]
     if report.endpoint_note:
         lines.append(report.endpoint_note)
-    _emit(report.to_json(), args, lines)
-    return 0 if report.ok else 1
+    return report.to_json(), lines, 0 if report.ok else 1
 
 
-def _cmd_verify_identities(args) -> int:
+def _cmd_verify_identities(args):
     report = identities_report(args.seed)
     failures = report["failures"]
     lines = [f"failures: {len(failures)}"] + [f"  {f}" for f in failures]
-    _emit(report, args, lines)
-    return 0 if report["ok"] else 1
+    return report, lines, 0 if report["ok"] else 1
 
 
 class SystemExit2(Exception):
     """Usage error surfaced with exit code 2 and a synopsis on stderr."""
 
 
-_COMMANDS = {
-    "conditions": _cmd_conditions,
-    "hilbert": _cmd_hilbert,
-    "lambda": _cmd_lambda,
-    "e": _cmd_e,
-    "bounds": _cmd_bounds,
-    "gamma-points": _cmd_gamma_points,
-    "alpha": _cmd_alpha,
-    "cremona": _cmd_cremona,
-    "intersections": _cmd_intersections,
-}
-
-_VERIFY_COMMANDS = {
-    "nosymetry": _cmd_verify_nosymetry,
-    "appendix": _cmd_verify_appendix,
-    "gamma-case": _cmd_verify_gamma_case,
-    "identities": _cmd_verify_identities,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            handler = _VERIFY_COMMANDS[args.verify_command]
-        else:
-            handler = _COMMANDS[args.command]
-        return handler(args)
+        report, lines, status = args.handler(args)
     except SystemExit2 as err:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -463,6 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     except ArithmeticError as err:
         print(f"verification failure: {err}", file=sys.stderr)
         return 1
+    _emit(report, args, lines)
+    return status
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
@@ -177,14 +177,7 @@ class Family:
 
         if not positive(stop - 1):
             return None
-        lo, hi = m - 1, stop - 1  # the least positive t is in (lo, hi]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if positive(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _least_holding(positive, m - 1, stop - 1)
 
     def scaled_coeffs(self, s: int) -> list[UniPoly]:
         """c_0, ..., c_n of n! * P(m*x) = sum_i c_i(x) m^i for s flats."""
@@ -329,29 +322,45 @@ def hilbert_poly_symbolic(n: int, r: int, s: int) -> BiPoly:
     return BiPoly.from_uni_u(binom_poly(n, n)) - s * conditions_poly_symbolic(n, r)
 
 
+def _least_holding(holds: Callable[[int], bool], lo: int, hi: int | None = None) -> int:
+    """The least t > lo with holds(t), for a predicate that stays true once
+    true past lo: the t > lo where it holds form a half-line.
+
+    Given hi, holds(hi) must be true.  Without it, hi runs lo + 1, lo + 2,
+    lo + 4, ... (each failed hi becoming lo) until holds(hi); then (lo, hi]
+    is bisected.  About 2 * log2(t - lo) + 1 predicate calls in all.
+    """
+    if hi is None:
+        hi, step = lo + 1, 1
+        while not holds(hi):
+            lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def expected_alpha_upper(n: int, r: int, mults: Sequence[int]) -> int:
     """Smallest t >= max multiplicity with a positive Hilbert polynomial value.
 
     A certified upper bound for the initial degree of the corresponding
-    ideal: positivity at t >= m forces a nonzero form of degree t.
+    ideal: positivity at t >= m forces a nonzero form of degree t.  At
+    t >= max m each flat's count obeys ``Family.first_positive``'s
+    inequality, so their sum does too and the positive t form a half-line.
     """
     if not any(m > 0 for m in mults):
         raise ValueError("need at least one positive multiplicity")
     poly = hilbert_poly_mixed(n, r, mults)
-    t = max(mults)
-    while poly(t) <= 0:
-        t += 1
-    return t
+    return _least_holding(lambda t: poly(t) > 0, max(mults) - 1)
 
 
 def alpha_points_general(n: int, s: int) -> int:
     """Initial degree of the ideal of s general points in P^n."""
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
-    t = 1
-    while binom(t + n, n) - s <= 0:
-        t += 1
-    return t
+    check_flat_domain(n, 0, s)
+    return _least_holding(lambda t: comb(t + n, n) > s, 0)
 
 
 def alpha2_points_expected(n: int, s: int) -> int:
@@ -361,22 +370,19 @@ def alpha2_points_expected(n: int, s: int) -> int:
     many configurations are known exceptions, so callers should treat the
     result as expected rather than proven.
     """
-    if n < 1 or s < 1:
-        raise ValueError("need n >= 1 and s >= 1")
-    t = 1
-    while binom(t + n, n) - s * (n + 1) <= 0:
-        t += 1
-    return t
+    check_flat_domain(n, 0, s)
+    return _least_holding(lambda t: comb(t + n, n) > s * (n + 1), 0)
 
 
 def alpha_lines_general(n: int, s: int) -> int:
-    """Initial degree of the ideal of s general lines in P^n, n >= 3."""
+    """Initial degree of the ideal of s general lines in P^n, n >= 3.
+
+    C(t + n, n) / (t + 1) grows with t for n >= 2, so the positive values
+    of C(t + n, n) - s * (t + 1) form a half-line.
+    """
     if n < 3 or s < 1:
         raise ValueError("need n >= 3 and s >= 1")
-    t = 1
-    while binom(n + t, n) - s * (t + 1) <= 0:
-        t += 1
-    return t
+    return _least_holding(lambda t: comb(t + n, n) > s * (t + 1), 0)
 
 
 def identity_sum_binom(a: int, m: int) -> tuple[int, int]:

@@ -236,10 +236,10 @@ def criterion_10_determinism():
 
     env = dict(os.environ, PYTHONPATH=SRC)
     outs = []
-    for seed, threads in (("0", "1"), ("1", "2")):
+    for seed in ("0", "1"):
         env["PYTHONHASHSEED"] = seed
         proc = subprocess.run(
-            [sys.executable, "-m", "fatflats", "bounds", "3", "1", "6", "--json", "--threads", threads],
+            [sys.executable, "-m", "fatflats", "bounds", "3", "1", "6", "--json"],
             capture_output=True,
             env=env,
             timeout=300,

@@ -1,17 +1,20 @@
+import argparse
 import csv
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from fatflats.cli import main
+from fatflats.cli import build_parser, main
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +33,7 @@ def test_lambda_g_json(capsys):
 
 
 def test_lambda_poly_json(capsys):
-    code, out = run_cli(capsys, "lambda", "3", "1", "6", "--poly", "--json")
+    code, out = run_cli(capsys, "lambda", "3", "1", "6", "--json")
     assert code == 0
     assert json.loads(out)["poly"] == [2, -3, 0, "1/6"]
 
@@ -130,8 +133,6 @@ def test_intersections_check(capsys):
 def test_verify_appendix_and_identities(capsys):
     code, out = run_cli(capsys, "verify", "appendix", "e-3-0-4", "--json")
     assert code == 0 and json.loads(out)["passed"] is True
-    code, _ = run_cli(capsys, "verify", "appendix", "unknown-id")
-    assert code == 2
     code, out = run_cli(capsys, "verify", "identities", "--seed", "7", "--json")
     assert code == 0 and json.loads(out)["ok"] is True
 
@@ -235,7 +236,7 @@ def test_csv_fields_with_commas_read_back(capsys, system, flag):
 
 
 def test_rational_poly_serialization(capsys):
-    code, out = run_cli(capsys, "hilbert", "3", "0", "4", "2", "--poly", "--json")
+    code, out = run_cli(capsys, "hilbert", "3", "0", "4", "2", "--json")
     assert code == 0
     assert json.loads(out)["poly"] == [-15, "11/6", 1, "1/6"]
 
@@ -249,24 +250,20 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
-def _run_subprocess(*argv, threads=None):
+def _run_subprocess(*argv):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="random")
     cmd = [sys.executable, "-m", "fatflats", *argv]
-    if threads is not None:
-        cmd += ["--threads", str(threads)]
     return subprocess.run(cmd, capture_output=True, env=env, timeout=300)
 
 
 def test_subprocess_byte_determinism():
-    first = _run_subprocess("verify", "nosymetry", "8", "--json")
-    second = _run_subprocess("verify", "nosymetry", "8", "--json")
-    threaded = _run_subprocess("verify", "nosymetry", "8", "--json", threads=3)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout == threaded.stdout
+    runs = [_run_subprocess("verify", "nosymetry", "8", "--json") for _ in range(3)]
+    assert runs[0].returncode == 0
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
 
 
 def test_subprocess_exit_codes():
-    ok = _run_subprocess("lambda", "3", "1", "6", "--poly")
+    ok = _run_subprocess("lambda", "3", "1", "6")
     assert ok.returncode == 0
     usage = _run_subprocess("lambda")
     assert usage.returncode == 2
@@ -327,3 +324,84 @@ def test_seed_only_on_verify_identities(capsys):
     code, out = run_cli(capsys, "verify", "identities", "--seed", "42", "--json")
     assert code == 0
     assert out == '{"seed":42,"checks":"identities","failures":[],"ok":true}\n'
+
+
+def _status(argv):
+    """main's exit status, whether argparse or a handler refuses the line."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "3", "0", "4", "--json", "--csv"],
+        ["lambda", "3", "1", "6", "--prec", "1e-6"],
+        ["cremona", "--dim", "3", "--system", "4;3,3,3,3", "--witness", "--max-steps", "0"],
+        ["cremona", "--dim", "3", "--system", "3;3,3,3,3", "--transform", "0,1,2,3", "--max-steps", "5"],
+        ["bounds", "3", "0", "4", "--threads", "1"],
+        ["lambda", "3", "1", "6", "--poly"],
+        ["hilbert", "3", "0", "4", "2", "--poly"],
+        ["verify", "appendix", "unknown-id"],
+    ],
+    ids=[
+        "json-and-csv",
+        "prec-without-g",
+        "max-steps-with-witness",
+        "max-steps-with-transform",
+        "threads",
+        "lambda-poly",
+        "hilbert-poly",
+        "unknown-appendix-id",
+    ],
+)
+def test_flags_that_would_be_ignored_are_refused(capsys, argv):
+    assert _status(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "usage" in captured.err
+
+
+def _leaves(parser):
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield parser
+    for action in subparsers:
+        for child in action.choices.values():
+            yield from _leaves(child)
+
+
+def test_no_leaf_accepts_threads():
+    leaves = list(_leaves(build_parser()))
+    assert len(leaves) == 13
+    assert not [leaf.prog for leaf in leaves if "--threads" in leaf._option_string_actions]
+
+
+def _readme_lines():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("fatflats ")]
+
+
+def _golden():
+    """{README line: (exit status, stdout)} from tests/cli_golden.txt, where
+    each entry is "$ <line>", "exit <status>" and then the stdout lines."""
+    golden, line = {}, None
+    for row in (ROOT / "tests" / "cli_golden.txt").read_text().splitlines(keepends=True):
+        if row.startswith("$ fatflats "):
+            line = row[2:-1]
+            golden[line] = None
+        elif golden[line] is None:
+            golden[line] = (int(row.removeprefix("exit ")), "")
+        else:
+            golden[line] = (golden[line][0], golden[line][1] + row)
+    return golden
+
+
+def test_readme_lines_are_the_golden_lines():
+    assert _readme_lines() == list(_golden())
+
+
+@pytest.mark.parametrize("line", _readme_lines())
+def test_readme_line_output_is_byte_identical(capsys, line):
+    assert run_cli(capsys, *shlex.split(line)[1:]) == _golden()[line]

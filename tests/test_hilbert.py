@@ -1,10 +1,12 @@
+import random
 from contextlib import suppress
-from math import factorial
+from math import comb, factorial, log2
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fatflats import hilbert
 from fatflats.hilbert import (
     FlatConfig,
     alpha2_points_expected,
@@ -186,6 +188,60 @@ def test_alpha_closed_forms():
     # the stated count formula; this instance is one of the known exceptions,
     # so the true value (2) differs from the expected one computed here
     assert alpha2_points_expected(2, 2) == 3
+
+
+def _walk(holds, t):
+    """The least-positive-degree search as a walk up one step at a time."""
+    while not holds(t):
+        t += 1
+    return t
+
+
+def test_alpha_searches_match_a_linear_walk():
+    for n in range(1, 8):
+        for s in range(1, 300):
+            assert alpha_points_general(n, s) == _walk(lambda t: comb(t + n, n) - s > 0, 1)
+            assert alpha2_points_expected(n, s) == _walk(lambda t: comb(t + n, n) - s * (n + 1) > 0, 1)
+            if n >= 3:
+                assert alpha_lines_general(n, s) == _walk(lambda t: comb(n + t, n) - s * (t + 1) > 0, 1)
+
+
+def test_expected_alpha_upper_matches_a_linear_walk():
+    rng = random.Random(0)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        r = rng.randint(0, (n - 1) // 2)
+        mults = [rng.randint(0, 6) for _ in range(rng.randint(1, 6))]
+        mults[0] = mults[0] or 1
+        poly = hilbert_poly_mixed(n, r, mults)
+        assert expected_alpha_upper(n, r, mults) == _walk(lambda t: poly(t) > 0, max(mults))
+
+
+def test_least_positive_degree_search_is_logarithmic(monkeypatch):
+    # the walk up from t = 1 would take 7.7e10 steps here
+    calls = 0
+    search = hilbert._least_holding
+
+    def counted(holds, *bounds):
+        def holds_counted(t):
+            nonlocal calls
+            calls += 1
+            return holds(t)
+
+        return search(holds_counted, *bounds)
+
+    monkeypatch.setattr(hilbert, "_least_holding", counted)
+    t = alpha_lines_general(3, 10**21)
+    assert t == 77459666922
+    assert comb(t + 3, 3) > 10**21 * (t + 1) and comb(t + 2, 3) <= 10**21 * t
+    assert calls <= 2 * log2(t) + 8
+
+
+def test_points_helpers_validate_as_flats():
+    with pytest.raises(ValueError, match="number of flats"):
+        alpha_points_general(3, 0)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        alpha2_points_expected(0, 4)
 
 
 def test_identity_sums():
