@@ -232,10 +232,10 @@ def reduce_system(sys: LinearSystem, max_steps: int = 64) -> ReductionTrace:
         if len(steps) >= max_steps:
             break
         idx = _greedy_indices(current)
-        c = (current.n - 1) * current.d - sum(current.mults[j] for j in idx)
+        transformed, c = cremona_transform(current, idx)
         if c >= 0:
             return ReductionTrace(start, tuple(steps), "undecided", "no degree-lowering step available")
-        current, c = cremona_transform(current, idx)
+        current = transformed
         steps.append(ReductionStep(idx, c, current))
     return ReductionTrace(start, tuple(steps), "undecided", "step limit reached")
 

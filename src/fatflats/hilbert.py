@@ -375,13 +375,13 @@ def alpha2_points_expected(n: int, s: int) -> int:
 
 
 def alpha_lines_general(n: int, s: int) -> int:
-    """Initial degree of the ideal of s general lines in P^n, n >= 3.
+    """Initial degree of the ideal of s general lines in P^n, validated as
+    1-flats (n >= 3 once s >= 2, so one line in P^2 too).
 
     C(t + n, n) / (t + 1) grows with t for n >= 2, so the positive values
     of C(t + n, n) - s * (t + 1) form a half-line.
     """
-    if n < 3 or s < 1:
-        raise ValueError("need n >= 3 and s >= 1")
+    check_flat_domain(n, 1, s)
     return _least_holding(lambda t: comb(t + n, n) > s * (t + 1), 0)
 
 

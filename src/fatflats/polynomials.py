@@ -44,10 +44,7 @@ def binom(a: int, b: int) -> int:
 
 def fraction_to_str(q: Scalar) -> str:
     """Serialize a rational: "num/den" in lowest terms, plain "n" for integers."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(fraction_to_json(q))
 
 
 def fraction_to_json(q: Scalar):

@@ -9,12 +9,12 @@ where P is the Hilbert polynomial at multiplicity m.  ``e_empirical`` scans
 candidate value to a proof that no smaller ratio exists, on the regrouped
 polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
 
-  1. for m at or above an explicit m_threshold the nonconstant part at
-     x = candidate is negative;
-  2. [1, candidate] is covered by pieces [a, b], split at midpoints, on
-     each of which the interval-Horner upper bounds U_i of the c_i give a
-     polynomial T(m) = sum U_i m^i that is negative for every
-     m >= m_threshold, so P(m*x) < 1 at every x in the piece;
+  1. on a piece [a, b], the interval-Horner upper bounds U_i of the c_i
+     give one polynomial T(m) = sum U_i m^i, and T < 0 at every real
+     m >= M gives P(m*x) < 1 at every x in the piece and m >= M;
+     m_threshold is the least M that test accepts on [candidate, candidate];
+  2. the same test accepts M = m_threshold on every piece of a cover of
+     [1, candidate], split at midpoints;
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
      value per m, at the largest t of the m's range.
 
@@ -44,15 +44,9 @@ from math import ceil, factorial, lcm
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
-from .hilbert import Family, check_flat_domain, family
+from .hilbert import Family, _least_holding, check_flat_domain, family
 from .polynomials import UniPoly, binom, fraction_to_json
-from .roots import (
-    AlgebraicNumber,
-    _interval_eval,
-    cauchy_root_bound,
-    count_roots_in,
-    isolate_largest_root,
-)
+from .roots import AlgebraicNumber, _interval_eval, cauchy_root_bound, count_roots_in
 
 
 @dataclass(frozen=True)
@@ -152,29 +146,33 @@ def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
     raise ValueError(f"candidate {candidate} is not realized by any scanned witness")
 
 
-def _excluded(cs: list[UniPoly], lo: Fraction, hi: Fraction, m_threshold: int) -> bool:
-    """Whether sum_{i>=1} c_i(x) m^i < 0 at every x in [lo, hi] and real
-    m >= m_threshold, by one integer polynomial T in m.
-
-    T's coefficients are the interval-Horner upper bounds U_i of the
-    integer c_i on [lo, hi], all brought to the one positive scale q^n, so
-    T(m) < 0 bounds the whole piece.  A positive U_n fails at once (T grows
-    without bound), and every U_i <= 0 with U_n < 0 passes at once.
-    Otherwise T(m_threshold) < 0 is needed, and a Sturm count must find no
-    root of T above m_threshold.
+def _tail_bound(cs: list[UniPoly], lo: Fraction, hi: Fraction) -> UniPoly:
+    """T(m) = sum_{i>=1} U_i m^i, the U_i the interval-Horner upper bounds of
+    the integer c_i on [lo, hi] at the one positive scale q^n: at m >= 0, T(m)
+    bounds q^n times the nonconstant part from above on the whole piece.  At
+    lo = hi = x the bounds are exact: T is q^n times the nonconstant part at x.
     """
     q = lcm(lo.denominator, hi.denominator)
     n = len(cs) - 1
-    bounds = [0] + [_interval_eval(ci, lo, hi)[1] * q ** (n - ci.degree) for ci in cs[1:]]
-    if bounds[n] > 0:
+    return UniPoly([0] + [_interval_eval(ci, lo, hi)[1] * q ** (n - ci.degree) for ci in cs[1:]])
+
+
+def _negative_from(tail: UniPoly, m: int) -> bool:
+    """Whether tail < 0 at every real point >= m, for an integer m >= 1.
+
+    A zero tail or a leading coefficient >= 0 fails (the tail does not tend
+    to -infinity), and no positive coefficient passes at once.  Otherwise
+    tail(m) < 0 is needed, and a Sturm count must find no root above m.
+    Once true at m it stays true above m.
+    """
+    if tail.is_zero or tail.leading >= 0:
         return False
-    if bounds[n] < 0 and max(bounds) <= 0:
+    if max(tail.nums) <= 0:
         return True
-    tail = UniPoly(bounds)
-    if tail.sign(m_threshold) >= 0:
+    if tail.sign(m) >= 0:
         return False
-    top = max(cauchy_root_bound(tail), Fraction(m_threshold + 1))
-    return count_roots_in(tail, m_threshold, top) == 0
+    top = max(cauchy_root_bound(tail), Fraction(m + 1))
+    return count_roots_in(tail, m, top) == 0
 
 
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
@@ -184,11 +182,11 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     integer t >= m, "P < 1" is "P <= 0".  The proof has three steps, each
     named by the :class:`CertificationError` it raises:
 
-      threshold: the nonconstant part at x = candidate is negative for every
-        real m >= m_threshold, one more than the floor of the upper end of a
-        1e-6 bracket of its largest root;
-      cover: [1, candidate] splits at midpoints into pieces, each excluded
-        for m >= m_threshold by ``_excluded``;
+      threshold: m_threshold is the least m >= 1 that the cover's test
+        accepts on the point piece [candidate, candidate], one more than the
+        floor of the largest root of the nonconstant part at the candidate;
+      cover: [1, candidate] splits at midpoints into pieces, each accepted by
+        that test, ``_negative_from`` on the piece's ``_tail_bound``, at m_threshold;
       scan: the finitely many pairs with m < m_threshold and
         m <= t < m * candidate are settled per m by ``Family.first_positive``:
         P_m <= 0 at the largest t of the range covers the whole range,
@@ -218,19 +216,18 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     if cs[0] != UniPoly([factorial(n)]):
         raise AssertionError("constant term of the regrouped polynomial must be n!")
 
-    # threshold: the nonconstant part at x = candidate
-    tail = UniPoly([0] + [ci(candidate) for ci in cs[1:]])
-    if tail.is_zero or tail.leading >= 0:
+    # threshold: the least m >= 1 that the cover's own test accepts at the candidate
+    tail = _tail_bound(cs, candidate, candidate)
+    if tail.is_zero or tail.leading >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
-    top = isolate_largest_root(tail, Fraction(0), Fraction(1, 10**6))  # m = 0 is a root
-    m_threshold = int(top.hi) + 1
+    m_threshold = _least_holding(lambda m: _negative_from(tail, m), 0)
 
     # cover: leftmost piece on top of the stack, so the pieces come out in order
     pieces: list[tuple[Fraction, Fraction]] = []
     todo = [(Fraction(1), candidate)]
     while todo:
         lo, hi = todo.pop()
-        if _excluded(cs, lo, hi, m_threshold):
+        if _negative_from(_tail_bound(cs, lo, hi), m_threshold):
             pieces.append((lo, hi))
         elif len(pieces) + len(todo) + 2 > _COVER_PIECES:
             raise CertificationError(

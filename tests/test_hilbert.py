@@ -244,6 +244,16 @@ def test_points_helpers_validate_as_flats():
         alpha2_points_expected(0, 4)
 
 
+def test_lines_helper_validates_as_flats():
+    assert alpha_lines_general(2, 1) == 1  # one line in P^2 is cut out by one linear form
+    with pytest.raises(ValueError, match="disjointness needs n >= 2r"):
+        alpha_lines_general(2, 2)
+    with pytest.raises(ValueError, match="flat dimension must satisfy"):
+        alpha_lines_general(1, 1)
+    with pytest.raises(ValueError, match="number of flats"):
+        alpha_lines_general(3, 0)
+
+
 def test_identity_sums():
     assert identity_sum_binom(2, 4) == (20, 20)
     assert identity_sum_binom(0, 5) == (5, 5)

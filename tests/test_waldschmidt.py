@@ -1,19 +1,20 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from math import ceil
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import lambda_poly
-from fatflats.hilbert import conditions_count
+from fatflats.hilbert import conditions_count, family
 from fatflats.polynomials import UniPoly, binom
 from fatflats.waldschmidt import (
     CertificationError,
     RatioWitness,
-    _excluded,
+    _negative_from,
+    _tail_bound,
     bounds_report,
     e_certify,
     e_empirical,
@@ -194,19 +195,54 @@ def _cs(*coeff_lists):
         (_cs([2], [-100], [1]), 1, False),
         # every bound <= 0 with a negative leading one passes at once
         (_cs([2], [0], [-1]), 1, True),
+        # U_n = 0: T's leading coefficient is the lower one, here T = -m
+        (_cs([2], [-1], []), 1, True),
+        # U_n = 0 and T = m^2 - 5m: negative at 1, yet it grows without bound
+        (_cs([6], [-5], [1], []), 1, False),
     ],
 )
 def test_piece_exclusion(cs, threshold, excluded):
-    assert _excluded(cs, F(1), F(1), threshold) is excluded
+    assert _negative_from(_tail_bound(cs, F(1), F(1)), threshold) is excluded
 
 
 def test_piece_exclusion_bounds_the_whole_piece():
     # c_1 = (x - 1)(2 - x) is positive on (1, 2) and 0 at both ends, so T is
     # negative at either end point but not on the piece [1, 2]
     cs = _cs([2], [-2, 3, -1], [-1])
-    assert _excluded(cs, F(1), F(1), 1) and _excluded(cs, F(2), F(2), 1)
-    assert not _excluded(cs, F(1), F(2), 1)
-    assert not _excluded(cs, F(1), F(3, 2), 1)
+
+    def excluded(lo, hi):
+        return _negative_from(_tail_bound(cs, lo, hi), 1)
+
+    assert excluded(F(1), F(1)) and excluded(F(2), F(2))
+    assert not excluded(F(1), F(2))
+    assert not excluded(F(1), F(3, 2))
+
+
+def test_threshold_is_the_least_m_the_cover_test_accepts():
+    try:
+        import sympy
+    except ImportError:  # only the check against the largest root needs sympy
+        sympy = None
+    certified = 0
+    for n in range(2, 10):
+        for r in range((n - 1) // 2 + 1):
+            for s in range(2, 41):
+                e = e_empirical(n, r, s).ratio
+                try:
+                    big_m = e_certify(n, r, s, e).m_threshold
+                except CertificationError:
+                    continue
+                certified += 1
+                cs = family(n, r).scaled_coeffs(s)
+                tail = _tail_bound(cs, e, e)
+                assert _negative_from(tail, big_m), (n, r, s)
+                assert big_m == 1 or not _negative_from(tail, big_m - 1), (n, r, s)
+                if sympy is not None:
+                    m = sympy.Symbol("m")
+                    exact = [sympy.Rational(*ci(e).as_integer_ratio()) for ci in cs[1:]]
+                    rho = max(sympy.real_roots(sum(c * m ** (i + 1) for i, c in enumerate(exact))))
+                    assert big_m == floor(rho) + 1, (n, r, s)
+    assert certified > 100
 
 
 def test_cover_stops_at_its_piece_cap(monkeypatch):
