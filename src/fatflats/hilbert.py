@@ -95,16 +95,14 @@ class Family:
 
     ``counts[a][b]`` is the coefficient of t^a m^b in n! * c(n, r; t, m), the
     count with t and m both free; a <= r and a + b <= n, and the polynomial
-    equals the count at all integers m >= 0, t >= m - r - 1.  Substituting
-    t = m*x regroups the Hilbert polynomial as
-    n! * P(m*x) = sum_i (A_i(x) - s * B_i(x)) * m^i, with A_i from
-    n! * C(t + n, n) and B_i from n! * c; ``a_coeffs[i]`` and ``b_coeffs[i]``
-    are their integer coefficient lists in x.  s enters only there,
-    as a factor, so one object serves every s.  Immutable by convention; use
-    the cached ``family(n, r)`` rather than building one.
+    equals the count at all integers m >= 0, t >= m - r - 1.  s enters the
+    Hilbert polynomial P = C(t + n, n) - s * c only as a factor, so one
+    object serves every s; ``along`` restricts n! * (P - 1) to a lattice
+    line of (t, m).  Immutable by convention; use the cached
+    ``family(n, r)`` rather than building one.
     """
 
-    __slots__ = ("n", "r", "scale", "counts", "a_coeffs", "b_coeffs")
+    __slots__ = ("n", "r", "scale", "counts")
 
     def __init__(self, n: int, r: int):
         """Build from exact counts by finite differences.
@@ -131,13 +129,8 @@ class Family:
                     for a, ca in enumerate(in_t):
                         for b, cb in enumerate(in_m):
                             counts[a][b] += weight * ca * cb
-        rising = _falling(-n, n)  # n! * C(t + n, n) = (t + n)(t + n - 1)...(t + 1)
         self.n, self.r, self.scale = n, r, scale
         self.counts = tuple(map(tuple, counts))
-        self.a_coeffs = tuple(tuple([0] * i + [rising[i]]) for i in range(n + 1))
-        self.b_coeffs = tuple(
-            tuple(counts[a][i - a] for a in range(min(i, r) + 1)) for i in range(n + 1)
-        )
 
     def count_in_t(self, m: int) -> list[int]:
         """n! * c(n, r; t, m) at this m, as integer coefficients in t."""
@@ -179,13 +172,27 @@ class Family:
             return None
         return _least_holding(positive, m - 1, stop - 1)
 
-    def scaled_coeffs(self, s: int) -> list[UniPoly]:
-        """c_0, ..., c_n of n! * P(m*x) = sum_i c_i(x) m^i for s flats."""
-        out = []
-        for a, b in zip(self.a_coeffs, self.b_coeffs):
-            b = list(b) + [0] * (len(a) - len(b))
-            out.append(UniPoly([ai - s * bi for ai, bi in zip(a, b)]))
-        return out
+    def along(self, s: int, q: int, j: int, p: int, c: int) -> UniPoly:
+        """n! * (P_m(t) - 1) for s flats along m = q*k + j, t = p*k + c, in k.
+
+        Two integer lines put into the integer family polynomial give an
+        integer polynomial of degree <= n in k, fixed by its values at
+        k = 0..n: with their forward differences d_i it is
+        sum_i d_i / i! * k(k - 1)...(k - i + 1), as in ``__init__``, and
+        each d_i / i! is an integer because the coefficients are.  The values are polynomial values, whatever the sign
+        of t - m: comb(t + n, n) is C(t + n, n) at every integer t >= -n,
+        and the count is the family polynomial.  Callers keep t >= -n.
+        """
+        n, scale = self.n, self.scale
+        values = [
+            scale * (comb(p * k + c + n, n) - 1) - s * _horner(self.count_in_t(q * k + j), p * k + c)
+            for k in range(n + 1)
+        ]
+        out = [0] * (n + 1)
+        for i, d in enumerate(_forward_differences(values)):
+            for a, f in enumerate(_falling(0, i)):
+                out[a] += d // factorial(i) * f
+        return UniPoly(out)
 
 
 @lru_cache(maxsize=None)

@@ -6,22 +6,22 @@ The expected Waldschmidt constant of s fat r-flats in P^n is
 
 where P is the Hilbert polynomial at multiplicity m.  ``e_empirical`` scans
 (t, m) pairs for the minimum realized ratio; ``e_certify`` upgrades a
-candidate value to a proof that no smaller ratio exists, on the regrouped
-polynomial n! * P(m*x) = n! + sum c_i(x) m^i:
+candidate value p/q to a proof that no smaller ratio exists.  At a fixed
+m the positive t >= m form a half-line, so only the largest t below m*p/q
+matters, and along a lattice line of (t, m) the polynomial n! * (P - 1) is
+one integer polynomial in the line's parameter (``Family.along``):
 
-  1. on a piece [a, b], the interval-Horner upper bounds U_i of the c_i
-     give one polynomial T(m) = sum U_i m^i, and T < 0 at every real
-     m >= M gives P(m*x) < 1 at every x in the piece and m >= M;
-     m_threshold is the least M that test accepts on [candidate, candidate];
-  2. the same test accepts M = m_threshold on every piece of a cover of
-     [1, candidate], split at midpoints;
+  1. m_threshold is the least M such that n! * (P - 1) < 0 along the ray
+     t = m*p/q at every real m >= M;
+  2. for m >= M, the largest t below m*p/q lies on one of q lattice lines,
+     one per residue of m mod q, and each line is < 0 from M on;
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
      value per m, at the largest t of the m's range.
 
 Everything here reads the one cached integer object of the family,
-``hilbert.family(n, r)``: the coefficients c_i = A_i - s * B_i come from it
-without any symbolic expansion, and so do single Hilbert values, at
-O(n * r) each whatever m is.  Both (t, m) scans ask the family, one m at a
+``hilbert.family(n, r)``: the ray and the lines come from it without any
+symbolic expansion, and so do single Hilbert values, at O(n * r) each
+whatever m is.  Both (t, m) scans ask the family, one m at a
 time, for the least t in [m, stop) with P_m(t) > 0
 (``Family.first_positive``).  At a fixed m the positive t >= m form a
 half-line, so that is one Hilbert value at stop - 1, plus a bisection only
@@ -30,23 +30,24 @@ value per m.  Ratio bounds are turned into integer ranges of t by
 cross-multiplication, never by building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
-is why the constant term n! can be carried along exactly rather than
-dropped.  Known Waldschmidt constants (closed forms for few general points,
-table values for few general lines) are exposed with source tags, and
-``bounds_report`` assembles the certified chain gamma <= e <= g.
+is why the certificate's polynomials are n! * (P - 1), with the constant
+term carried along exactly rather than dropped.  Known Waldschmidt
+constants (closed forms for few general points, table values for few
+general lines) are exposed with source tags, and ``bounds_report``
+assembles the certified chain gamma <= e <= g.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, lcm
+from math import ceil
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
 from .hilbert import Family, _least_holding, check_flat_domain, family
-from .polynomials import UniPoly, binom, fraction_to_json
-from .roots import AlgebraicNumber, _interval_eval, cauchy_root_bound, count_roots_in
+from .polynomials import UniPoly, fraction_to_json
+from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in, sturm_chain
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,11 @@ class RatioWitness:
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    At m = 1, t ranges from 1 up to the safety band 11 + C(s + n, n).
+    At m = 1, t ranges from 1 up to n * (s - 1) + 1, where P is positive:
+    P_1(t) = C(t + n, n) - s * C(t + r, r), and for r < n the ratio
+    C(t + n, n) / C(t + r, r) is at least
+    C(t + n, n) / C(t + n - 1, n - 1) = (t + n) / n, which exceeds s once
+    t > n * (s - 1).
     Every later m takes t only while t/m stays below the best ratio so far
     (t * best.m < best.t * m); larger t cannot improve the infimum
     estimate, and equal ratios keep the earlier, smaller m.  Each m is one
@@ -75,9 +80,7 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    t = fam.first_positive(s, 1, 11 + binom(s + n, n))
-    if t is None:
-        raise ArithmeticError("no witness found in the safety band")
+    t = fam.first_positive(s, 1, n * (s - 1) + 2)
     best = RatioWitness(t, 1, fam.hilbert_value(s, 1, t))
     for m in range(2, m_max + 1):
         stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
@@ -91,9 +94,8 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
 class ECertificate:
     """Machine-checkable proof that the empirical ratio is the exact infimum.
 
-    ``pieces`` tile [1, ratio] left to right; on each, P <= 0 at every
-    t/m with m >= m_threshold (see ``e_certify``).  A single flat needs no
-    cover and has none.
+    P <= 0 at every t/m below the ratio with m >= m_threshold (see
+    ``e_certify``), and the scan settles every pair with m < m_threshold.
     """
 
     n: int
@@ -102,7 +104,6 @@ class ECertificate:
     ratio: Fraction
     witness: RatioWitness
     m_threshold: int
-    pieces: tuple[tuple[Fraction, Fraction], ...]
     finite_scan_range: str
     pairs_checked: int
 
@@ -111,7 +112,6 @@ class ECertificate:
             "ratio": fraction_to_json(self.ratio),
             "witness": {"t": self.witness.t, "m": self.witness.m, "value": self.witness.value},
             "m_threshold": self.m_threshold,
-            "pieces": [[fraction_to_json(a), fraction_to_json(b)] for a, b in self.pieces],
             "finite_scan_range": self.finite_scan_range,
             "pairs_checked": self.pairs_checked,
         }
@@ -120,9 +120,9 @@ class ECertificate:
 class CertificationError(Exception):
     """A certification step failed; ``step`` names which one: "threshold"
     (the nonconstant part at the candidate does not tend to -infinity),
-    "cover" (some piece of [1, candidate] is not excluded within
-    ``_COVER_PIECES`` pieces) or "scan" (a pair below the threshold beats
-    the candidate)."""
+    "cover" (a lattice line below the candidate is not negative from the
+    threshold on) or "scan" (a pair below the threshold beats the
+    candidate)."""
 
     def __init__(self, step: str, detail: str):
         self.step = step
@@ -131,7 +131,6 @@ class CertificationError(Exception):
 
 
 _WITNESS_TRIES = 128  # multiples k * (p, q) of the candidate p/q scanned for a witness
-_COVER_PIECES = 256  # the most pieces a cover of [1, candidate] may hold
 
 
 def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
@@ -146,52 +145,46 @@ def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
     raise ValueError(f"candidate {candidate} is not realized by any scanned witness")
 
 
-def _tail_bound(cs: list[UniPoly], lo: Fraction, hi: Fraction) -> UniPoly:
-    """T(m) = sum_{i>=1} U_i m^i, the U_i the interval-Horner upper bounds of
-    the integer c_i on [lo, hi] at the one positive scale q^n: at m >= 0, T(m)
-    bounds q^n times the nonconstant part from above on the whole piece.  At
-    lo = hi = x the bounds are exact: T is q^n times the nonconstant part at x.
+def _negative_from(poly: UniPoly, x: Fraction, chain: list[UniPoly] | None = None) -> bool:
+    """Whether poly < 0 at every real point >= x, for a rational x >= 0.
+
+    A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails.  Then no
+    positive coefficient passes at once, and otherwise a Sturm count, on
+    ``chain`` when given, must find no root above x.  Once true at x it
+    stays true above x.
     """
-    q = lcm(lo.denominator, hi.denominator)
-    n = len(cs) - 1
-    return UniPoly([0] + [_interval_eval(ci, lo, hi)[1] * q ** (n - ci.degree) for ci in cs[1:]])
-
-
-def _negative_from(tail: UniPoly, m: int) -> bool:
-    """Whether tail < 0 at every real point >= m, for an integer m >= 1.
-
-    A zero tail or a leading coefficient >= 0 fails (the tail does not tend
-    to -infinity), and no positive coefficient passes at once.  Otherwise
-    tail(m) < 0 is needed, and a Sturm count must find no root above m.
-    Once true at m it stays true above m.
-    """
-    if tail.is_zero or tail.leading >= 0:
+    if poly.is_zero or poly.leading >= 0 or poly.sign(x) >= 0:
         return False
-    if max(tail.nums) <= 0:
+    if max(poly.nums) <= 0:
         return True
-    if tail.sign(m) >= 0:
-        return False
-    top = max(cauchy_root_bound(tail), Fraction(m + 1))
-    return count_roots_in(tail, m, top) == 0
+    top = max(cauchy_root_bound(poly), x + 1)
+    return count_roots_in(poly, x, top, chain) == 0
 
 
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     """Certify that the expected Waldschmidt constant equals ``candidate``.
 
-    With n! * P(m*x) = n! + sum_{i>=1} c_i(x) m^i, and P an integer at every
-    integer t >= m, "P < 1" is "P <= 0".  The proof has three steps, each
+    P is an integer at every integer t >= m - r - 1, so "n! * (P - 1) < 0"
+    is "P <= 0".  With candidate = p/q, the proof has three steps, each
     named by the :class:`CertificationError` it raises:
 
-      threshold: m_threshold is the least m >= 1 that the cover's test
-        accepts on the point piece [candidate, candidate], one more than the
-        floor of the largest root of the nonconstant part at the candidate;
-      cover: [1, candidate] splits at midpoints into pieces, each accepted by
-        that test, ``_negative_from`` on the piece's ``_tail_bound``, at m_threshold;
+      threshold: along the ray (t, m) = (p*k, q*k), n! * (P - 1) is
+        ``ray = Family.along(s, q, 0, p, 0)``, q^n * ray(m/q) the nonconstant
+        part of n! * P(m * candidate) at scale q^n; m_threshold is the least
+        m >= 1 with ray < 0 at every real k >= m/q, one more than the floor
+        of q times the ray's largest root;
+      cover: for m = q*k + j >= m_threshold, the largest t below m * p/q is
+        p*k + ceil(j*p/q) - 1; along each of the q lines j = 0..q-1,
+        n! * (P - 1) must be < 0 at every real k >= k_j, the least k with
+        q*k + j >= m_threshold.  P <= 0 there settles every t in
+        [m, m * candidate), since the positive t >= m form a half-line.
+        The witness lies on the ray with P > 0, so m_threshold > q: every
+        k_j >= 1, and the q lines cost less than the scan;
       scan: the finitely many pairs with m < m_threshold and
         m <= t < m * candidate are settled per m by ``Family.first_positive``:
         P_m <= 0 at the largest t of the range covers the whole range,
-        since the positive t >= m form a half-line, and a positive value
-        is bisected down to the least t that beats the candidate.
+        and a positive value is bisected down to the least t that beats
+        the candidate.
 
     A ValueError means the candidate is not realized by any witness at all.
     """
@@ -206,36 +199,26 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         if candidate != 1:
             raise CertificationError("scan", "a single flat realizes ratio 1, beating the candidate")
         witness = RatioWitness(1, 1, fam.hilbert_value(1, 1, 1))
-        return ECertificate(
-            n, r, s, candidate, witness, 1, (), "empty: t >= m forces every ratio >= 1", 0
-        )
+        return ECertificate(n, r, s, candidate, witness, 1, "empty: t >= m forces every ratio >= 1", 0)
 
     witness = _find_witness_for(fam, s, candidate)
+    p, q = candidate.numerator, candidate.denominator
 
-    cs = fam.scaled_coeffs(s)
-    if cs[0] != UniPoly([factorial(n)]):
-        raise AssertionError("constant term of the regrouped polynomial must be n!")
-
-    # threshold: the least m >= 1 that the cover's own test accepts at the candidate
-    tail = _tail_bound(cs, candidate, candidate)
-    if tail.is_zero or tail.leading >= 0:  # checked first: the search below would never stop
+    # threshold: the least m >= 1 from which the ray stays negative, on one Sturm chain
+    ray = fam.along(s, q, 0, p, 0)
+    if ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
-    m_threshold = _least_holding(lambda m: _negative_from(tail, m), 0)
+    chain = sturm_chain(ray)
+    m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q), chain), 0)
 
-    # cover: leftmost piece on top of the stack, so the pieces come out in order
-    pieces: list[tuple[Fraction, Fraction]] = []
-    todo = [(Fraction(1), candidate)]
-    while todo:
-        lo, hi = todo.pop()
-        if _negative_from(_tail_bound(cs, lo, hi), m_threshold):
-            pieces.append((lo, hi))
-        elif len(pieces) + len(todo) + 2 > _COVER_PIECES:
+    # cover: the largest t below m * candidate, one lattice line per residue j of m mod q
+    for j in range(q):
+        c = -(-j * p // q) - 1
+        k_j = max(0, -(-(m_threshold - j) // q))
+        if not _negative_from(fam.along(s, q, j, p, c), k_j):
             raise CertificationError(
-                "cover", f"piece [{lo}, {hi}] is not excluded within {_COVER_PIECES} pieces"
+                "cover", f"line (t, m) = ({p}k + {c}, {q}k + {j}) is not negative from k = {k_j}"
             )
-        else:
-            mid = (lo + hi) / 2
-            todo += [(mid, hi), (lo, mid)]
 
     # scan: every remaining pair with ratio < candidate, one value per m when none beats it
     pairs = 0
@@ -249,9 +232,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         pairs += stop - m  # >= 0 since candidate >= 1
 
     scan_desc = f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"
-    return ECertificate(
-        n, r, s, candidate, witness, m_threshold, tuple(pieces), scan_desc, pairs
-    )
+    return ECertificate(n, r, s, candidate, witness, m_threshold, scan_desc, pairs)
 
 
 @dataclass(frozen=True)

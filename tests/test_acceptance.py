@@ -137,8 +137,8 @@ def criterion_6_e_certificates():
     elapsed = time.time() - start
     assert elapsed < 30, f"certification took {elapsed:.1f}s"
     return (
-        f"3/2 (threshold {cert_points.m_threshold}, {len(cert_points.pieces)} piece) and 27/7 "
-        f"(threshold {cert_lines.m_threshold}, {len(cert_lines.pieces)} pieces) certified"
+        f"3/2 (threshold {cert_points.m_threshold}, {cert_points.ratio.denominator} lines) and 27/7 "
+        f"(threshold {cert_lines.m_threshold}, {cert_lines.ratio.denominator} lines) certified"
         f" and re-checked in {elapsed:.2f}s"
     )
 

@@ -198,7 +198,7 @@ def test_integers_print_as_ints(capsys):
     assert code == 0 and payload["e"] == 1 and payload["gamma"]["value"] == 1
     code, out = run_cli(capsys, "e", "3", "0", "2", "--certify", "--json")
     cert = json.loads(out)["certificate"]
-    assert code == 0 and cert["ratio"] == 1 and cert["pieces"] == [[1, 1]]
+    assert code == 0 and cert["ratio"] == 1 and cert["m_threshold"] == 3
 
 
 @pytest.mark.parametrize("prec", ["abc", "inf", "1/0", ""])

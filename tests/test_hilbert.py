@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as F
 from contextlib import suppress
 from math import comb, factorial, log2
 
@@ -17,6 +18,7 @@ from fatflats.hilbert import (
     conditions_count_lines,
     conditions_count_oracle,
     conditions_poly,
+    conditions_poly_symbolic,
     expected_alpha_upper,
     family,
     hilbert_function_flat,
@@ -27,7 +29,7 @@ from fatflats.hilbert import (
     identity_sum_i_binom,
 )
 from fatflats.asymptotic import lambda_poly
-from fatflats.polynomials import UniPoly, binom, expand_scaled
+from fatflats.polynomials import BiPoly, UniPoly, binom, expand_scaled
 from fatflats.waldschmidt import CertificationError, e_certify, e_empirical
 
 
@@ -398,14 +400,40 @@ def test_family_built_once_across_s_and_m(monkeypatch):
 
 
 def test_family_regrouping_matches_symbolic_expansion():
-    # A_i - s * B_i against the BiPoly path, at two values of s
+    # the counts against the BiPoly path, and the ray t = e * m at a few e
     for n in range(1, 13):
         for r in range((n - 1) // 2 + 1):
             fam = family(n, r)
+            terms = {(a, b): c for a, row in enumerate(fam.counts) for b, c in enumerate(row) if c}
+            assert BiPoly(terms) == factorial(n) * conditions_poly_symbolic(n, r)
             for s in (2, 9):
-                expansion = expand_scaled(factorial(n) * hilbert_poly_symbolic(n, r, s))
-                assert fam.scaled_coeffs(s) == list(expansion.coeffs_in_m)
-                assert fam.scaled_coeffs(s)[n] == lambda_poly(n, r, s) * factorial(n)
+                cs = expand_scaled(factorial(n) * hilbert_poly_symbolic(n, r, s)).coeffs_in_m
+                for e in (F(1), F(3, 2), F(27, 7), F(5, 3)):
+                    p, q = e.numerator, e.denominator
+                    ray = fam.along(s, q, 0, p, 0)
+                    assert ray == UniPoly([0] + [cs[i](e) * q**i for i in range(1, n + 1)])
+                    top = ray.coeffs[n] if ray.degree == n else 0
+                    assert top == factorial(n) * lambda_poly(n, r, s)(e) * q**n
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+    st.integers(1, 60),
+    st.integers(1, 12),
+    st.integers(0, 11),
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 8),
+)
+def test_along_is_the_hilbert_polynomial_on_a_line(family_nr, s, q, j, dp, dc, k):
+    # m = q*k + j >= 1 and t = p*k + c >= m for every k >= 0
+    (n, r), j = family_nr, j % q + 1
+    p, c = q + dp, j + dc
+    line = family(n, r).along(s, q, j, p, c)
+    assert line.den == 1 and line.degree <= n
+    m, t = q * k + j, p * k + c
+    assert line(k) == factorial(n) * (comb(t + n, n) - s * conditions_count(n, r, m, t) - 1)
 
 
 def test_family_counts_are_integer_polynomials_of_degree_n():

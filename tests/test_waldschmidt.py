@@ -14,7 +14,6 @@ from fatflats.waldschmidt import (
     CertificationError,
     RatioWitness,
     _negative_from,
-    _tail_bound,
     bounds_report,
     e_certify,
     e_empirical,
@@ -138,7 +137,6 @@ def test_e_empirical_scans_bisect(monkeypatch, config):
 
 def test_certify_points_case():
     cert = e_certify(3, 0, 4, F(3, 2))
-    assert cert.pieces == ((1, F(3, 2)),)  # one piece covers [1, 3/2]
     assert cert.m_threshold == 6
     assert cert.pairs_checked > 0
     assert cert.witness.ratio == F(3, 2)
@@ -148,9 +146,6 @@ def test_certify_points_case():
 def test_certify_lines_case():
     cert = e_certify(3, 1, 6, F(27, 7))
     assert cert.m_threshold == 48
-    # the pieces shrink toward the candidate, where T's margin is thinnest
-    assert len(cert.pieces) == 18
-    assert cert.pieces[0] == (1, F(17, 7)) and cert.pieces[-1] == (F(884731, 229376), F(27, 7))
     # every pair 1 <= m < 48, m <= t < 27m/7 is scanned exactly once
     assert cert.pairs_checked == 3243
     assert cert.pairs_checked == sum(-(-27 * m // 7) - m for m in range(1, 48))
@@ -158,11 +153,10 @@ def test_certify_lines_case():
 
 
 def test_certify_degenerate_interval_is_vacuous():
-    # candidate 1: the cover is the one point [1, 1] and the scan is empty
+    # candidate 1: the one line t = m - 1 holds no pair, and the scan is empty
     cert = e_certify(3, 0, 2, F(1))
-    assert cert.pieces == ((1, 1),)
     assert cert.pairs_checked == 0
-    assert cert.to_json()["pieces"] == [[1, 1]]
+    assert "pieces" not in cert.to_json()
     recheck(cert)
 
 
@@ -174,48 +168,59 @@ def test_certify_nonobvious_value():
     recheck(cert)
 
 
-def _cs(*coeff_lists):
-    return [UniPoly(c) for c in coeff_lists]
-
-
 @pytest.mark.parametrize(
     "cs, threshold, excluded",
     [
-        # T = 0: every bound is <= 0, yet T is not negative
-        (_cs([2], [], []), 1, False),
-        # T = 2m - m^2 vanishes at the threshold 2 and is negative above it
-        (_cs([2], [2], [-1]), 2, False),
-        (_cs([2], [2], [-1]), 3, True),
-        # T = -m^3 + 7m^2 - 12m is -6 at 1 but has the roots 3 and 4
-        (_cs([6], [-12], [7], [-1]), 1, False),
-        (_cs([6], [-12], [7], [-1]), 5, True),
-        # T = -m^3 + 6m^2 - 10m has a positive coefficient but no root above 0
-        (_cs([6], [-10], [6], [-1]), 1, True),
-        # a positive leading bound fails however negative the rest
-        (_cs([2], [-100], [1]), 1, False),
-        # every bound <= 0 with a negative leading one passes at once
-        (_cs([2], [0], [-1]), 1, True),
-        # U_n = 0: T's leading coefficient is the lower one, here T = -m
-        (_cs([2], [-1], []), 1, True),
-        # U_n = 0 and T = m^2 - 5m: negative at 1, yet it grows without bound
-        (_cs([6], [-5], [1], []), 1, False),
+        # the zero polynomial is not negative
+        ([0], 1, False),
+        # 2m - m^2 vanishes at the threshold 2 and is negative above it
+        ([0, 2, -1], 2, False),
+        ([0, 2, -1], 3, True),
+        # -m^3 + 7m^2 - 12m is -6 at 1 but has the roots 3 and 4
+        ([0, -12, 7, -1], 1, False),
+        ([0, -12, 7, -1], 5, True),
+        # -m^3 + 6m^2 - 10m has a positive coefficient but no root above 0
+        ([0, -10, 6, -1], 1, True),
+        # a positive leading coefficient fails however negative the rest
+        ([0, -100, 1], 1, False),
+        # every coefficient <= 0 with a negative leading one passes at once
+        ([0, 0, -1], 1, True),
+        # a linear polynomial -m
+        ([0, -1], 1, True),
+        # m^2 - 5m: negative at 1, yet it grows without bound
+        ([0, -5, 1], 1, False),
     ],
 )
 def test_piece_exclusion(cs, threshold, excluded):
-    assert _negative_from(_tail_bound(cs, F(1), F(1)), threshold) is excluded
+    assert _negative_from(UniPoly(cs), threshold) is excluded
 
 
-def test_piece_exclusion_bounds_the_whole_piece():
-    # c_1 = (x - 1)(2 - x) is positive on (1, 2) and 0 at both ends, so T is
-    # negative at either end point but not on the piece [1, 2]
-    cs = _cs([2], [-2, 3, -1], [-1])
+@pytest.mark.parametrize(
+    "cs, point, excluded",
+    [
+        # 2k - k^2 has its root at 2: negative from 5/2 on, not from 3/2
+        ([0, 2, -1], F(5, 2), True),
+        ([0, 2, -1], F(3, 2), False),
+        # no positive coefficient, but the value at 0 is 0
+        ([0, -3, -1], 0, False),
+        ([-1, -3, -1], 0, True),
+        # 7k - 2k^2 - 3 has the roots 1/2 and 3; negative before 1/2 only
+        ([-3, 7, -2], 0, False),
+        ([-3, 7, -2], F(1, 3), False),
+        ([-3, 7, -2], F(7, 2), True),
+    ],
+)
+def test_negative_from_a_rational_point(cs, point, excluded):
+    assert _negative_from(UniPoly(cs), point) is excluded
 
-    def excluded(lo, hi):
-        return _negative_from(_tail_bound(cs, lo, hi), 1)
 
-    assert excluded(F(1), F(1)) and excluded(F(2), F(2))
-    assert not excluded(F(1), F(2))
-    assert not excluded(F(1), F(3, 2))
+def test_negative_from_reads_a_given_chain():
+    from fatflats.roots import sturm_chain
+
+    poly = UniPoly([0, -12, 7, -1])  # roots 0, 3 and 4
+    assert _negative_from(poly, F(9, 2), sturm_chain(poly))
+    # the count reads the chain it is given, here one with no root anywhere
+    assert _negative_from(poly, 1, sturm_chain(UniPoly([-1, 0, -1])))
 
 
 def test_threshold_is_the_least_m_the_cover_test_accepts():
@@ -233,26 +238,49 @@ def test_threshold_is_the_least_m_the_cover_test_accepts():
                 except CertificationError:
                     continue
                 certified += 1
-                cs = family(n, r).scaled_coeffs(s)
-                tail = _tail_bound(cs, e, e)
-                assert _negative_from(tail, big_m), (n, r, s)
-                assert big_m == 1 or not _negative_from(tail, big_m - 1), (n, r, s)
+                p, q = e.numerator, e.denominator
+                ray = family(n, r).along(s, q, 0, p, 0)
+                assert _negative_from(ray, F(big_m, q)), (n, r, s)
+                assert big_m == 1 or not _negative_from(ray, F(big_m - 1, q)), (n, r, s)
                 if sympy is not None:
-                    m = sympy.Symbol("m")
-                    exact = [sympy.Rational(*ci(e).as_integer_ratio()) for ci in cs[1:]]
-                    rho = max(sympy.real_roots(sum(c * m ** (i + 1) for i, c in enumerate(exact))))
-                    assert big_m == floor(rho) + 1, (n, r, s)
+                    k = sympy.Symbol("k")
+                    rho = max(sympy.real_roots(sympy.Poly(list(reversed(ray.nums)), k)))
+                    assert big_m == int(sympy.floor(q * rho)) + 1, (n, r, s)
     assert certified > 100
 
 
-def test_cover_stops_at_its_piece_cap(monkeypatch):
-    import fatflats.waldschmidt as waldschmidt
+def test_cover_fails_on_a_line_that_is_not_excluded(monkeypatch):
+    from fatflats.hilbert import Family
 
-    monkeypatch.setattr(waldschmidt, "_COVER_PIECES", 4)  # (3, 1, 6) needs 18
+    along = Family.along
+
+    def one_line_grows(self, s, q, j, p, c):
+        return UniPoly([-1, 0, 1]) if (q, j) == (7, 5) else along(self, s, q, j, p, c)
+
+    monkeypatch.setattr(Family, "along", one_line_grows)
     with pytest.raises(CertificationError) as err:
         e_certify(3, 1, 6, F(27, 7))
     assert err.value.step == "cover"
-    assert "is not excluded within 4 pieces" in err.value.detail
+    # m = 7k + 5 >= 48 from k = 7 on, and 27k + 19 is the largest t below 27m/7
+    assert err.value.detail == "line (t, m) = (27k + 19, 7k + 5) is not negative from k = 7"
+
+
+def test_certificate_builds_one_chain(monkeypatch):
+    import fatflats.roots as roots
+    import fatflats.waldschmidt as waldschmidt
+
+    built = []
+    original = roots.sturm_chain
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    for module in (roots, waldschmidt):
+        monkeypatch.setattr(module, "sturm_chain", counting)
+    e_certify(3, 1, 6, F(27, 7))
+    # the ray's, for the whole threshold search; every line passes without one
+    assert built == [family(3, 1).along(6, 7, 0, 27, 0)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,6 +300,15 @@ def test_certified_e_has_no_smaller_ratio_in_a_direct_scan(config):
     for m in range(1, 2 * cert.m_threshold + 6):
         for t in range(m, ceil(m * e)):
             assert binom(t + n, n) - s * conditions_count(n, r, m, t) <= 0, (t, m)
+
+
+def test_m_one_stop_is_positive():
+    # P_1(t) = C(t + n, n) - s * C(t + r, r) > 0 at t = n * (s - 1) + 1
+    for n in range(1, 13):
+        for r in range(n):
+            fam = family(n, r)
+            for s in range(1, 301):
+                assert fam.hilbert_value(s, 1, n * (s - 1) + 1) > 0, (n, r, s)
 
 
 def test_certify_trivial_single_flat():
@@ -368,7 +405,7 @@ GRID = [(n, r, s) for n in range(2, 9) for r in range((n - 1) // 2 + 1) for s in
 # sha256 of the whole grid: per configuration the canonical bounds_report
 # JSON line, then the outcome of certifying its e (certificate JSON, or
 # failing step and detail), each line ending in a newline
-GRID_SHA256 = "78019a4ed0c5da542d4f1551171ade5695028e449fc8ed455802c616e2432ada"
+GRID_SHA256 = "92b4b7186a3a076ce6f82ab621fc0ffc08db92f3e45440b7ff92002a567ef2c5"
 
 
 def _grid_lines():
