@@ -210,16 +210,43 @@ def _high_ends(g: AlgebraicNumber, s: int, sum_cap: int) -> list[int]:
     return highs
 
 
+def _check_vector(
+    violations: list[Violation],
+    vec: tuple[int, ...],
+    a: int,
+    b2: int,
+    one_row: bool,
+    lo: int,
+    hi: int,
+    cubes: list[int],
+) -> None:
+    """The exact check of one vector: P(d) = C(d+3, 3) - (d+1)*a + b2 with
+    a = sum C(m+1, 2) and b2 = 2*sum C(m+1, 3), at d = 1 when ``one_row``
+    and, when P is positive at the high end, at each d of the row lo..hi."""
+    if one_row:
+        value = 4 - 2 * a + b2  # P(1), with C(4, 3) = 4
+        if value > 0:
+            violations.append(Violation(1, vec, value))
+    if lo <= hi and cubes[hi] - (hi + 1) * a + b2 > 0:
+        for d in range(lo, hi + 1):
+            value = cubes[d] - (d + 1) * a + b2
+            if value > 0:
+                violations.append(Violation(d, vec, value))
+
+
 def _scan_region(
     g: AlgebraicNumber, s: int, sum_cap: int, d_cap: int
 ) -> tuple[int, dict[int, int], int, list[Violation]]:
     """Scan every nondecreasing s-vector with multiplicity sum 1..sum_cap;
     returns (sequences, counts by degree, pairs, violations).
 
-    One pass over all sums.  A recursion over the first s - 1 entries
-    carries their sum and their partial sums A = sum C(m+1, 2) and
-    B = sum C(m+1, 3); the last entry m then runs upward, so a head's sums
-    are shared by every total it reaches.
+    One pass over all sums, once per head group.  A head is the first s - 1
+    entries; they are built level by level with their sum ``used`` and
+    their partial sums A0 = sum C(m+1, 2) and B0 = sum C(m+1, 3), and
+    grouped by (used, low), low being the head's last (largest) entry.
+    The last entry m then runs upward from low, and every count below
+    depends on (used, low, m) only, so each group adds its multiplicity k
+    at once.
 
     One high end per total.  The degrees with d*s/total < g are 1..high
     (:func:`_high_ends`).  A vector with largest entry m covers the row
@@ -234,8 +261,20 @@ def _scan_region(
     multiplicity (``hilbert.Family.first_positive``), with equality for
     C(d+3, 3), so on a row, where d >= max m, P(d) > 0 forces
     P(d + 1) > P(d), and P <= 0 at the high end proves P <= 0 on the whole
-    row.  Only a row with a positive high end is evaluated d by d, so every
-    violation is still listed.
+    row.
+
+    One bound per group and last entry.  Each head entry x <= low has
+    3*C(x+1, 3) = (x - 1)*C(x+1, 2) <= (low - 1)*C(x+1, 2), so
+    3*B0 <= (low - 1)*A0.  At the high end hi >= m >= low, with
+    F = C(hi+3, 3) - (hi+1)*C(m+1, 2) + 2*C(m+1, 3), this gives
+    3*P(hi) <= 3*F - A0*(3*hi - 2*low + 5), and the factor is positive, so
+    3*F <= A_min*(3*hi - 2*low + 5), A_min the group's least A0, proves
+    P(hi) <= 0 for every head of the group.  On the d = 1 row (m <= 1, so
+    no head entry has a triple) P(1) = 4 - 2*(A0 + C(m+1, 2)) exactly, and
+    A_min settles it too.  Only a (group, m) that fails one of the two
+    tests is a suspect: each of its heads runs the exact check of
+    :func:`_check_vector`, which evaluates a row with a positive high end
+    d by d, so every violation is still listed.
     Violations are sorted by sum, then lexicographically by vector, then by
     d with d = 1 last.
     """
@@ -246,47 +285,50 @@ def _scan_region(
     triple_counts = [binom(m + 1, 3) for m in range(sum_cap + 1)]
     cubes = [binom(d + 3, 3) for d in range(d_cap + 1)]
     diff = [0] * (d_cap + 2)
-    vec = [0] * s
     violations: list[Violation] = []
     sequences = pairs = ones = 0
 
-    def last_entry(low: int, used: int, a0: int, b0: int) -> None:
-        nonlocal sequences, pairs, ones
+    # heads as (low, used, A0, B0, entries), one level per slot, in
+    # lexicographic order; the entry m and the left - 1 after it are all
+    # >= m, so m * left <= sum_cap - used
+    heads = [(0, 0, 0, 0, ())]
+    for left in range(s, 1, -1):
+        heads = [
+            (m, used + m, a + pair_counts[m], b + triple_counts[m], entries + (m,))
+            for low, used, a, b, entries in heads
+            for m in range(low, (sum_cap - used) // left + 1)
+        ]
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    for head in heads:
+        groups.setdefault(head[:2], []).append(head)
+
+    for (low, used), members in groups.items():
+        k = len(members)
+        a_min = min(members)[2]  # the members share low and used
         first = low if used else 1  # the zero vector has sum 0
-        sequences += sum_cap - used - first + 1
+        sequences += k * (sum_cap - used - first + 1)
         # from m = max(d_cap, 1) + 1 on, the row starts above d_cap and d = 1 is out
         for m in range(first, min(sum_cap - used, d_top) + 1):
             total = used + m
-            a = a0 + pair_counts[m]
-            b2 = 2 * (b0 + triple_counts[m])
-            if m <= 1 and highs[total] >= 1:
-                ones += 1
-                value = 4 - 2 * a + b2  # P(1), with C(4, 3) = 4
-                if value > 0:
-                    vec[-1] = m
-                    violations.append(Violation(1, tuple(vec), value))
+            one_row = m <= 1 and highs[total] >= 1
+            suspect = False
+            if one_row:
+                ones += k
+                suspect = 4 - 2 * (a_min + pair_counts[m]) > 0  # P(1), with C(4, 3) = 4
             lo, hi = (m if m > 2 else 2), ends[total]
-            if lo > hi:
-                continue
-            diff[lo] += 1
-            diff[hi + 1] -= 1
-            pairs += hi - lo + 1
-            if cubes[hi] - (hi + 1) * a + b2 > 0:
-                vec[-1] = m
-                for d in range(lo, hi + 1):
-                    value = cubes[d] - (d + 1) * a + b2
-                    if value > 0:
-                        violations.append(Violation(d, tuple(vec), value))
+            if lo <= hi:
+                diff[lo] += k
+                diff[hi + 1] -= k
+                pairs += k * (hi - lo + 1)
+                f = cubes[hi] - (hi + 1) * pair_counts[m] + 2 * triple_counts[m]
+                suspect = suspect or 3 * f > a_min * (3 * hi - 2 * low + 5)
+            if suspect:
+                a1, b1 = pair_counts[m], triple_counts[m]
+                for _, _, a0, b0, entries in members:
+                    _check_vector(
+                        violations, entries + (m,), a0 + a1, 2 * (b0 + b1), one_row, lo, hi, cubes
+                    )
 
-    def heads(slot: int, low: int, used: int, a: int, b: int) -> None:
-        if slot == s - 1:
-            last_entry(low, used, a, b)
-            return
-        for m in range(low, (sum_cap - used) // (s - slot) + 1):
-            vec[slot] = m
-            heads(slot + 1, m, used + m, a + pair_counts[m], b + triple_counts[m])
-
-    heads(0, 0, 0, 0, 0)
     counts, running = {}, 0
     for d in range(2, d_cap + 1):
         running += diff[d]
@@ -302,10 +344,13 @@ def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:
     """Exhaustive scan of the finite region; zero violations expected.
 
     Multiplicity vectors run over nondecreasing sequences to quotient out
-    the permutation symmetry, each checked at every degree of its row (see
-    :func:`_scan_region`).  Violations are listed by multiplicity sum, then
-    lexicographically by vector, then by degree with d = 1 last, so the
-    report is deterministic.  ``threads`` is accepted for compatibility and
+    the permutation symmetry, each covered at every degree of its row (see
+    :func:`_scan_region`): whole groups of vectors sharing their sum and
+    their two largest entries are settled by one integer bound, and only
+    the vectors of a group that bound leaves open are evaluated one by one
+    (20 at s = 7, none for s = 8..12).  Violations are listed by
+    multiplicity sum, then lexicographically by vector, then by degree with
+    d = 1 last, so the report is deterministic.  ``threads`` is accepted for compatibility and
     ignored: the scan is serial.
     """
     g, d_bound, sum_bound = nosymetry_bounds(s)

@@ -1,3 +1,4 @@
+import gc
 import json
 from functools import cache
 from fractions import Fraction
@@ -165,8 +166,8 @@ def test_replay_expected_values():
 
 
 @cache
-def _ratio_below_g(s, d, total):
-    return lambda_poly(3, 1, s)(Fraction(d * s, total)) < 0
+def _ratio_below_g(bound_s, s, d, total):
+    return lambda_poly(3, 1, bound_s)(Fraction(d * s, total)) < 0
 
 
 @cache
@@ -174,27 +175,28 @@ def _line_conditions(m, d):
     return conditions_count(3, 1, m, d)
 
 
-def _naive_block(s, total, d_cap):
+def _vectors_from(slots, low, rest):
+    """The nondecreasing vectors of ``slots`` entries >= low summing to rest."""
+    if slots == 1:
+        return [(rest,)] if rest >= low else []
+    return [
+        (first, *tail)
+        for first in range(low, rest // slots + 1)
+        for tail in _vectors_from(slots - 1, first, rest - first)
+    ]
+
+
+def _naive_block(s, total, d_cap, bound_s):
     """Per-pair reference scan of one sum block: every pair gets its own
-    ratio test and condition counts (memoised as the pure functions they
-    are), the d = 1 row checked after the others."""
-
-    def vectors_from(slots, low, rest):
-        if slots == 1:
-            return [(rest,)] if rest >= low else []
-        return [
-            (first, *tail)
-            for first in range(low, rest // slots + 1)
-            for tail in vectors_from(slots - 1, first, rest - first)
-        ]
-
-    vectors = vectors_from(s, 0, total)
+    ratio test against g(3, 1, bound_s) and condition counts (memoised as
+    the pure functions they are), the d = 1 row checked after the others."""
+    vectors = _vectors_from(s, 0, total)
     assert vectors == sorted(vectors)
     counts, pairs, violations = {}, 0, []
     for vec in vectors:
         degrees = list(range(max(2, vec[-1]), d_cap + 1)) + ([1] if vec[-1] <= 1 else [])
         for d in degrees:
-            if not _ratio_below_g(s, d, total):
+            if not _ratio_below_g(bound_s, s, d, total):
                 continue
             counts[d] = counts.get(d, 0) + 1
             pairs += 1
@@ -204,11 +206,12 @@ def _naive_block(s, total, d_cap):
     return len(vectors), counts, pairs, violations
 
 
-def _naive_region(s, sum_cap, d_cap):
-    """The per-pair reference summed over the totals 1..sum_cap."""
+def _naive_region(s, sum_cap, d_cap, bound_s=None):
+    """The per-pair reference summed over the totals 1..sum_cap; the ratios
+    are compared with g(3, 1, bound_s), by default g(3, 1, s)."""
     sequences, counts, pairs, violations = 0, {}, 0, []
     for total in range(1, sum_cap + 1):
-        seq, block_counts, prs, found = _naive_block(s, total, d_cap)
+        seq, block_counts, prs, found = _naive_block(s, total, d_cap, bound_s or s)
         sequences += seq
         pairs += prs
         violations += found
@@ -222,8 +225,8 @@ def _g(s):
     return g_value(3, 1, s)
 
 
-def _fast_region(s, sum_cap, d_cap):
-    return _scan_region(_g(s), s, sum_cap, d_cap)
+def _fast_region(s, sum_cap, d_cap, bound_s=None):
+    return _scan_region(_g(bound_s or s), s, sum_cap, d_cap)
 
 
 def test_region_scan_matches_naive_scan_on_the_finite_branch():
@@ -248,6 +251,59 @@ def test_region_scan_matches_naive_scan_with_violations():
     fast = _fast_region(5, 24, 24)
     assert fast == _naive_region(5, 24, 24)
     assert len(fast[3]) == 15 and len({v.d for v in fast[3]}) == 7
+
+
+def test_region_scan_matches_naive_scan_for_one_and_two_lines():
+    # g(3, 1, 1) = 1 and g(3, 1, 2) = 2 leave one or two lines no violation
+    # (see two_line_overlap_value), so these regions are compared with
+    # g(3, 1, 7): a group holds one empty head at s = 1, one entry at s = 2;
+    # d_cap = 1 leaves only the d = 1 row, which its own group test settles
+    for s, sum_cap, d_cap in ((1, 12, 30), (2, 16, 24), (1, 12, 1), (2, 16, 1)):
+        fast = _fast_region(s, sum_cap, d_cap, bound_s=7)
+        assert fast == _naive_region(s, sum_cap, d_cap, bound_s=7), (s, d_cap)
+        rows = {True} if d_cap == 1 else {True, False}
+        assert {v.d == 1 for v in fast[3]} == rows, (s, d_cap)
+
+
+def test_group_bound_holds_on_every_head():
+    # each head entry x <= low has 3*C(x+1, 3) = (x - 1)*C(x+1, 2), so a head
+    # (the first s - 1 entries, low the last) has 3*B0 <= (low - 1)*A0
+    for s, sum_cap in ((6, 14), (6, 42), (5, 24)):
+        heads = {vec[:-1] for total in range(1, sum_cap + 1) for vec in _vectors_from(s, 0, total)}
+        for head in heads:
+            a0 = sum(binom(x + 1, 2) for x in head)
+            b0 = sum(binom(x + 1, 3) for x in head)
+            assert 3 * b0 <= (head[-1] - 1) * a0, head
+
+
+def test_group_bound_leaves_few_vectors_to_check(monkeypatch):
+    import fatflats.verifier as verifier
+
+    checked = []
+    original = verifier._check_vector
+
+    def counting(violations, vec, *args):
+        checked.append(vec)
+        return original(violations, vec, *args)
+
+    monkeypatch.setattr(verifier, "_check_vector", counting)
+    for s in range(7, 13):
+        checked.clear()
+        verifier.nosymetry_enumerate(s)
+        # a suspect is a group (head sum, last head entry) with a last entry m
+        suspects = {(sum(vec[:-1]), vec[-2], vec[-1]) for vec in checked}
+        assert (len(suspects), len(checked)) == ((3, 20) if s == 7 else (0, 0)), s
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        for s in range(7, 13):
+            nosymetry_enumerate(s)
+            assert gc.collect() == 0, s
+    finally:
+        gc.enable()
 
 
 @given(
