@@ -20,7 +20,6 @@ import csv
 import json
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
@@ -61,11 +60,8 @@ from .waldschmidt import (
 def _parse_fraction(text: str) -> Fraction:
     """Accept "1e-6", "0.001", or "1/1000000"; anything else is a usage error."""
     try:
-        try:
-            return Fraction(text)
-        except ValueError:
-            return Fraction(Decimal(text))
-    except (ValueError, ArithmeticError):  # decimal.InvalidOperation is an ArithmeticError
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         raise SystemExit2(f"not a rational number: {text!r}") from None
 
 

@@ -215,19 +215,14 @@ def _check_vector(
     vec: tuple[int, ...],
     a: int,
     b2: int,
-    one_row: bool,
     lo: int,
     hi: int,
     cubes: list[int],
 ) -> None:
     """The exact check of one vector: P(d) = C(d+3, 3) - (d+1)*a + b2 with
-    a = sum C(m+1, 2) and b2 = 2*sum C(m+1, 3), at d = 1 when ``one_row``
-    and, when P is positive at the high end, at each d of the row lo..hi."""
-    if one_row:
-        value = 4 - 2 * a + b2  # P(1), with C(4, 3) = 4
-        if value > 0:
-            violations.append(Violation(1, vec, value))
-    if lo <= hi and cubes[hi] - (hi + 1) * a + b2 > 0:
+    a = sum C(m+1, 2) and b2 = 2*sum C(m+1, 3), at each d of the row lo..hi
+    when P is positive at its high end hi."""
+    if cubes[hi] - (hi + 1) * a + b2 > 0:
         for d in range(lo, hi + 1):
             value = cubes[d] - (d + 1) * a + b2
             if value > 0:
@@ -249,9 +244,9 @@ def _scan_region(
     at once.
 
     One high end per total.  The degrees with d*s/total < g are 1..high
-    (:func:`_high_ends`).  A vector with largest entry m covers the row
-    max(2, m)..min(high, d_cap), plus d = 1 when m <= 1 and high >= 1 (belt
-    and braces: the d = 1 row is handled separately in the argument).
+    (:func:`_high_ends`).  A vector with largest entry m >= 1 covers the
+    row m..min(high, top), top = max(d_cap, 1), so d = 1 is scanned
+    whatever d_cap is.
     ``counts`` comes from a difference array over the rows, and ``pairs``
     from their lengths.
 
@@ -269,24 +264,22 @@ def _scan_region(
     F = C(hi+3, 3) - (hi+1)*C(m+1, 2) + 2*C(m+1, 3), this gives
     3*P(hi) <= 3*F - A0*(3*hi - 2*low + 5), and the factor is positive, so
     3*F <= A_min*(3*hi - 2*low + 5), A_min the group's least A0, proves
-    P(hi) <= 0 for every head of the group.  On the d = 1 row (m <= 1, so
-    no head entry has a triple) P(1) = 4 - 2*(A0 + C(m+1, 2)) exactly, and
-    A_min settles it too.  Only a (group, m) that fails one of the two
-    tests is a suspect: each of its heads runs the exact check of
+    P(hi) <= 0 for every head of the group.  Only a (group, m) that fails
+    the test is a suspect: each of its heads runs the exact check of
     :func:`_check_vector`, which evaluates a row with a positive high end
     d by d, so every violation is still listed.
     Violations are sorted by sum, then lexicographically by vector, then by
     d with d = 1 last.
     """
-    d_top = max(d_cap, 1)
+    top = max(d_cap, 1)
     highs = _high_ends(g, s, sum_cap)
-    ends = [min(high, d_cap) for high in highs]
+    ends = [min(high, top) for high in highs]
     pair_counts = [binom(m + 1, 2) for m in range(sum_cap + 1)]
     triple_counts = [binom(m + 1, 3) for m in range(sum_cap + 1)]
-    cubes = [binom(d + 3, 3) for d in range(d_cap + 1)]
-    diff = [0] * (d_cap + 2)
+    cubes = [binom(d + 3, 3) for d in range(top + 1)]
+    diff = [0] * (top + 2)
     violations: list[Violation] = []
-    sequences = pairs = ones = 0
+    sequences = pairs = 0
 
     # heads as (low, used, A0, B0, entries), one level per slot, in
     # lexicographic order; the entry m and the left - 1 after it are all
@@ -307,37 +300,28 @@ def _scan_region(
         a_min = min(members)[2]  # the members share low and used
         first = low if used else 1  # the zero vector has sum 0
         sequences += k * (sum_cap - used - first + 1)
-        # from m = max(d_cap, 1) + 1 on, the row starts above d_cap and d = 1 is out
-        for m in range(first, min(sum_cap - used, d_top) + 1):
-            total = used + m
-            one_row = m <= 1 and highs[total] >= 1
-            suspect = False
-            if one_row:
-                ones += k
-                suspect = 4 - 2 * (a_min + pair_counts[m]) > 0  # P(1), with C(4, 3) = 4
-            lo, hi = (m if m > 2 else 2), ends[total]
+        # from m = top + 1 on, the row starts above top
+        for m in range(first, min(sum_cap - used, top) + 1):
+            lo, hi = m, ends[used + m]
             if lo <= hi:
                 diff[lo] += k
                 diff[hi + 1] -= k
                 pairs += k * (hi - lo + 1)
                 f = cubes[hi] - (hi + 1) * pair_counts[m] + 2 * triple_counts[m]
-                suspect = suspect or 3 * f > a_min * (3 * hi - 2 * low + 5)
-            if suspect:
-                a1, b1 = pair_counts[m], triple_counts[m]
-                for _, _, a0, b0, entries in members:
-                    _check_vector(
-                        violations, entries + (m,), a0 + a1, 2 * (b0 + b1), one_row, lo, hi, cubes
-                    )
+                if 3 * f > a_min * (3 * hi - 2 * low + 5):
+                    a1, b1 = pair_counts[m], triple_counts[m]
+                    for _, _, a0, b0, entries in members:
+                        _check_vector(
+                            violations, entries + (m,), a0 + a1, 2 * (b0 + b1), lo, hi, cubes
+                        )
 
     counts, running = {}, 0
-    for d in range(2, d_cap + 1):
+    for d in range(1, top + 1):
         running += diff[d]
         if running:
             counts[d] = running
-    if ones:
-        counts[1] = ones
     violations.sort(key=lambda v: (sum(v.mults), v.mults, v.d == 1, v.d))
-    return sequences, counts, pairs + ones, violations
+    return sequences, counts, pairs, violations
 
 
 def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:

@@ -7,11 +7,12 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from fatflats.cli import build_parser, main
+from fatflats.cli import _parse_fraction, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -199,6 +200,21 @@ def test_integers_print_as_ints(capsys):
     code, out = run_cli(capsys, "e", "3", "0", "2", "--certify", "--json")
     cert = json.loads(out)["certificate"]
     assert code == 0 and cert["ratio"] == 1 and cert["m_threshold"] == 3
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1e-6", Fraction(1, 10**6)),
+        ("1E-6", Fraction(1, 10**6)),
+        ("+1e-6", Fraction(1, 10**6)),
+        ("0.001", Fraction(1, 1000)),
+        (".5", Fraction(1, 2)),
+        ("1/1000000", Fraction(1, 10**6)),
+    ],
+)
+def test_documented_precision_forms_parse_exactly(text, value):
+    assert _parse_fraction(text) == value
 
 
 @pytest.mark.parametrize("prec", ["abc", "inf", "1/0", ""])

@@ -257,12 +257,23 @@ def test_region_scan_matches_naive_scan_for_one_and_two_lines():
     # g(3, 1, 1) = 1 and g(3, 1, 2) = 2 leave one or two lines no violation
     # (see two_line_overlap_value), so these regions are compared with
     # g(3, 1, 7): a group holds one empty head at s = 1, one entry at s = 2;
-    # d_cap = 1 leaves only the d = 1 row, which its own group test settles
+    # d_cap = 1 leaves only the d = 1 row, settled by the high-end test at hi = 1
     for s, sum_cap, d_cap in ((1, 12, 30), (2, 16, 24), (1, 12, 1), (2, 16, 1)):
         fast = _fast_region(s, sum_cap, d_cap, bound_s=7)
         assert fast == _naive_region(s, sum_cap, d_cap, bound_s=7), (s, d_cap)
         rows = {True} if d_cap == 1 else {True, False}
         assert {v.d == 1 for v in fast[3]} == rows, (s, d_cap)
+
+
+def test_region_scan_matches_naive_scan_without_degree_cap():
+    # d_cap = 0 still scans the d = 1 row, e.g. counts {1: 6} at s = 7;
+    # with g(3, 1, 7) and s <= 4 the region lists one d = 1 violation
+    for s in range(1, 8):
+        for bound_s in sorted({s, 7}):
+            for sum_cap in (1, 5, 12):
+                fast = _fast_region(s, sum_cap, 0, bound_s)
+                assert fast == _naive_region(s, sum_cap, 0, bound_s), (s, bound_s, sum_cap)
+                assert len(fast[3]) == (bound_s == 7 and s <= 4), (s, bound_s, sum_cap)
 
 
 def test_group_bound_holds_on_every_head():
