@@ -17,7 +17,6 @@ from .polynomials import (
     binom,
     decimal_str,
     expand_scaled,
-    fraction_to_str,
     squarefree_part,
 )
 from .roots import (
@@ -29,14 +28,12 @@ from .roots import (
     simplest_rational_in,
 )
 from .hilbert import (
-    FlatConfig,
     alpha2_points_expected,
     alpha_lines_general,
     alpha_points_general,
     conditions_count,
     conditions_count_lines,
     conditions_count_oracle,
-    expected_alpha_upper,
     hilbert_function_flat,
     hilbert_poly_mixed,
     hilbert_poly_symbolic,
@@ -49,7 +46,6 @@ from .asymptotic import (
     g_value,
     lambda_poly,
     lambda_poly_via_leading,
-    sign_profile_check,
     tower_check,
 )
 from .waldschmidt import (
@@ -71,7 +67,6 @@ from .cremona import (
     cremona_transform,
     empty_certificate,
     hyperplane_product_witness,
-    nonempty_certificate,
     reduce_system,
     verify_gamma_points_case,
     virtual_dimension,

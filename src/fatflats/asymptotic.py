@@ -99,31 +99,6 @@ def g_value(
     return exact_if_rational(sf, *bisect_root(sf, one, bound, precision))
 
 
-def sign_profile_check(n: int, r: int, s: int) -> bool:
-    """Negativity strictly below the largest root and positivity above it.
-
-    Checks five rational points in [1, g) and five points in (g, g + 2],
-    using the certified isolating interval for g.
-    """
-    if s < 2:
-        raise ValueError("sign profile is only nontrivial for s >= 2")
-    lam = lambda_poly(n, r, s)
-    g = g_value(n, r, s)
-    below_width = g.lo - 1
-    if below_width <= 0:
-        return False
-    for k in range(5):
-        tau = 1 + below_width * Fraction(k, 5)  # in [1, g.lo)
-        if lam(tau) >= 0:
-            return False
-    above_width = (g.lo + 2) - g.hi
-    for k in range(1, 6):
-        tau = g.hi + above_width * Fraction(k, 5)  # in (g, g + 2]
-        if lam(tau) <= 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SpecialRootRow:
     """One verified instance of the integer-root family for lines."""

@@ -98,17 +98,6 @@ def virtual_dimension(sys: LinearSystem) -> int:
     )
 
 
-def nonempty_certificate(sys: LinearSystem) -> bool:
-    """True when the virtual dimension count forces a section.
-
-    Only claimed when d >= every multiplicity, where the conditions are
-    known to be exactly the naive count.
-    """
-    if sys.d < max((m for m in sys.mults), default=0):
-        raise ValueError("count certificate requires d >= max multiplicity")
-    return virtual_dimension(sys) > 0
-
-
 @dataclass(frozen=True)
 class Witness:
     """A product of hyperplanes: (point subset, weight) factors summing to d."""
@@ -207,8 +196,10 @@ def _certificate_verdict(sys: LinearSystem) -> Optional[tuple[str, str, Optional
     if witness is not None:
         assert not empty_certificate(sys), "witness and emptiness cannot both fire"
         return "nonempty", f"hyperplane product witness on {sys.clamped().format()}", witness
-    if sys.d >= max((m for m in sys.mults), default=0) and virtual_dimension(sys) > 0:
-        return "nonempty", f"virtual dimension {virtual_dimension(sys)} > 0", None
+    if sys.d >= max((m for m in sys.mults), default=0):
+        vdim = virtual_dimension(sys)
+        if vdim > 0:
+            return "nonempty", f"virtual dimension {vdim} > 0", None
     return None
 
 

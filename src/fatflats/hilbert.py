@@ -22,7 +22,6 @@ closed-form initial-degree formulas for general points and lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -32,18 +31,6 @@ from typing import Callable, Sequence
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
 ORACLE_GUARD = 10**7
-
-
-@dataclass(frozen=True)
-class FlatConfig:
-    """Ambient dimension n, flat dimension r, number of flats s."""
-
-    n: int
-    r: int
-    s: int
-
-    def __post_init__(self):
-        check_flat_domain(self.n, self.r, self.s)
 
 
 def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
@@ -348,20 +335,6 @@ def _least_holding(holds: Callable[[int], bool], lo: int, hi: int | None = None)
         else:
             lo = mid
     return hi
-
-
-def expected_alpha_upper(n: int, r: int, mults: Sequence[int]) -> int:
-    """Smallest t >= max multiplicity with a positive Hilbert polynomial value.
-
-    A certified upper bound for the initial degree of the corresponding
-    ideal: positivity at t >= m forces a nonzero form of degree t.  At
-    t >= max m each flat's count obeys ``Family.first_positive``'s
-    inequality, so their sum does too and the positive t form a half-line.
-    """
-    if not any(m > 0 for m in mults):
-        raise ValueError("need at least one positive multiplicity")
-    poly = hilbert_poly_mixed(n, r, mults)
-    return _least_holding(lambda t: poly(t) > 0, max(mults) - 1)
 
 
 def alpha_points_general(n: int, s: int) -> int:

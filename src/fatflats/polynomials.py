@@ -42,11 +42,6 @@ def binom(a: int, b: int) -> int:
     return comb(a, b)
 
 
-def fraction_to_str(q: Scalar) -> str:
-    """Serialize a rational: "num/den" in lowest terms, plain "n" for integers."""
-    return str(fraction_to_json(q))
-
-
 def fraction_to_json(q: Scalar):
     """JSON form of a rational: a plain int when integral, else the "num/den" string."""
     q = Fraction(q)
@@ -150,25 +145,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = fraction_to_str(mag)
-            else:
-                var = "x" if i == 1 else f"x^{i}"
-                term = var if mag == 1 else f"{fraction_to_str(mag)}*{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
     # -- ring operations ----------------------------------------------------
 

@@ -392,10 +392,10 @@ def identities_report(seed: int) -> dict:
                     failures.append(f"intersection(n={n},r={r},s={s})")
     for a in range(7):
         for m in range(1, 9):
-            if identity_sum_binom(a, m)[0] != identity_sum_binom(a, m)[1]:
-                failures.append(f"sum-binom(a={a},m={m})")
-            if identity_sum_i_binom(a, m)[0] != identity_sum_i_binom(a, m)[1]:
-                failures.append(f"sum-i-binom(a={a},m={m})")
+            for name, identity in (("sum-binom", identity_sum_binom), ("sum-i-binom", identity_sum_i_binom)):
+                lhs, rhs = identity(a, m)
+                if lhs != rhs:
+                    failures.append(f"{name}(a={a},m={m})")
     # seeded spot checks
     for _ in range(20):
         n = rng.randint(1, 5)

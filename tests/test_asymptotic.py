@@ -8,7 +8,6 @@ from fatflats.asymptotic import (
     g_value,
     lambda_poly,
     lambda_poly_via_leading,
-    sign_profile_check,
     tower_check,
 )
 from fatflats.polynomials import UniPoly
@@ -101,8 +100,6 @@ def test_g_monotone_in_tower():
 
 
 def test_sign_profile():
-    assert sign_profile_check(3, 1, 6)
-    assert sign_profile_check(4, 0, 7)
     lam = lambda_poly(3, 1, 6)
     assert lam(1) == F(-5, 6)
     assert lam(4) == F(4, 6)

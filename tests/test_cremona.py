@@ -9,7 +9,6 @@ from fatflats.cremona import (
     cremona_transform,
     empty_certificate,
     hyperplane_product_witness,
-    nonempty_certificate,
     reduce_system,
     verify_gamma_points_case,
     virtual_dimension,
@@ -94,12 +93,14 @@ def test_empty_certificate():
     assert not empty_certificate(LinearSystem(2, 1, (1, 1, 0)))
 
 
-def test_nonempty_certificate():
-    assert nonempty_certificate(LinearSystem(2, 2, (1,) * 5))
-    assert not nonempty_certificate(LinearSystem(2, 2, (1,) * 6))
-    assert nonempty_certificate(LinearSystem(3, 2, (1, 1, 1)))
-    with pytest.raises(ValueError):
-        nonempty_certificate(LinearSystem(3, 2, (3, 1)))
+def test_count_certificate():
+    # five points in P^2: no hyperplane product (5 > 2 * 2), but 6 - 5 > 0 forms
+    trace = reduce_system(LinearSystem(2, 2, (1,) * 5))
+    assert (trace.verdict, trace.certificate, trace.steps) == ("nonempty", "virtual dimension 1 > 0", ())
+    # six points: virtual dimension 0, so no certificate fires until reduction empties it
+    trace = reduce_system(LinearSystem(2, 2, (1,) * 6))
+    assert (trace.verdict, trace.certificate) == ("empty", "negative degree in -1;0,0,0,-1,-1,-1")
+    assert len(trace.steps) == 2
 
 
 def test_witness_examples():

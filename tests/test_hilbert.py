@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction as F
 from contextlib import suppress
 from math import comb, factorial, log2
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from fatflats import hilbert
 from fatflats.hilbert import (
-    FlatConfig,
     alpha2_points_expected,
     alpha_lines_general,
     alpha_points_general,
@@ -19,7 +17,6 @@ from fatflats.hilbert import (
     conditions_count_oracle,
     conditions_poly,
     conditions_poly_symbolic,
-    expected_alpha_upper,
     family,
     hilbert_function_flat,
     hilbert_poly_mixed,
@@ -171,16 +168,6 @@ def test_symbolic_specializes_to_uniform():
                 assert bp(t, m) == poly(t)
 
 
-def test_expected_alpha_upper():
-    assert expected_alpha_upper(3, 1, (1, 1, 1)) == 2
-    assert expected_alpha_upper(3, 1, (7,) * 6) == 27
-    assert expected_alpha_upper(4, 0, (1,)) == 1
-    # double lines in P^3: the count-based bound for three lines
-    assert expected_alpha_upper(3, 1, (2, 2, 2)) == 5
-    with pytest.raises(ValueError):
-        expected_alpha_upper(3, 1, (0, 0))
-
-
 def test_alpha_closed_forms():
     assert alpha_lines_general(3, 3) == 2
     assert alpha_lines_general(3, 6) == 4
@@ -206,17 +193,6 @@ def test_alpha_searches_match_a_linear_walk():
             assert alpha2_points_expected(n, s) == _walk(lambda t: comb(t + n, n) - s * (n + 1) > 0, 1)
             if n >= 3:
                 assert alpha_lines_general(n, s) == _walk(lambda t: comb(n + t, n) - s * (t + 1) > 0, 1)
-
-
-def test_expected_alpha_upper_matches_a_linear_walk():
-    rng = random.Random(0)
-    for _ in range(300):
-        n = rng.randint(1, 6)
-        r = rng.randint(0, (n - 1) // 2)
-        mults = [rng.randint(0, 6) for _ in range(rng.randint(1, 6))]
-        mults[0] = mults[0] or 1
-        poly = hilbert_poly_mixed(n, r, mults)
-        assert expected_alpha_upper(n, r, mults) == _walk(lambda t: poly(t) > 0, max(mults))
 
 
 def test_least_positive_degree_search_is_logarithmic(monkeypatch):
@@ -271,12 +247,12 @@ def test_identity_sums_agree(a, m):
 
 
 def test_flat_config_validation():
-    FlatConfig(3, 1, 6)
-    FlatConfig(5, 2, 1)
+    check_flat_domain(3, 1, 6)
+    check_flat_domain(5, 2, 1)
     with pytest.raises(ValueError):
-        FlatConfig(3, 2, 2)  # disjointness needs n >= 2r+1
+        check_flat_domain(3, 2, 2)  # disjointness needs n >= 2r+1
     with pytest.raises(ValueError):
-        FlatConfig(3, 3, 1)  # r < n
+        check_flat_domain(3, 3, 1)  # r < n
     with pytest.raises(ValueError):
         check_flat_domain(2, 0, 0)
 
