@@ -74,7 +74,7 @@ def cremona_transform(sys: LinearSystem, idx: Iterable[int]) -> tuple[LinearSyst
     if len(chosen) != sys.n + 1:
         raise ValueError(f"need exactly n+1 = {sys.n + 1} distinct indices, got {chosen}")
     sys = sys.padded(max(chosen) + 1)
-    if chosen[0] < 0 or chosen[-1] >= len(sys.mults):
+    if chosen[0] < 0:
         raise IndexError(f"index out of range in {chosen}")
     c = (sys.n - 1) * sys.d - sum(sys.mults[j] for j in chosen)
     mults = list(sys.mults)
@@ -194,12 +194,10 @@ def _certificate_verdict(sys: LinearSystem) -> Optional[tuple[str, str, Optional
         return "empty", f"{reason} in {sys.format()}", None
     witness = hyperplane_product_witness(sys)
     if witness is not None:
-        assert not empty_certificate(sys), "witness and emptiness cannot both fire"
         return "nonempty", f"hyperplane product witness on {sys.clamped().format()}", witness
-    if sys.d >= max((m for m in sys.mults), default=0):
-        vdim = virtual_dimension(sys)
-        if vdim > 0:
-            return "nonempty", f"virtual dimension {vdim} > 0", None
+    vdim = virtual_dimension(sys)  # not empty, so d >= 0 and no m exceeds d
+    if vdim > 0:
+        return "nonempty", f"virtual dimension {vdim} > 0", None
     return None
 
 

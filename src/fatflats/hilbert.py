@@ -58,22 +58,22 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
     return acc
 
 
-def _falling(shift: int, k: int) -> list[int]:
-    """(x - shift)(x - shift - 1)...(x - shift - k + 1) as integer coefficients,
-    lowest degree first."""
-    out = [1]
-    for j in range(k):
-        c = -shift - j
-        out = [c * a + b for a, b in zip(out + [0], [0] + out)]
-    return out
+def _interpolate(values: list[int], x0: int) -> list[int]:
+    """Integer coefficients, lowest degree first, of the polynomial of degree
+    < len(values) that takes values[i] at x0 + i.
 
-
-def _forward_differences(values: list[int]) -> list[int]:
-    """[values[0], (delta values)[0], (delta^2 values)[0], ...]."""
-    out = []
-    while values:
-        out.append(values[0])
+    Newton's forward form: with the forward differences d_i at x0 it is
+    sum_i d_i / i! * (x - x0)(x - x0 - 1)...(x - x0 - i + 1), and each
+    d_i / i! is an integer when the polynomial has integer coefficients.
+    """
+    newton = []
+    for i in range(len(values)):
+        newton.append(values[0] // factorial(i))
         values = [b - a for a, b in zip(values, values[1:])]
+    out: list[int] = []
+    for i in reversed(range(len(newton))):  # out = out * (x - x0 - i) + newton[i]
+        out = [a - (x0 + i) * b for a, b in zip([0] + out, out + [0])]
+        out[0] += newton[i]
     return out
 
 
@@ -92,30 +92,22 @@ class Family:
     __slots__ = ("n", "r", "scale", "counts")
 
     def __init__(self, n: int, r: int):
-        """Build from exact counts by finite differences.
+        """Build from exact counts by interpolation.
 
         The count has degree r in t and n in (t, m) together, so its values
         on the box m = 1..n+1, t = n+1..n+r+1 (where t >= m, and the
         iterated sums of ``hilbert_function_flat`` give them exactly) fix
-        it: with the forward differences d_jk at (t, m) = (n + 1, 1),
-        n! * c = sum_{j+k<=n} d_jk * n!/(j! k!) * (t-n-1)_j * (m-1)_k
-        in falling factorials, and every term has integer coefficients.
+        it: n! * c is interpolated in t at each m of the box, then each
+        coefficient in m.  n! * c has integer coefficients, and so has its
+        restriction to any integer m, so ``_interpolate`` stays in integers.
         """
         scale = factorial(n)
         t0 = n + 1
-        rows = [hilbert_function_flat(n, r, m, t0 + r + 1)[t0:] for m in range(1, n + 2)]
-        by_t = [_forward_differences(row) for row in rows]  # by_t[m - 1][j]
-        counts = [[0] * (n + 1 - a) for a in range(r + 1)]
-        for j in range(r + 1):
-            in_t = _falling(t0, j)
-            diffs = _forward_differences([by_t[k][j] for k in range(n + 1)])
-            for k in range(n + 1 - j):
-                weight = diffs[k] * (scale // (factorial(j) * factorial(k)))
-                if weight:
-                    in_m = _falling(1, k)
-                    for a, ca in enumerate(in_t):
-                        for b, cb in enumerate(in_m):
-                            counts[a][b] += weight * ca * cb
+        in_t = [
+            _interpolate([scale * v for v in hilbert_function_flat(n, r, m, t0 + r + 1)[t0:]], t0)
+            for m in range(1, n + 2)
+        ]
+        counts = [_interpolate([row[a] for row in in_t], 1)[: n + 1 - a] for a in range(r + 1)]
         self.n, self.r, self.scale = n, r, scale
         self.counts = tuple(map(tuple, counts))
 
@@ -164,22 +156,17 @@ class Family:
 
         Two integer lines put into the integer family polynomial give an
         integer polynomial of degree <= n in k, fixed by its values at
-        k = 0..n: with their forward differences d_i it is
-        sum_i d_i / i! * k(k - 1)...(k - i + 1), as in ``__init__``, and
-        each d_i / i! is an integer because the coefficients are.  The values are polynomial values, whatever the sign
-        of t - m: comb(t + n, n) is C(t + n, n) at every integer t >= -n,
-        and the count is the family polynomial.  Callers keep t >= -n.
+        k = 0..n (``_interpolate``).  The values are polynomial values,
+        whatever the sign of t - m: comb(t + n, n) is C(t + n, n) at every
+        integer t >= -n, and the count is the family polynomial.  Callers
+        keep t >= -n.
         """
         n, scale = self.n, self.scale
         values = [
             scale * (comb(p * k + c + n, n) - 1) - s * _horner(self.count_in_t(q * k + j), p * k + c)
             for k in range(n + 1)
         ]
-        out = [0] * (n + 1)
-        for i, d in enumerate(_forward_differences(values)):
-            for a, f in enumerate(_falling(0, i)):
-                out[a] += d // factorial(i) * f
-        return UniPoly(out)
+        return UniPoly(_interpolate(values, 0))
 
 
 @lru_cache(maxsize=None)
@@ -202,17 +189,17 @@ def conditions_count(n: int, r: int, m: int, t: int) -> int:
     return family(n, r).count(m, t)
 
 
-def conditions_count_oracle(n: int, r: int, m: int, t: int, guard: int = ORACLE_GUARD) -> int:
+def conditions_count_oracle(n: int, r: int, m: int, t: int) -> int:
     """Same count by direct enumeration of monomials.
 
     Counts degree-t monomials in x_0..x_n whose total exponent on the last
-    n - r variables is < m.  Enumeration size is C(t + n, n), guarded.
+    n - r variables is < m.  Enumerates C(t + n, n) <= ``ORACLE_GUARD``.
     """
     check_flat_domain(n, r, m=m)
     if t < m:
         raise ValueError(f"conditions_count_oracle requires t >= m, got t={t}, m={m}")
-    if comb(t + n, n) > guard:
-        raise ValueError(f"enumeration of C({t + n},{n}) monomials exceeds guard {guard}")
+    if comb(t + n, n) > ORACLE_GUARD:
+        raise ValueError(f"enumeration of C({t + n},{n}) monomials exceeds guard {ORACLE_GUARD}")
     count = 0
     # dividers encode an exponent vector (e_0,...,e_n) with sum t
     for dividers in combinations(range(t + n), n):

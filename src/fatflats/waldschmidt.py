@@ -26,7 +26,8 @@ time, for the least t in [m, stop) with P_m(t) > 0
 (``Family.first_positive``).  At a fixed m the positive t >= m form a
 half-line, so that is one Hilbert value at stop - 1, plus a bisection only
 when it is positive: the certificate's scan of m < m_threshold costs one
-value per m.  Ratio bounds are turned into integer ranges of t by
+value per m, plus one per multiple of q until it meets the witness on the
+ray t = m * candidate.  Ratio bounds are turned into integer ranges of t by
 cross-multiplication, never by building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
@@ -45,7 +46,7 @@ from math import ceil
 from typing import Optional
 
 from .asymptotic import g_value, lambda_poly
-from .hilbert import Family, _least_holding, check_flat_domain, family
+from .hilbert import _least_holding, check_flat_domain, family
 from .polynomials import UniPoly, fraction_to_json
 from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in, sturm_chain
 
@@ -130,21 +131,6 @@ class CertificationError(Exception):
         super().__init__(f"{step}: {detail}")
 
 
-_WITNESS_TRIES = 128  # multiples k * (p, q) of the candidate p/q scanned for a witness
-
-
-def _find_witness_for(fam: Family, s: int, candidate: Fraction) -> RatioWitness:
-    q = candidate.denominator
-    p = candidate.numerator
-    for k in range(1, _WITNESS_TRIES + 1):
-        m, t = k * q, k * p
-        if t >= m >= 1:
-            value = fam.hilbert_value(s, m, t)
-            if value > 0:
-                return RatioWitness(t, m, value)
-    raise ValueError(f"candidate {candidate} is not realized by any scanned witness")
-
-
 def _negative_from(poly: UniPoly, x: Fraction, chain: list[UniPoly] | None = None) -> bool:
     """Whether poly < 0 at every real point >= x, for a rational x >= 0.
 
@@ -178,7 +164,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         n! * (P - 1) must be < 0 at every real k >= k_j, the least k with
         q*k + j >= m_threshold.  P <= 0 there settles every t in
         [m, m * candidate), since the positive t >= m form a half-line.
-        The witness lies on the ray with P > 0, so m_threshold > q: every
+        A witness lies on the ray with P > 0, so m_threshold > q: every
         k_j >= 1, and the q lines cost less than the scan;
       scan: the finitely many pairs with m < m_threshold and
         m <= t < m * candidate are settled per m by ``Family.first_positive``:
@@ -186,7 +172,12 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         and a positive value is bisected down to the least t that beats
         the candidate.
 
-    A ValueError means the candidate is not realized by any witness at all.
+    The witness is read off the scan: at each multiple m of q, one Hilbert
+    value at t = m * candidate, until one is positive.  A witness (p*k, q*k)
+    has n! * (P - 1) >= 0 on the ray at k, where the threshold step proved
+    it negative for q*k >= m_threshold, so the scan reaches the least one.
+    An unrealized candidate raises the CertificationError of the first step
+    that refutes it, and a ValueError only when all three steps pass.
     """
     check_flat_domain(n, r, s)
     candidate = Fraction(candidate)
@@ -201,7 +192,6 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         witness = RatioWitness(1, 1, fam.hilbert_value(1, 1, 1))
         return ECertificate(n, r, s, candidate, witness, 1, "empty: t >= m forces every ratio >= 1", 0)
 
-    witness = _find_witness_for(fam, s, candidate)
     p, q = candidate.numerator, candidate.denominator
 
     # threshold: the least m >= 1 from which the ray stays negative, on one Sturm chain
@@ -220,8 +210,9 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
                 "cover", f"line (t, m) = ({p}k + {c}, {q}k + {j}) is not negative from k = {k_j}"
             )
 
-    # scan: every remaining pair with ratio < candidate, one value per m when none beats it
-    pairs = 0
+    # scan: every remaining pair with ratio < candidate, one value per m when none beats it;
+    # the witness is the first point of the ray t = m * candidate with P > 0
+    pairs, witness = 0, None
     for m in range(1, m_threshold):
         stop = ceil(m * candidate)
         t = fam.first_positive(s, m, stop)
@@ -230,6 +221,12 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
                 "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"
             )
         pairs += stop - m  # >= 0 since candidate >= 1
+        if witness is None and m % q == 0:
+            value = fam.hilbert_value(s, m, stop)
+            if value > 0:
+                witness = RatioWitness(stop, m, value)
+    if witness is None:
+        raise ValueError(f"candidate {candidate} is not realized below m_threshold {m_threshold}")
 
     scan_desc = f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"
     return ECertificate(n, r, s, candidate, witness, m_threshold, scan_desc, pairs)

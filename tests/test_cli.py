@@ -48,6 +48,19 @@ def test_e_certify_json(capsys):
     assert payload["witness"] == {"t": 27, "m": 7, "value": 28}
 
 
+def test_e_certify_failure_text_and_json(capsys):
+    # 19/6 lies above g = sqrt(10), so the ray does not tend to -infinity
+    detail = "nonconstant part does not tend to -infinity at the candidate"
+    code, out = run_cli(capsys, "e", "2", "0", "10", "--certify")
+    assert code == 1
+    assert out == f"e(2,0,10) = 19/6 at (t=57, m=18)\ncertification failed at step threshold: {detail}\n"
+    code, out = run_cli(capsys, "e", "2", "0", "10", "--certify", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["certified"] is False
+    assert payload["failure"] == {"step": "threshold", "detail": detail}
+
+
 def test_verify_nosymetry_text(capsys):
     code, out = run_cli(capsys, "verify", "nosymetry", "7")
     assert code == 0
@@ -71,6 +84,11 @@ def test_hilbert_uniform_and_mixed(capsys):
 def test_hilbert_usage_error(capsys):
     code = main(["hilbert", "3", "1"])
     assert code == 2
+
+
+def test_hilbert_takes_s_m_or_mults_not_both(capsys):
+    assert main(["hilbert", "3", "1", "6", "7", "--mults", "1,2"]) == 2
+    assert "give either s m or --mults, not both" in capsys.readouterr().err
 
 
 def test_hilbert_mixed_rejects_meeting_flats(capsys):
@@ -98,6 +116,21 @@ def test_cremona_transform_reduce_witness(capsys):
 
 
 @pytest.mark.parametrize(
+    "system, limit, steps, reason",
+    [
+        ("3;1,1,1,1,1,1,1,1,1,1", [], 0, "no degree-lowering step available"),
+        ("10;4,4,4,4,4,4,4,4,4,4", ["--max-steps", "2"], 2, "step limit reached"),
+    ],
+    ids=["no-step", "step-limit"],
+)
+def test_cremona_reduce_undecided(capsys, system, limit, steps, reason):
+    code, out = run_cli(capsys, "cremona", "--dim", "2", "--system", system, "--reduce", *limit)
+    assert code == 1
+    assert out.count("  step ") == steps
+    assert out.endswith(f"verdict: undecided ({reason})\n")
+
+
+@pytest.mark.parametrize(
     "modes",
     [
         ["--transform", "0,1,2,3", "--reduce"],
@@ -121,6 +154,11 @@ def test_gamma_points_and_alpha(capsys):
     code, out = run_cli(capsys, "alpha", "points2", "2", "2", "--json")
     payload = json.loads(out)
     assert payload["alpha"] == 3 and "exceptions" in payload["note"]
+
+
+def test_alpha_points_text(capsys):
+    code, out = run_cli(capsys, "alpha", "points", "3", "6")
+    assert code == 0 and out == "alpha = 2\n"
 
 
 def test_intersections_check(capsys):

@@ -54,8 +54,9 @@ def test_conditions_oracle_examples():
 
 
 def test_conditions_oracle_guard():
-    with pytest.raises(ValueError):
-        conditions_count_oracle(6, 1, 2, 40, guard=1000)
+    # C(106, 6) = 1,705,904,746 > ORACLE_GUARD: refused before enumerating
+    with pytest.raises(ValueError, match="exceeds guard"):
+        conditions_count_oracle(6, 1, 2, 100)
 
 
 def test_conditions_lines_closed_form():

@@ -178,6 +178,13 @@ def test_decimal_rendering():
     assert decimal_str(F(1, 3), 4) == "0.3333"
 
 
+def test_decimal_rounding_carries_into_the_next_decade():
+    # rounding to sig digits gives sig + 1 digits, and the exponent moves up
+    assert decimal_str(F(99999999999, 10**10)) == "10"
+    assert decimal_str(F(-99999995, 10**7), 6) == "-10"
+    assert decimal_str(F(999999999995, 10**17)) == "1e-5"
+
+
 def test_poly_json_round_trip():
     p = UniPoly([F(1, 6), -3, 2])
     assert UniPoly.from_json(p.to_json()) == p

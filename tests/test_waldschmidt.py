@@ -337,6 +337,17 @@ def test_certify_fails_on_a_realized_ratio_above_e():
     assert err.value.detail == "P > 0 at (t=21, m=11) with ratio 21/11 < 65/34"
 
 
+def test_certify_refutes_an_unrealized_candidate_at_its_first_failing_step():
+    # the witness is read off the scan, so a refuting step speaks first
+    with pytest.raises(CertificationError) as err:
+        e_certify(2, 0, 2, F(8, 7))
+    assert err.value.step == "scan"
+    assert err.value.detail == "P > 0 at (t=1, m=1) with ratio 1 < 8/7"
+    with pytest.raises(CertificationError) as err:
+        e_certify(7, 0, 17, F(3, 2))
+    assert err.value.step == "threshold"
+
+
 def test_gamma_points_closed_forms():
     assert gamma_points_closed(3, 4) == F(4, 3)
     assert gamma_points_closed(4, 7) == F(3, 2)
@@ -435,5 +446,21 @@ def test_every_grid_certificate_rechecks():
             assert exc.step == "threshold", (n, r, s)
             continue
         recheck(cert)
+        certified += 1
+    assert certified == 95
+
+
+def test_grid_witnesses_lie_below_the_threshold():
+    # the threshold step puts every witness on the ray below m_threshold,
+    # so the scan meets the least one, the same as the empirical scan's
+    certified = 0
+    for n, r, s in GRID:
+        witness = e_empirical(n, r, s)
+        try:
+            cert = e_certify(n, r, s, witness.ratio)
+        except CertificationError:
+            continue
+        assert cert.witness.m < cert.m_threshold, (n, r, s)
+        assert cert.witness == witness, (n, r, s)
         certified += 1
     assert certified == 95
