@@ -15,9 +15,9 @@ independently and cross-checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .hilbert import check_flat_domain, hilbert_poly_symbolic
 from .polynomials import UniPoly, binom, expand_scaled
@@ -99,8 +99,7 @@ def g_value(
     return exact_if_rational(sf, *bisect_root(sf, one, bound, precision))
 
 
-@dataclass(frozen=True)
-class SpecialRootRow:
+class SpecialRootRow(NamedTuple):
     """One verified instance of the integer-root family for lines."""
 
     n: int

@@ -16,8 +16,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -71,11 +69,17 @@ def _parse_mults(text: str) -> tuple[int, ...]:
 
 def _emit(report: dict, args, text_lines: list[str]) -> None:
     """Write the report to stdout; a reader that has gone away (a closed
-    pipe) is no error, so the command still returns its own status."""
+    pipe) is no error, so the command still returns its own status.  json
+    and csv are imported here, by the forms that use them, to keep them out
+    of every other command's start-up."""
     try:
         if args.json:
+            import json
+
             print(json.dumps(report, separators=(",", ":")))
         elif args.csv:
+            import csv
+
             writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(("key", "value"))
             writer.writerows((key, str(value)) for key, value in _flatten(report))
@@ -94,6 +98,8 @@ def _flatten(obj, prefix: str = ""):
         for key, value in obj.items():
             yield from _flatten(value, f"{prefix}{key}." if prefix else f"{key}.")
     elif isinstance(obj, list):
+        import json
+
         yield prefix.rstrip("."), json.dumps(obj, separators=(",", ":"))
     else:
         yield prefix.rstrip("."), obj

@@ -24,26 +24,29 @@ while that lowers the degree, stopping as soon as a certificate fires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .polynomials import binom, fraction_to_json
 from .waldschmidt import gamma_points_closed
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """Degree-d forms on P^n with assigned multiplicities at general points."""
-
+class _LinearSystemFields(NamedTuple):
     n: int
     d: int
     mults: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 2:
+
+class LinearSystem(_LinearSystemFields):
+    """Degree-d forms on P^n with assigned multiplicities at general points."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, d: int, mults: Iterable[int]):
+        # a NamedTuple body may not define __new__, hence the fields base
+        if n < 2:
             raise ValueError("Cremona systems live in P^n with n >= 2")
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        return super().__new__(cls, n, d, tuple(int(m) for m in mults))
 
     @classmethod
     def parse(cls, n: int, text: str) -> "LinearSystem":
@@ -98,8 +101,7 @@ def virtual_dimension(sys: LinearSystem) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A product of hyperplanes: (point subset, weight) factors summing to d."""
 
     factors: tuple[tuple[tuple[int, ...], int], ...]
@@ -150,15 +152,13 @@ def hyperplane_product_witness(sys: LinearSystem) -> Optional[Witness]:
     return witness
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     chosen: tuple[int, ...]
     c: int
     result: LinearSystem
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     start: LinearSystem
     steps: tuple[ReductionStep, ...]
     verdict: str  # "empty" | "nonempty" | "undecided"
@@ -229,8 +229,7 @@ def reduce_system(sys: LinearSystem, max_steps: int = 64) -> ReductionTrace:
     return ReductionTrace(start, tuple(steps), "undecided", "step limit reached")
 
 
-@dataclass(frozen=True)
-class GammaCaseRow:
+class GammaCaseRow(NamedTuple):
     """One h-instance of the alpha bookkeeping for s general points."""
 
     h: int
@@ -248,8 +247,7 @@ class GammaCaseRow:
         return self.upper_nonempty and self.lower_empty is not False and self.consistent
 
 
-@dataclass(frozen=True)
-class GammaCaseReport:
+class GammaCaseReport(NamedTuple):
     n: int
     s: int
     gamma: Fraction

@@ -20,11 +20,10 @@ All values are immutable after construction; every function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -449,8 +448,7 @@ class BiPoly:
         return out
 
 
-@dataclass(frozen=True)
-class BiExpansion:
+class BiExpansion(NamedTuple):
     """Regrouping of p(t) under t = m*x: p = sum_i coeffs_in_m[i](x) * m**i."""
 
     coeffs_in_m: tuple[UniPoly, ...]

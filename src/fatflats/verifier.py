@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_check
 from .blowup import alt_sum_one, alt_sum_zero, identity_check
@@ -88,8 +89,7 @@ def two_line_overlap_factored(m1: int, m2: int, t: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     d: int
     mults: tuple[int, ...]
     value: int
@@ -423,16 +423,14 @@ def identities_report(seed: int) -> dict:
     return {"seed": seed, "checks": "identities", "failures": failures, "ok": not failures}
 
 
-@dataclass(frozen=True)
-class ReplayAssertion:
+class ReplayAssertion(NamedTuple):
     name: str
     expected: str
     got: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class ReplayReport:
+class ReplayReport(NamedTuple):
     example_id: str
     assertions: tuple[ReplayAssertion, ...]
 

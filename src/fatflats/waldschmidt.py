@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .asymptotic import g_value, lambda_poly
 from .hilbert import _least_holding, check_flat_domain, family
@@ -51,8 +51,7 @@ from .polynomials import UniPoly, fraction_to_json
 from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in, sturm_chain
 
 
-@dataclass(frozen=True)
-class RatioWitness:
+class RatioWitness(NamedTuple):
     """A pair t >= m >= 1 with positive Hilbert polynomial value."""
 
     t: int
@@ -91,8 +90,7 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     return best
 
 
-@dataclass(frozen=True)
-class ECertificate:
+class ECertificate(NamedTuple):
     """Machine-checkable proof that the empirical ratio is the exact infimum.
 
     P <= 0 at every t/m below the ratio with m >= m_threshold (see
@@ -232,8 +230,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     return ECertificate(n, r, s, candidate, witness, m_threshold, scan_desc, pairs)
 
 
-@dataclass(frozen=True)
-class GammaKnown:
+class GammaKnown(NamedTuple):
     """A known Waldschmidt constant (or upper bound) with its provenance tag."""
 
     value: Fraction

@@ -91,6 +91,21 @@ def test_hilbert_takes_s_m_or_mults_not_both(capsys):
     assert "give either s m or --mults, not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "gamma-case", "1", "3", "--hmax", "1"],
+        ["cremona", "--dim", "1", "--system", "2;1,1", "--reduce"],
+    ],
+    ids=["gamma-case", "cremona"],
+)
+def test_cremona_systems_refuse_n_below_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Cremona systems live in P^n with n >= 2" in captured.err
+
+
 def test_hilbert_mixed_rejects_meeting_flats(capsys):
     # two lines in P^2 always meet, so no disjoint configuration exists
     assert main(["hilbert", "2", "1", "--mults", "2,3"]) == 2
@@ -210,6 +225,18 @@ def _integers_as_ints(obj, key=None):
     return not (isinstance(obj, str) and key != "decimal" and re.fullmatch(r"-?\d+", obj))
 
 
+def _holds_tuple(obj):
+    """True when a tuple (a result record is one) sits anywhere in a payload;
+    json.dumps would write it as a list where a record should be a dict."""
+    if isinstance(obj, tuple):
+        return True
+    if isinstance(obj, dict):
+        return any(_holds_tuple(v) for v in obj.values())
+    if isinstance(obj, list):
+        return any(_holds_tuple(v) for v in obj)
+    return False
+
+
 def test_json_round_trip_everywhere(capsys):
     cases = [
         ["lambda", "3", "1", "6", "--g", "--json"],
@@ -229,6 +256,9 @@ def test_json_round_trip_everywhere(capsys):
         payload = json.loads(out)
         assert json.dumps(payload, separators=(",", ":")) + "\n" == out
         assert _integers_as_ints(payload), argv
+        args = build_parser().parse_args(argv)
+        report, _, _ = args.handler(args)
+        assert not _holds_tuple(report), argv
 
 
 def test_integers_print_as_ints(capsys):
@@ -359,14 +389,17 @@ def test_bad_threads_environment_is_ignored():
 
 
 def test_import_leaves_process_pool_modules_out():
-    probe = (
-        "import sys, fatflats; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-    )
+    # json and csv load only when a report prints with them; the modules are
+    # taken as the difference from a bare interpreter, which may preload some
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
-    assert proc.returncode == 0
-    assert proc.stdout.decode().strip() == "[]"
+    for module, left_out in [("fatflats", ("concurrent", "multiprocessing")), ("fatflats.cli", ("json", "csv"))]:
+        probe = (
+            f"import sys; before = set(sys.modules); import {module}; "
+            f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {left_out!r}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().strip() == "[]", module
 
 
 def test_seed_only_on_verify_identities(capsys):

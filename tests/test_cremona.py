@@ -22,6 +22,14 @@ def test_parse_format_round_trip():
     assert LinearSystem.parse(2, "5;").mults == ()
 
 
+def test_every_construction_checks_n_and_coerces_mults():
+    with pytest.raises(ValueError, match=r"Cremona systems live in P\^n with n >= 2"):
+        LinearSystem(1, 2, (1,))
+    sys_ = LinearSystem(2, 3, [1, True])
+    assert sys_.mults == (1, 1) and type(sys_.mults) is tuple
+    assert [type(m) for m in sys_.mults] == [int, int]
+
+
 def test_transform_examples():
     out, c = cremona_transform(LinearSystem(2, 1, (0, 0, 0)), (0, 1, 2))
     assert (c, out) == (1, LinearSystem(2, 2, (1, 1, 1)))
