@@ -11,12 +11,10 @@ finite enumeration verifiers.
 __version__ = "0.1.0"
 
 from .polynomials import (
-    BiExpansion,
     BiPoly,
     UniPoly,
     binom,
     decimal_str,
-    expand_scaled,
     squarefree_part,
 )
 from .roots import (
@@ -25,7 +23,6 @@ from .roots import (
     isolate_largest_root,
     refine,
     sign_at,
-    simplest_rational_in,
 )
 from .hilbert import (
     alpha2_points_expected,

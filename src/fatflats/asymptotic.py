@@ -20,7 +20,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .hilbert import check_flat_domain, hilbert_poly_symbolic
-from .polynomials import UniPoly, binom, expand_scaled
+from .polynomials import UniPoly, binom
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
@@ -51,10 +51,14 @@ def lambda_poly_via_leading(n: int, r: int, s: int) -> UniPoly:
     """Independent construction: the m^n coefficient of the Hilbert polynomial
     at t = m*tau, computed with m fully symbolic."""
     check_flat_domain(n, r, s)
-    expansion = expand_scaled(hilbert_poly_symbolic(n, r, s))
-    if len(expansion.coeffs_in_m) != n + 1:
-        raise ArithmeticError("unexpected degree in the multiplicity variable")
-    return expansion.coeffs_in_m[n]
+    coeffs = [Fraction(0)] * (n + 1)
+    for (a, b), coef in hilbert_poly_symbolic(n, r, s).terms.items():
+        # t^a m^b at t = m*tau is tau^a m^(a+b)
+        if a + b > n:
+            raise ArithmeticError("unexpected degree in the multiplicity variable")
+        if a + b == n:
+            coeffs[a] = coef
+    return UniPoly(coeffs)
 
 
 def tower_check(n: int, r: int, s: int) -> bool:

@@ -24,6 +24,7 @@ while that lowers the degree, stopping as soon as a certificate fires.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -129,24 +130,33 @@ def hyperplane_product_witness(sys: LinearSystem) -> Optional[Witness]:
     points, the required coverages are achievable exactly when every clamped
     multiplicity is <= d and their sum is <= n*d; a round-robin placement
     then distributes each point's m_i units over m_i distinct degree units.
+    Point i takes the cursors from m_1 + ... + m_{i-1} to the next point's
+    start, and cursor c fills unit c mod d, so the units between two
+    consecutive run ends mod d hold the same points: unit j holds those
+    whose runs contain the cursors j, j + d, ..., found by bisection on
+    the starts.  The work grows with the number of points, not with d.
     Returns None when no such product exists (which proves nothing about
     emptiness).
     """
-    if sys.d < 0:
+    d = sys.d
+    if d < 0:
         return None
     needs = [max(m, 0) for m in sys.mults]
-    if any(m > sys.d for m in needs) or sum(needs) > sys.n * sys.d:
+    if any(m > d for m in needs) or sum(needs) > sys.n * d:
         return None
-    boxes: list[list[int]] = [[] for _ in range(sys.d)]
-    cursor = 0
+    if d == 0:  # every need is 0 and there is no unit to fill
+        return Witness(())
+    starts, points, cursor = [], [], 0  # each point with a need, and its first cursor
     for point, need in enumerate(needs):
-        for _ in range(need):
-            boxes[cursor % sys.d].append(point)
-            cursor += 1
+        if need:
+            starts.append(cursor)
+            points.append(point)
+            cursor += need
+    cuts = sorted({0, d, cursor % d}.union(c % d for c in starts))
     grouped: dict[tuple[int, ...], int] = {}
-    for box in boxes:
-        key = tuple(sorted(box))
-        grouped[key] = grouped.get(key, 0) + 1
+    for lo, hi in zip(cuts, cuts[1:]):
+        key = tuple(points[bisect_right(starts, c) - 1] for c in range(lo, cursor, d))
+        grouped[key] = grouped.get(key, 0) + hi - lo
     witness = Witness(tuple(sorted(grouped.items())))
     assert witness.verify(sys.clamped()), "round-robin construction must verify"
     return witness

@@ -11,9 +11,7 @@ a :class:`UniPoly` is integer numerators over one denominator, and
   (Collins) behind both :func:`poly_gcd` and the Sturm chains,
 * :class:`BiPoly`, a sparse polynomial in two formal variables, used for the
   degree/multiplicity bookkeeping where both the evaluation point and the
-  multiplicity stay symbolic,
-* :class:`BiExpansion` and :func:`expand_scaled`, the regrouping of a
-  polynomial p(t) under the substitution t = m*x by powers of m.
+  multiplicity stay symbolic.
 
 All values are immutable after construction; every function is pure.
 """
@@ -23,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -446,43 +444,3 @@ class BiPoly:
                 continue
             out = out + BiPoly.from_uni_u(cj) * BiPoly.from_uni_v(power_sum_poly(j))
         return out
-
-
-class BiExpansion(NamedTuple):
-    """Regrouping of p(t) under t = m*x: p = sum_i coeffs_in_m[i](x) * m**i."""
-
-    coeffs_in_m: tuple[UniPoly, ...]
-
-    def __call__(self, t: Scalar, m: Scalar) -> Fraction:
-        """Reassemble at x = t/m; equals the source polynomial at t."""
-        x = Fraction(t) / Fraction(m)
-        return sum(
-            (c(x) * Fraction(m) ** i for i, c in enumerate(self.coeffs_in_m)),
-            Fraction(0),
-        )
-
-
-def expand_scaled(p: UniPoly | BiPoly) -> BiExpansion:
-    """Collect p(m*x) by powers of m.
-
-    ``p`` is a polynomial in t, optionally with coefficients that are
-    themselves polynomials in m (a :class:`BiPoly` with u = t, v = m).
-    A term t**a m**b becomes x**a m**(a+b), so the coefficient of m**i is
-    an exact polynomial c_i(x); substituting x = t/m reassembles p.
-    """
-    if isinstance(p, UniPoly):
-        p = BiPoly.from_uni_u(p)
-    buckets: dict[int, dict[int, Fraction]] = {}
-    for (a, b), coef in p.terms.items():
-        bucket = buckets.setdefault(a + b, {})
-        bucket[a] = bucket.get(a, Fraction(0)) + coef
-    top = max(buckets, default=-1)
-    coeffs = []
-    for i in range(top + 1):
-        bucket = buckets.get(i, {})
-        size = max(bucket, default=-1) + 1
-        cs = [Fraction(0)] * size
-        for a, coef in bucket.items():
-            cs[a] = coef
-        coeffs.append(UniPoly(cs))
-    return BiExpansion(tuple(coeffs))

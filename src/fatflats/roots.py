@@ -9,7 +9,7 @@ many halvings remain, integer Newton predicts the dyadic cell they would end
 in, and opposite nonzero signs at its two ends confirm it (the idea of
 Abbott's quadratic interval refinement); anything unconfirmed goes back to
 halving, so the intervals are those of plain bisection.  A
-rational-candidate test reports rational roots exactly (a degenerate
+one-candidate test reports rational roots exactly (a degenerate
 one-point interval) instead of as a narrow interval.  Signs are computed in
 integers (``UniPoly.sign``), so the hot path builds no ``Fraction``.
 """
@@ -116,28 +116,10 @@ def cauchy_root_bound(p: UniPoly) -> Fraction:
     return 1 + Fraction(max(map(abs, nums[:-1])), abs(nums[-1]))
 
 
-def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """The rational with smallest denominator (then numerator) in [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi:
-        raise ValueError("empty interval")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_rational_in(-hi, -lo)
-    # now 0 < lo <= hi; continued-fraction walk on [a/b, c/d] in integers
-    p0, q0, p1, q1 = 0, 1, 1, 0  # accumulated convergent transform
-    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    while True:
-        f = a // b
-        if (f + 1) * d <= c:  # an integer strictly inside [a/b, c/d] after the shift
-            n = f + 1 if a > f * b else f
-            return Fraction(p1 * n + p0, q1 * n + q0)
-        if a == f * b:  # a/b itself is the integer endpoint
-            return Fraction(p1 * f + p0, q1 * f + q0)
-        p0, p1 = p1, p1 * f + p0
-        q0, q1 = q1, q1 * f + q0
-        a, b, c, d = d, c - f * d, b, a - f * b
+def _bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(lo, hi) as integers (a, b, q) with lo = a/q and hi = b/q."""
+    q = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
 
 _JUMP_FROM_BITS = 8  # try the Newton jump once the bracket is at most 2^-8 wide
@@ -239,9 +221,7 @@ def bisect_root(
                 hi, v_hi = mid, v_mid
             else:
                 lo, v_lo = mid, v_mid
-    # the same midpoints in integers: lo = a/q and hi = b/q
-    q = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
     s_hi = sf.sign(hi)
     jump = width > 0  # a width <= 0 never ends the loop, and its k would be unbounded
@@ -287,22 +267,18 @@ def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumbe
     result), as a point when it is rational.
 
     A rational root of the primitive part has a denominator dividing its
-    leading coefficient lc.  When (hi - lo) * lc < 1 at most one k / lc lies
-    in (lo, hi], the one with k = floor(hi * lc), so one sign decides.  A
-    wider interval tests the simplest rational in it.
+    leading coefficient lc.  Once a bracket (bottom, top] of the root is
+    narrower than 1/lc, at most one k / lc lies in it, the one with
+    k = floor(top * lc), so one sign decides; a wider (lo, hi] is first
+    bisected below 1/(2 lc).  An irrational root keeps (lo, hi).
     """
     defining = sf.primitive()
     lc = defining.nums[-1]
-    if (hi - lo) * lc < 1:
-        k = hi.numerator * lc // hi.denominator
-        cand = Fraction(k, lc)
-        rational = lo < cand and defining.sign(k, lc) == 0
-    else:
-        cand = simplest_rational_in(lo, hi)
-        rational = lo < cand <= hi and defining.sign(cand) == 0
-    if rational:
-        # the interval holds exactly one root of sf, so cand is that root
-        lo = hi = cand
+    top = hi if (hi - lo) * lc < 1 else bisect_root(sf, lo, hi, Fraction(1, 2 * lc))[1]
+    k = top.numerator * lc // top.denominator
+    if lo < Fraction(k, lc) and defining.sign(k, lc) == 0:
+        # the interval holds exactly one root of sf, so k / lc is that root
+        lo = hi = Fraction(k, lc)
     return AlgebraicNumber(defining, lo, hi)
 
 
@@ -320,8 +296,7 @@ def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
     the result is the interval Horner enclosure of {p(x) : x in [lo, hi]}
     times the positive den * q^deg(p), so it has the same signs.
     """
-    q = lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    a, b, q = _bracket(lo, hi)
     alo = ahi = 0
     qk = 1
     for c in reversed(p.nums):

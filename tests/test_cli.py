@@ -389,15 +389,16 @@ def test_bad_threads_environment_is_ignored():
 
 
 def test_import_leaves_process_pool_modules_out():
-    # json and csv load only when a report prints with them; the modules are
-    # taken as the difference from a bare interpreter, which may preload some
+    # json and csv load only when a report prints with them, and random only
+    # for verify identities; -S keeps site from preloading any of them, and
+    # the modules are taken as the difference from a bare interpreter
     env = dict(os.environ, PYTHONPATH=SRC)
-    for module, left_out in [("fatflats", ("concurrent", "multiprocessing")), ("fatflats.cli", ("json", "csv"))]:
+    for module, left_out in [("fatflats", ("concurrent", "multiprocessing")), ("fatflats.cli", ("json", "csv", "random"))]:
         probe = (
             f"import sys; before = set(sys.modules); import {module}; "
             f"print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in {left_out!r}))"
         )
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, env=env, timeout=300)
         assert proc.returncode == 0
         assert proc.stdout.decode().strip() == "[]", module
 

@@ -130,6 +130,19 @@ def test_witness_clamps_negative_multiplicities():
     assert w.verify(LinearSystem(3, 4, (3, 3, 3, 3, 0, 0)))
 
 
+def _boxed_witness(sys_):
+    """Reference: the round-robin one degree unit at a time, O(d) boxes."""
+    needs = [max(m, 0) for m in sys_.mults]
+    boxes = [[] for _ in range(sys_.d)]
+    for cursor, point in enumerate(p for p, need in enumerate(needs) for _ in range(need)):
+        boxes[cursor % sys_.d].append(point)
+    grouped = {}
+    for box in boxes:
+        key = tuple(sorted(box))
+        grouped[key] = grouped.get(key, 0) + 1
+    return tuple(sorted(grouped.items()))
+
+
 @given(
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=0, max_value=10),
@@ -141,7 +154,18 @@ def test_witness_feasibility_criterion(n, d, mults):
     feasible = max(mults) <= d and sum(mults) <= n * d
     assert (w is not None) == feasible
     if w is not None:
-        assert w.verify(sys_)
+        assert w.verify(sys_) and w.factors == _boxed_witness(sys_)
+
+
+def test_witness_cost_does_not_grow_with_the_degree():
+    d = 10**12
+    w = hyperplane_product_witness(LinearSystem(3, d, (1, 1)))
+    assert w.factors == (((), d - 2), ((0,), 1), ((1,), 1))
+    w = hyperplane_product_witness(LinearSystem(3, d, (d, d - 1, 5, -2)))
+    assert w.factors == (((0, 1), d - 5), ((0, 1, 2), 4), ((0, 2), 1))
+    assert w.verify(LinearSystem(3, d, (d, d - 1, 5, 0)))
+    assert reduce_system(LinearSystem(3, d, (1, 1))).verdict == "nonempty"
+    assert hyperplane_product_witness(LinearSystem(3, 0, (0, -4))).factors == ()
 
 
 def test_reduce_examples():

@@ -1,5 +1,5 @@
-"""Integer pseudo-remainder chains, gcds, simplest rationals and the integer
-lambda closed form, checked against the rational constructions they replace.
+"""Integer pseudo-remainder chains, gcds and the integer lambda closed form,
+checked against the rational constructions they replace.
 
 The references below (Euclid over ``Fraction``, the power expansion of
 (tau - 1)^j) live only in this file.
@@ -7,7 +7,7 @@ The references below (Euclid over ``Fraction``, the power expansion of
 
 import json
 from fractions import Fraction as F
-from math import ceil, factorial, floor
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from fatflats.asymptotic import lambda_poly
 from fatflats.hilbert import check_flat_domain, conditions_count
 from fatflats.polynomials import UniPoly, binom, poly_gcd, squarefree_part
-from fatflats.roots import simplest_rational_in, sign_variations, sturm_chain
+from fatflats.roots import sign_variations, sturm_chain
 from fatflats.waldschmidt import bounds_report
 
 
@@ -107,27 +107,6 @@ def test_gcd_and_squarefree_match_fraction_euclid(a, b, shared):
     assert poly_gcd(a, b) == _ref_gcd(a, b)
     assert poly_gcd(a, UniPoly()) == a.monic() and poly_gcd(UniPoly(), b) == b.monic()
     assert squarefree_part(a) == _ref_squarefree(a)
-
-
-# ---- simplest rationals --------------------------------------------------------
-
-
-def _brute_simplest(lo: F, hi: F) -> F:
-    """Smallest denominator, then smallest |numerator|, by direct scan."""
-    q = 1
-    while True:
-        found = range(ceil(lo * q), floor(hi * q) + 1)
-        if found:
-            return F(min(found, key=abs), q)
-        q += 1
-
-
-@given(
-    st.fractions(min_value=-6, max_value=6, max_denominator=60),
-    st.fractions(min_value=0, max_value=2, max_denominator=300),
-)
-def test_simplest_rational_matches_brute_force(lo, width):
-    assert simplest_rational_in(lo, lo + width) == _brute_simplest(lo, lo + width)
 
 
 # ---- lambda --------------------------------------------------------------------

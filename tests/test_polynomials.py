@@ -2,7 +2,7 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fatflats.hilbert import hilbert_poly_symbolic
@@ -12,7 +12,6 @@ from fatflats.polynomials import (
     binom,
     binom_poly,
     decimal_str,
-    expand_scaled,
     fraction_to_json,
     lagrange_interpolate,
     poly_divmod,
@@ -98,11 +97,19 @@ def test_lagrange_and_power_sums():
             assert p(m) == expected
 
 
+def expand_scaled(bp: BiPoly) -> list[list]:
+    """The c_i(x) of bp(m*x, m) = sum_i c_i(x) m^i (u = t, v = m), as
+    coefficient lists: a term t^a m^b lands in c_{a+b} at x^a."""
+    cs = [[F(0)] * (i + 1) for i in range(max(a + b for a, b in bp.terms) + 1)]
+    for (a, b), coef in bp.terms.items():
+        cs[a + b][a] = coef
+    return [UniPoly(c).to_json() for c in cs]
+
+
 def test_expand_scaled_frozen_points_case():
     # 6 * hilbert polynomial of four general fat points in P^3, multiplicity
     # symbolic: (t+3)(t+2)(t+1) - 4(m+2)(m+1)m regrouped under t = m*x
-    exp = expand_scaled(6 * hilbert_poly_symbolic(3, 0, 4))
-    assert [c.to_json() for c in exp.coeffs_in_m] == [
+    assert expand_scaled(6 * hilbert_poly_symbolic(3, 0, 4)) == [
         [6],
         [-8, 11],
         [-12, 0, 6],
@@ -111,45 +118,12 @@ def test_expand_scaled_frozen_points_case():
 
 
 def test_expand_scaled_frozen_lines_case():
-    exp = expand_scaled(6 * hilbert_poly_symbolic(3, 1, 6))
-    assert [c.to_json() for c in exp.coeffs_in_m] == [
+    assert expand_scaled(6 * hilbert_poly_symbolic(3, 1, 6)) == [
         [6],
         [-30, 11],
         [-18, -18, 6],
         [12, -18, 0, 1],
     ]
-
-
-def test_expand_scaled_plain_polynomial():
-    exp = expand_scaled(UniPoly([0, 1]))  # p = t
-    assert len(exp.coeffs_in_m) == 2
-    assert exp.coeffs_in_m[0].is_zero
-    assert exp.coeffs_in_m[1] == UniPoly([0, 1])
-
-
-@settings(max_examples=200)
-@given(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=7),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=-20, max_value=20),
-)
-def test_expand_scaled_reassembles(coeffs, m, t):
-    p = UniPoly(coeffs)
-    exp = expand_scaled(p)
-    assert exp(t, m) == p(t)
-
-
-@given(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=10),
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=0, max_value=24),
-)
-def test_expand_scaled_reassembles_symbolic(n, s, m, extra):
-    r = n // 3
-    bp = hilbert_poly_symbolic(n, r, s)
-    t = m + extra
-    assert expand_scaled(bp)(t, m) == bp(t, m)
 
 
 def test_bipoly_arithmetic_round_trip():

@@ -5,11 +5,9 @@ import pytest
 
 from fatflats import (
     LinearSystem,
-    UniPoly,
     bounds_report,
     e_certify,
     e_empirical,
-    expand_scaled,
     g_value,
     gamma_known_lookup,
     hyperplane_product_witness,
@@ -24,7 +22,6 @@ from fatflats.verifier import Violation
 # One factory per immutable result record; each call builds a fresh, equal record.
 RECORDS = {
     "SpecialRootRow": lambda: g_specials()[0],
-    "BiExpansion": lambda: expand_scaled(UniPoly([1, 2, 3])),
     "RatioWitness": lambda: e_empirical(3, 0, 4, 12),
     "ECertificate": lambda: e_certify(3, 0, 4, F(3, 2)),
     "GammaKnown": lambda: gamma_known_lookup(3, 0, 4),

@@ -17,7 +17,6 @@ from fatflats.roots import (
     refine,
     sign_at,
     sign_variations,
-    simplest_rational_in,
     sturm_chain,
 )
 
@@ -163,14 +162,6 @@ def test_sign_scan_oracle_on_separated_roots():
         assert exact == len(roots)
 
 
-def test_simplest_rational():
-    assert simplest_rational_in(F(19, 10), F(21, 10)) == 2
-    assert simplest_rational_in(F(28, 100), F(35, 100)) == F(1, 3)
-    assert simplest_rational_in(F(-1, 2), F(1, 3)) == 0
-    assert simplest_rational_in(F(-21, 10), F(-19, 10)) == -2
-    assert simplest_rational_in(F(5, 7), F(5, 7)) == F(5, 7)
-
-
 def test_refine_and_sign_at():
     p = UniPoly([-2, 0, 1])  # sqrt(2)
     root = isolate_largest_root(p, F(0), F(1, 100))
@@ -275,13 +266,14 @@ def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
 
 @st.composite
 def rational_roots_in_brackets(draw):
-    """(sf, lo, hi): sf squarefree with one root in (lo, hi], either k/lc
-    in a bracket narrower than 1/lc^2 (hi = k/lc at times) or a root in a
-    bracket of random width."""
+    """(sf, lo, hi, rational): sf squarefree with one root in (lo, hi],
+    either k/lc (rational) or an irrational root near it, in a bracket
+    narrower than 1/lc^2 (hi = the root at times) or of random width."""
     lc = draw(st.integers(1, 60))
     k = draw(st.integers(-5 * lc, 5 * lc))
     root = F(k, lc)
-    if draw(st.booleans()):
+    rational = draw(st.booleans())
+    if rational:
         factor = UniPoly([-k, lc])
     else:  # an irrational root near k/lc: lc x^2 - 2k x + k^2/lc - 1/(j lc)
         j = draw(st.integers(2, 10**6).filter(lambda v: isqrt(v) ** 2 != v))
@@ -298,26 +290,22 @@ def rational_roots_in_brackets(draw):
         t = F(draw(st.integers(1, 99)), 100)
         lo, hi = root - width * t, root + width * (1 - t)
     assume(count_roots_in(sf, lo, hi) == 1 and sf.sign(lo) != 0)
-    return sf, lo, hi
+    return sf, lo, hi, rational
 
 
 @settings(max_examples=300)
 @given(rational_roots_in_brackets())
-def test_exact_if_rational_matches_simplest_rational(case):
-    sf, lo, hi = case
+def test_exact_if_rational_finds_every_rational_root(case):
+    # a constructed rational root comes back as a point at every bracket
+    # width, and an irrational one keeps the caller's bracket
+    sf, lo, hi, rational = case
     got = exact_if_rational(sf, lo, hi)
     defining = sf.primitive()
-    lc = defining.coeffs[-1]
-    cand = simplest_rational_in(lo, hi)
-    if (hi - lo) * lc * lc < 1 or (hi - lo) * lc >= 1:
-        # the only brackets where the two tests can differ hold a simpler
-        # non-root rational beside k/lc, which needs a width >= 1/lc^2
-        if lo < cand <= hi and defining.sign(cand) == 0:
-            assert got == AlgebraicNumber(defining, cand, cand)
-        else:
-            assert got == AlgebraicNumber(defining, lo, hi)
-    if got.is_exact:
-        assert lo < got.value <= hi and sf(got.value) == 0
+    assert got.defining == defining
+    if rational:
+        assert got.is_exact and lo < got.value <= hi and sf(got.value) == 0
+    else:
+        assert (got.lo, got.hi) == (lo, hi)
 
 
 def test_exact_if_rational_one_candidate_examples():
@@ -326,10 +314,20 @@ def test_exact_if_rational_one_candidate_examples():
     got = exact_if_rational(UniPoly([-3, 7]), F(42, 100), F(51, 100))
     assert got.is_exact and got.value == F(3, 7)
     wide = exact_if_rational(UniPoly([-3, 7]), F(2, 10), F(51, 100))
-    assert not wide.is_exact  # wider than 1/7: the simplest rational, 1/2, decides
+    assert wide.is_exact and wide.value == F(3, 7)  # bisected below 1/14 first
     # x (x^2 - 10x + 1): the candidate k = 0 is the root at lo, outside (lo, hi]
     low = exact_if_rational(UniPoly([0, 1, -10, 1]), F(0), F(1, 5))
     assert not low.is_exact
+
+
+def test_rational_root_far_below_the_bracket_width_is_exact():
+    # a 1e-12 bracket holds about ten multiples of 1/10^13
+    got = isolate_largest_root(UniPoly([-7, 10**13]), 0)
+    assert got.is_exact and got.value == F(7, 10**13)
+    p = UniPoly([-7, 10**13]) * UniPoly([1, 0, 1])
+    assert isolate_largest_root(p, 0, F(1)).value == F(7, 10**13)
+    irrational = isolate_largest_root(p * UniPoly([-2, 0, 1]), 0, F(1, 2))  # sqrt(2)
+    assert not irrational.is_exact and irrational.hi - irrational.lo <= F(1, 2)
 
 
 def test_sturm_chain_shape():
