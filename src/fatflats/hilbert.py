@@ -9,10 +9,13 @@ degrees t >= m such vanishing imposes exactly
 independent conditions.  The count depends on the family (n, r) only, and
 ``family(n, r)`` builds it once, in integers, as n! * c with both t and m
 left free; every count below is an evaluation of that object, O(n * r) for
-any m.  At a fixed m the degrees t >= m with a positive Hilbert value
-form a half-line (``Family.first_positive``), so the least of them below a
-bound is one Hilbert value plus a bisection.  This module also provides
-an independent monomial-enumeration oracle for the count, the Hilbert
+any m.  The family also tabulates its rows in t (n! * c at one m, integer
+coefficients in t) for m = 0..64 once, when it is built, so the scans read
+a stored row per m; beyond the table a row is r + 1 Horner evaluations in
+m, and the table never grows.  At a fixed m the degrees t >= m with a
+positive Hilbert value form a half-line (``Family.first_positive``), so
+the least of them below a bound is one Hilbert value plus a bisection.
+This module also provides an independent monomial-enumeration oracle for the count, the Hilbert
 function of a single fat flat via the iterated-summation recursion,
 Hilbert polynomials of unions with uniform or mixed multiplicities
 (including a fully symbolic variant where the multiplicity stays a formal
@@ -31,6 +34,7 @@ from typing import Callable, Sequence
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
 ORACLE_GUARD = 10**7
+_TABLED_M = 64  # Family rows stored for m = 0.._TABLED_M: e_empirical's default m_max is 60
 
 
 def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
@@ -85,11 +89,14 @@ class Family:
     equals the count at all integers m >= 0, t >= m - r - 1.  s enters the
     Hilbert polynomial P = C(t + n, n) - s * c only as a factor, so one
     object serves every s; ``along`` restricts n! * (P - 1) to a lattice
-    line of (t, m).  Immutable by convention; use the cached
-    ``family(n, r)`` rather than building one.
+    line of (t, m).  ``rows[m]`` is ``count_in_t(m)`` stored for
+    m = 0.._TABLED_M, built with the family, and rows beyond it are
+    evaluated from ``counts`` on demand, so the object has a fixed size.
+    Immutable by convention; use the cached ``family(n, r)`` rather than
+    building one.
     """
 
-    __slots__ = ("n", "r", "scale", "counts")
+    __slots__ = ("n", "r", "scale", "counts", "rows")
 
     def __init__(self, n: int, r: int):
         """Build from exact counts by interpolation.
@@ -110,10 +117,13 @@ class Family:
         counts = [_interpolate([row[a] for row in in_t], 1)[: n + 1 - a] for a in range(r + 1)]
         self.n, self.r, self.scale = n, r, scale
         self.counts = tuple(map(tuple, counts))
+        self.rows = tuple(tuple(_horner(row, m) for row in self.counts) for m in range(_TABLED_M + 1))
 
-    def count_in_t(self, m: int) -> list[int]:
+    def count_in_t(self, m: int) -> tuple[int, ...]:
         """n! * c(n, r; t, m) at this m, as integer coefficients in t."""
-        return [_horner(row, m) for row in self.counts]
+        if 0 <= m <= _TABLED_M:
+            return self.rows[m]
+        return tuple(_horner(row, m) for row in self.counts)
 
     def count(self, m: int, t: int) -> int:
         """c(n, r; t, m) for t >= m - r - 1; callers validate."""
@@ -150,6 +160,13 @@ class Family:
         if not positive(stop - 1):
             return None
         return _least_holding(positive, m - 1, stop - 1)
+
+    def ray_leading(self, s: int, p: int, q: int) -> int:
+        """q^n * n! * lambda(p/q) for s flats: the coefficient of k^n in
+        ``along(s, q, 0, p, 0)``, read off the top-degree terms t^a m^(n-a)
+        of n! * P alone, without building the ray."""
+        n = self.n
+        return p**n - s * sum(row[n - a] * p**a * q ** (n - a) for a, row in enumerate(self.counts))
 
     def along(self, s: int, q: int, j: int, p: int, c: int) -> UniPoly:
         """n! * (P_m(t) - 1) for s flats along m = q*k + j, t = p*k + c, in k.

@@ -12,7 +12,9 @@ matters, and along a lattice line of (t, m) the polynomial n! * (P - 1) is
 one integer polynomial in the line's parameter (``Family.along``):
 
   1. m_threshold is the least M such that n! * (P - 1) < 0 along the ray
-     t = m*p/q at every real m >= M;
+     t = m*p/q at every real m >= M.  A candidate above g is refused first
+     by one sign: the ray's top coefficient, q^n * n! * lambda(p/q), read
+     off the family's top-degree terms (``Family.ray_leading``);
   2. for m >= M, the largest t below m*p/q lies on one of q lattice lines,
      one per residue of m mod q, and each line is < 0 from M on;
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
@@ -154,9 +156,13 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
       threshold: along the ray (t, m) = (p*k, q*k), n! * (P - 1) is
         ``ray = Family.along(s, q, 0, p, 0)``, q^n * ray(m/q) the nonconstant
-        part of n! * P(m * candidate) at scale q^n; m_threshold is the least
-        m >= 1 with ray < 0 at every real k >= m/q, one more than the floor
-        of q times the ray's largest root;
+        part of n! * P(m * candidate) at scale q^n.  Its k^n coefficient
+        q^n * n! * lambda(p/q) is read first off the family's top-degree
+        terms (``Family.ray_leading``): when it is positive the candidate
+        lies above g and is refused without building the ray.  Otherwise
+        m_threshold is the least m >= 1 with ray < 0 at every real
+        k >= m/q, one more than the floor of q times the ray's largest
+        root;
       cover: for m = q*k + j >= m_threshold, the largest t below m * p/q is
         p*k + ceil(j*p/q) - 1; along each of the q lines j = 0..q-1,
         n! * (P - 1) must be < 0 at every real k >= k_j, the least k with
@@ -192,9 +198,10 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
     p, q = candidate.numerator, candidate.denominator
 
-    # threshold: the least m >= 1 from which the ray stays negative, on one Sturm chain
-    ray = fam.along(s, q, 0, p, 0)
-    if ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
+    # threshold: the least m >= 1 from which the ray stays negative, on one Sturm chain;
+    # a positive k^n coefficient refuses the candidate before the ray is built
+    ray = None if fam.ray_leading(s, p, q) > 0 else fam.along(s, q, 0, p, 0)
+    if ray is None or ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
     chain = sturm_chain(ray)
     m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q), chain), 0)

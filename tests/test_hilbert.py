@@ -276,7 +276,7 @@ def _scan_cases(draw):
     s = draw(st.integers(min_value=1, max_value=20))
     r_max = n - 1 if s == 1 else (n - 1) // 2
     r = draw(st.integers(min_value=0, max_value=r_max))
-    m = draw(st.integers(min_value=1, max_value=60))
+    m = draw(st.integers(min_value=1, max_value=hilbert._TABLED_M + 20))  # across the table end
     # stop at or below m (an empty range), just above it, or far past it
     offset = draw(
         st.one_of(
@@ -425,6 +425,35 @@ def test_family_counts_are_integer_polynomials_of_degree_n():
             assert len(fam.counts) == r + 1
             assert all(len(row) == n + 1 - a for a, row in enumerate(fam.counts))
             assert all(type(c) is int for row in fam.counts for c in row)
+
+
+def test_family_rows_are_horner_on_counts_across_the_table_end():
+    end = hilbert._TABLED_M
+    for n in range(1, 13):
+        for r in range(n):
+            fam = family(n, r)
+            assert type(fam.rows) is tuple and len(fam.rows) == end + 1
+            assert all(type(row) is tuple for row in fam.rows)
+            for m in range(end + 11):
+                want = tuple(hilbert._horner(row, m) for row in fam.counts)
+                assert fam.count_in_t(m) == want, (n, r, m)
+                assert (m <= end) == (fam.count_in_t(m) is fam.rows[min(m, end)])
+
+
+def test_counts_agree_with_the_oracle_on_both_sides_of_the_table_end():
+    end = hilbert._TABLED_M
+    for n in (2, 3):
+        for r in range(n):
+            for m in (end - 1, end, end + 1, end + 2):
+                assert conditions_count(n, r, m, m) == conditions_count_oracle(n, r, m, m), (n, r, m)
+            assert conditions_count(n, r, end + 1, end + 3) == conditions_count_oracle(n, r, end + 1, end + 3)
+
+
+def test_a_huge_multiplicity_leaves_the_table_as_built():
+    fam = family(3, 1)
+    rows = fam.rows
+    assert conditions_count(3, 1, 10**12, 10**12) == conditions_count_lines(3, 10**12, 10**12)
+    assert fam.rows is rows and len(fam.rows) == hilbert._TABLED_M + 1
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatflats.asymptotic import lambda_poly
+from fatflats.asymptotic import g_value, lambda_poly
 from fatflats.hilbert import conditions_count, family
 from fatflats.polynomials import UniPoly, binom
 from fatflats.waldschmidt import (
@@ -428,6 +428,56 @@ def _grid_lines():
         except CertificationError as exc:
             outcome = {"step": exc.step, "detail": exc.detail}
         yield json.dumps(outcome, sort_keys=True)
+
+
+def test_ray_leading_is_the_rays_top_coefficient_on_the_grid():
+    # every p/q in [1, 4] with q <= 12: the sign that refuses a candidate
+    # early is the sign the ray's own leading coefficient would give
+    ratios = {F(p, q) for q in range(1, 13) for p in range(q, 4 * q + 1)}
+    for n, r, s in GRID:
+        fam = family(n, r)
+        for x in ratios:
+            p, q = x.numerator, x.denominator
+            ray = fam.along(s, q, 0, p, 0)
+            top = fam.ray_leading(s, p, q)
+            assert (top > 0) == (ray.degree == n and ray.leading > 0), (n, r, s, x)
+            assert top == (ray.nums[n] if ray.degree == n else 0), (n, r, s, x)
+
+
+@pytest.mark.parametrize(
+    "config, candidate, rays",
+    [
+        ((2, 0, 4), F(2), 1),  # the six rational e = g: lambda(e) = 0, so the ray is built
+        ((2, 0, 9), F(3), 1),
+        ((3, 0, 8), F(2), 1),
+        ((3, 1, 2), F(2), 1),
+        ((5, 2, 2), F(2), 1),
+        ((7, 3, 2), F(2), 1),
+        ((3, 1, 6), F(4), 0),  # above g ~ 3.8588: refused before the ray
+    ],
+)
+def test_threshold_refusal_builds_the_ray_only_when_lambda_is_not_positive(
+    monkeypatch, config, candidate, rays
+):
+    from fatflats.hilbert import Family
+
+    n, r, s = config
+    g = g_value(n, r, s)
+    assert (g.is_exact and g.value == candidate) == (rays == 1)
+    along, built = Family.along, []
+
+    def counting(self, *args):
+        built.append(args)
+        return along(self, *args)
+
+    monkeypatch.setattr(Family, "along", counting)
+    with pytest.raises(CertificationError) as err:
+        e_certify(n, r, s, candidate)
+    assert (err.value.step, err.value.detail) == (
+        "threshold",
+        "nonconstant part does not tend to -infinity at the candidate",
+    )
+    assert built == [(s, candidate.denominator, 0, candidate.numerator, 0)] * rays
 
 
 def test_whole_grid_bytes():
