@@ -25,9 +25,7 @@ from .roots import (
     sign_at,
 )
 from .hilbert import (
-    alpha2_points_expected,
-    alpha_lines_general,
-    alpha_points_general,
+    alpha_expected,
     conditions_count,
     conditions_count_lines,
     conditions_count_oracle,
@@ -77,7 +75,7 @@ from .blowup import (
 )
 from .verifier import (
     NosymetryReport,
-    analytic_branch_check,
+    analytic_branch_holds,
     identities_report,
     nosymetry_bounds,
     nosymetry_enumerate,

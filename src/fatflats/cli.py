@@ -31,9 +31,7 @@ from .cremona import (
     verify_gamma_points_case,
 )
 from .hilbert import (
-    alpha2_points_expected,
-    alpha_lines_general,
-    alpha_points_general,
+    alpha_expected,
     conditions_count,
     conditions_count_oracle,
     hilbert_poly_mixed,
@@ -308,21 +306,17 @@ def _cmd_gamma_points(args):
     return report, [f"gamma({args.n}, {args.s} points) = {fraction_to_json(value)}"], 0
 
 
+_ALPHA_KINDS = {"points": (0, 1), "points2": (0, 2), "lines": (1, 1)}  # kind -> (r, m)
+
+
 def _cmd_alpha(args):
-    if args.kind == "points":
-        value = alpha_points_general(args.n, args.s)
-        note = None
-    elif args.kind == "points2":
-        value = alpha2_points_expected(args.n, args.s)
-        note = "expected value; exceptions exist"
-    else:
-        value = alpha_lines_general(args.n, args.s)
-        note = None
+    r, m = _ALPHA_KINDS[args.kind]
+    value = alpha_expected(args.n, r, args.s, m)
     report = {"kind": args.kind, "n": args.n, "s": args.s, "alpha": value}
     lines = [f"alpha = {value}"]
-    if note:
-        report["note"] = note
-        lines.append(note)
+    if m > 1:
+        report["note"] = "expected value; exceptions exist"
+        lines.append(report["note"])
     return report, lines, 0
 
 

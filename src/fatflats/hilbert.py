@@ -14,13 +14,13 @@ coefficients in t) for m = 0..64 once, when it is built, so the scans read
 a stored row per m; beyond the table a row is r + 1 Horner evaluations in
 m, and the table never grows.  At a fixed m the degrees t >= m with a
 positive Hilbert value form a half-line (``Family.first_positive``), so
-the least of them below a bound is one Hilbert value plus a bisection.
+the least of them below a bound is one Hilbert value plus a bisection, and
+the least of them at all (``alpha_expected``) a doubling search and a bisection.
 This module also provides an independent monomial-enumeration oracle for the count, the Hilbert
-function of a single fat flat via the iterated-summation recursion,
+function of a single fat flat via the iterated-summation recursion, and
 Hilbert polynomials of unions with uniform or mixed multiplicities
 (including a fully symbolic variant where the multiplicity stays a formal
-variable, kept as an independent cross-check of the family), and the
-closed-form initial-degree formulas for general points and lines.
+variable, kept as an independent cross-check of the family).
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ ORACLE_GUARD = 10**7
 _TABLED_M = 64  # Family rows stored for m = 0.._TABLED_M: e_empirical's default m_max is 60
 
 
-def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
-    """Validate (n, r, s) and, when given, the multiplicity m.
+def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None, t: int | None = None) -> None:
+    """Validate (n, r, s) and, when given, the multiplicity m and the degree t.
 
     Requires 0 <= r < n, s >= 1, n >= 2r+1 once s >= 2 (two or more disjoint
-    r-flats only fit in P^n when n >= 2r+1), and m >= 1.
+    r-flats only fit in P^n when n >= 2r+1), m >= 1 and t >= m (below m the
+    count formula counts no conditions, so it is not extrapolated there).
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got n={n}")
@@ -53,6 +54,8 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None) -> None:
         raise ValueError(f"disjointness needs n >= 2r+1, got n={n}, r={r}")
     if m is not None and m < 1:
         raise ValueError(f"multiplicity must be >= 1, got m={m}")
+    if t is not None and t < m:
+        raise ValueError(f"the count requires t >= m, got t={t}, m={m}")
 
 
 def _horner(coeffs: Sequence[int], x: int) -> int:
@@ -194,15 +197,10 @@ def family(n: int, r: int) -> Family:
 
 
 def conditions_count(n: int, r: int, m: int, t: int) -> int:
-    """Independent conditions imposed on degree-t forms by order-m vanishing.
-
-    Only valid for t >= m; below that the formula does not count conditions,
-    so smaller t is rejected rather than extrapolated.  One evaluation of
-    the cached family, O(n * r) for any m.
+    """Independent conditions imposed on degree-t forms by order-m vanishing,
+    for t >= m.  One evaluation of the cached family, O(n * r) for any m.
     """
-    check_flat_domain(n, r, m=m)
-    if t < m:
-        raise ValueError(f"conditions_count requires t >= m, got t={t}, m={m}")
+    check_flat_domain(n, r, m=m, t=t)
     return family(n, r).count(m, t)
 
 
@@ -212,9 +210,7 @@ def conditions_count_oracle(n: int, r: int, m: int, t: int) -> int:
     Counts degree-t monomials in x_0..x_n whose total exponent on the last
     n - r variables is < m.  Enumerates C(t + n, n) <= ``ORACLE_GUARD``.
     """
-    check_flat_domain(n, r, m=m)
-    if t < m:
-        raise ValueError(f"conditions_count_oracle requires t >= m, got t={t}, m={m}")
+    check_flat_domain(n, r, m=m, t=t)
     if comb(t + n, n) > ORACLE_GUARD:
         raise ValueError(f"enumeration of C({t + n},{n}) monomials exceeds guard {ORACLE_GUARD}")
     count = 0
@@ -234,9 +230,7 @@ def conditions_count_oracle(n: int, r: int, m: int, t: int) -> int:
 
 def conditions_count_lines(n: int, m: int, t: int) -> int:
     """Closed form of the condition count for a line (r = 1)."""
-    check_flat_domain(n, 1, m=m)
-    if t < m:
-        raise ValueError(f"conditions_count_lines requires t >= m, got t={t}, m={m}")
+    check_flat_domain(n, 1, m=m, t=t)
     return (t + 1) * binom(m + n - 2, n - 1) - (n - 1) * binom(m + n - 2, n)
 
 
@@ -341,38 +335,30 @@ def _least_holding(holds: Callable[[int], bool], lo: int, hi: int | None = None)
     return hi
 
 
-def alpha_points_general(n: int, s: int) -> int:
-    """Initial degree of the ideal of s general points in P^n."""
-    check_flat_domain(n, 0, s)
-    return _least_holding(lambda t: comb(t + n, n) > s, 0)
+def alpha_expected(n: int, r: int, s: int, m: int) -> int:
+    """The expected initial degree of s fat r-flats of multiplicity m in P^n:
+    the least t >= m with P_m(t) > 0.
 
-
-def alpha2_points_expected(n: int, s: int) -> int:
-    """Expected initial degree of the square of the ideal of s general points.
-
-    This is the count-based value min{t : C(t+n, n) - s(n+1) > 0}; finitely
-    many configurations are known exceptions, so callers should treat the
-    result as expected rather than proven.
+    The positive t >= m form a half-line (the lemma of
+    ``Family.first_positive``), so a doubling search plus a bisection finds
+    it in about 2 * log2(t) + 1 Hilbert values.  At m = 1 it is the actual
+    initial degree for general points and, by Hartshorne-Hirschowitz, for
+    general lines; for m >= 2 it is only expected (s = 2 points in P^2 at
+    m = 2 is a known exception).
     """
-    check_flat_domain(n, 0, s)
-    return _least_holding(lambda t: comb(t + n, n) > s * (n + 1), 0)
+    check_flat_domain(n, r, s, m)
+    fam = family(n, r)
+    return _least_holding(lambda t: fam.hilbert_value(s, m, t) > 0, m - 1)
 
 
-def alpha_lines_general(n: int, s: int) -> int:
-    """Initial degree of the ideal of s general lines in P^n, validated as
-    1-flats (n >= 3 once s >= 2, so one line in P^2 too).
-
-    C(t + n, n) / (t + 1) grows with t for n >= 2, so the positive values
-    of C(t + n, n) - s * (t + 1) form a half-line.
-    """
-    check_flat_domain(n, 1, s)
-    return _least_holding(lambda t: comb(t + n, n) > s * (t + 1), 0)
+def _check_sum_args(a: int, m: int) -> None:
+    if a < 0 or m < 1:
+        raise ValueError("need a >= 0 and m >= 1")
 
 
 def identity_sum_binom(a: int, m: int) -> tuple[int, int]:
     """(sum_{0<=i<m} C(i+a, a), C(m+a, a+1)): summation vs closed form."""
-    if a < 0 or m < 1:
-        raise ValueError("need a >= 0 and m >= 1")
+    _check_sum_args(a, m)
     lhs = sum(binom(i + a, a) for i in range(m))
     rhs = binom(m + a, a + 1)
     return lhs, rhs
@@ -380,8 +366,7 @@ def identity_sum_binom(a: int, m: int) -> tuple[int, int]:
 
 def identity_sum_i_binom(a: int, m: int) -> tuple[int, int]:
     """(sum_{0<=i<m} i*C(i+a, a), (a+1)*C(m+a, a+2)): summation vs closed form."""
-    if a < 0 or m < 1:
-        raise ValueError("need a >= 0 and m >= 1")
+    _check_sum_args(a, m)
     lhs = sum(i * binom(i + a, a) for i in range(m))
     rhs = (a + 1) * binom(m + a, a + 2)
     return lhs, rhs

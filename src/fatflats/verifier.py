@@ -20,8 +20,8 @@ with g's certified bracket [a/q, b/q] of width 1e-18: the caps come from
 bound midpoints certified to within 5e-7, and a ratio test d*s/total < g
 holds when d*s*q < total*a and fails when d*s*q >= total*b.  A comparison
 the bracket cannot decide raises rather than guesses.  For s >= 13 the
-analytic branch rests on two polynomial positivity checks that are
-verified directly.
+analytic branch rests on two polynomial positivity facts, each proved for
+every s at once by one exact root count of a polynomial in s.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .asymptotic import g_value, lambda_poly, lambda_poly_via_leading, tower_che
 from .blowup import alt_sum_one, alt_sum_zero, identity_check
 from .cremona import LinearSystem, cremona_transform
 from .hilbert import (
-    alpha_lines_general,
+    alpha_expected,
     conditions_count,
     conditions_poly,
     hilbert_poly_mixed,
@@ -43,10 +43,11 @@ from .hilbert import (
     identity_sum_binom,
     identity_sum_i_binom,
 )
-from .polynomials import binom, decimal_str
+from .polynomials import UniPoly, binom, decimal_str
 from .roots import AlgebraicNumber, _bracket
 from .waldschmidt import (
     CertificationError,
+    _negative_from,
     bounds_report,
     e_certify,
     e_empirical,
@@ -338,24 +339,26 @@ def nosymetry_enumerate(s: int, threads: int = 1) -> NosymetryReport:
     )
 
 
-def analytic_branch_check(s: int) -> bool:
-    """The two positivity facts behind the s >= 13 branch, checked exactly.
+def _branch_poly(c: Fraction) -> UniPoly:
+    """6 * lambda(3, 1, s)(c * s) / s as a polynomial in s.  lambda is affine in s:
+    6 * lambda_s = A - s * B with B = 6 * (lambda_1 - lambda_2), A = 6 * lambda_1 + B."""
+    lam1, lam2 = lambda_poly(3, 1, 1), lambda_poly(3, 1, 2)
+    b = 6 * (lam1 - lam2)
+    a_at, b_at = ([x * c**k for k, x in enumerate(poly.coeffs)] for poly in (6 * lam1 + b, b))
+    return UniPoly(a_at[1:]) - UniPoly(b_at)  # A = tau^3 has no constant term
 
-    Positivity of the scaling-limit polynomial at s/2 pins g below s/2
-    (valid from s = 11), and at 5s/11 pins 11g below 5s (valid from s = 13).
-    """
-    lam = lambda_poly(3, 1, s)
-    ok = True
-    if s >= 11:
-        ok = ok and lam(Fraction(s, 2)) > 0
-    if s >= 13:
-        ok = ok and lam(Fraction(5 * s, 11)) > 0
-    return ok
+
+def analytic_branch_holds() -> bool:
+    """lambda(3, 1, s) > 0 at s/2 for every s >= 11 (so g < s/2) and at 5s/11 for
+    every s >= 13 (so 11g < 5s), the facts behind the s >= 13 branch: each by one
+    sign of ``_branch_poly`` at its least s and one Sturm count above it."""
+    least_s = {Fraction(1, 2): 11, Fraction(5, 11): 13}
+    return all(_negative_from(-_branch_poly(c), Fraction(least)) for c, least in least_s.items())
 
 
 def identities_report(seed: int) -> dict:
     """Identity sweeps, seeded spot checks (Hilbert expansion, Cremona
-    involution) and the analytic branch for 13 <= s <= 40; each failure is named."""
+    involution) and the analytic branch for every s >= 13; each failure is named."""
     import random  # only this report draws, so other commands skip the import
 
     rng = random.Random(seed)
@@ -409,9 +412,8 @@ def identities_report(seed: int) -> dict:
         twice, c2 = cremona_transform(once, idx)
         if twice != system or c2 != -c1:
             failures.append(f"involution({system.format()})")
-    for s in range(13, 41):
-        if not analytic_branch_check(s):
-            failures.append(f"analytic-branch(s={s})")
+    if not analytic_branch_holds():
+        failures.append("analytic-branch")
 
     return {"seed": seed, "checks": "identities", "failures": failures, "ok": not failures}
 
@@ -513,7 +515,7 @@ def _replay_five_lines() -> ReplayReport:
     for s, value in expected.items():
         known = gamma_known_lookup(3, 1, s)
         rows.append(_assert_eq(f"gamma(3,1,{s})", value, known.value if known else None))
-    rows.append(_assert_eq("alpha of 3 lines", 2, alpha_lines_general(3, 3)))
+    rows.append(_assert_eq("alpha of 3 lines", 2, alpha_expected(3, 1, 3, 1)))
     rows.append(
         _assert_eq("P(3,1,(1,1,1,0,0))(2) > 0", True, hilbert_poly_mixed(3, 1, (1, 1, 1, 0, 0))(2) > 0)
     )

@@ -23,7 +23,8 @@ one integer polynomial in the line's parameter (``Family.along``):
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the ray and the lines come from it without any
 symbolic expansion, and so do single Hilbert values, at O(n * r) each
-whatever m is.  Both (t, m) scans ask the family, one m at a
+whatever m is.  Past the expected initial degree at m = 1
+(``hilbert.alpha_expected``), both (t, m) scans ask the family, one m at a
 time, for the least t in [m, stop) with P_m(t) > 0
 (``Family.first_positive``).  At a fixed m the positive t >= m form a
 half-line, so that is one Hilbert value at stop - 1, plus a bisection only
@@ -37,7 +38,8 @@ is why the certificate's polynomials are n! * (P - 1), with the constant
 term carried along exactly rather than dropped.  Known Waldschmidt
 constants (closed forms for few general points, table values for few
 general lines) are exposed with source tags, and ``bounds_report``
-assembles the certified chain gamma <= e <= g.
+assembles the certified chain gamma <= e <= g, reading lambda's sign off
+the family too.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from fractions import Fraction
 from math import ceil
 from typing import NamedTuple, Optional
 
-from .asymptotic import g_value, lambda_poly
-from .hilbert import _least_holding, check_flat_domain, family
+from .asymptotic import g_value
+from .hilbert import _least_holding, alpha_expected, check_flat_domain, family
 from .polynomials import UniPoly, fraction_to_json
 from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in, sturm_chain
 
@@ -68,12 +70,8 @@ class RatioWitness(NamedTuple):
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    At m = 1, t ranges from 1 up to n * (s - 1) + 1, where P is positive:
-    P_1(t) = C(t + n, n) - s * C(t + r, r), and for r < n the ratio
-    C(t + n, n) / C(t + r, r) is at least
-    C(t + n, n) / C(t + n - 1, n - 1) = (t + n) / n, which exceeds s once
-    t > n * (s - 1).
-    Every later m takes t only while t/m stays below the best ratio so far
+    m = 1 is the expected initial degree (``alpha_expected``).  Every later
+    m takes t only while t/m stays below the best ratio so far
     (t * best.m < best.t * m); larger t cannot improve the infimum
     estimate, and equal ratios keep the earlier, smaller m.  Each m is one
     ``Family.first_positive`` call on [m, stop), empty when stop <= m.
@@ -82,7 +80,7 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    t = fam.first_positive(s, 1, n * (s - 1) + 2)
+    t = alpha_expected(n, r, s, 1)
     best = RatioWitness(t, 1, fam.hilbert_value(s, 1, t))
     for m in range(2, m_max + 1):
         stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
@@ -294,8 +292,8 @@ class BoundsReport:
 
     When ``e_certified`` is false, ``e`` is only the least ratio realized in
     the finite search, an upper estimate of the true infimum; it may then
-    legitimately sit above g (the infimum need not be attained), so the
-    exact ``e <= g`` assertion applies to certified values only.
+    legitimately sit above g (the infimum need not be attained), so
+    ``e <= g`` is guaranteed for certified values only.
     """
 
     n: int
@@ -333,10 +331,11 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     """Assemble gamma (when known), e (certified when possible), and g.
 
     The assertable parts of the ordering gamma <= e <= g are checked with
-    exact arithmetic (the sign of the scaling-limit polynomial decides
-    position relative to g); a violation would be a genuine contradiction
-    and raises.  For an uncertified e only gamma <= e and gamma <= g are
-    hard facts; the report records whether e <= g held.
+    exact arithmetic: the sign of lambda(p/q), that of
+    ``Family.ray_leading``, decides position relative to g.  A violation
+    would be a genuine contradiction and raises.  A certified e is never
+    above g, since ``e_certify`` refuses a positive ``ray_leading``; for an
+    uncertified e the report records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
     witness = e_empirical(n, r, s, m_max)
@@ -347,18 +346,16 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     except CertificationError:
         certified = False
     g = g_value(n, r, s)
-    lam = lambda_poly(n, r, s)
+    fam = family(n, r)
 
     if gamma is not None and gamma.exact:
         if gamma.value > e:
             raise ArithmeticError(
                 f"chain violation: gamma {gamma.value} > e {e} at (n={n}, r={r}, s={s})"
             )
-        if lam(gamma.value) > 0:
+        if fam.ray_leading(s, gamma.value.numerator, gamma.value.denominator) > 0:
             raise ArithmeticError(
                 f"chain violation: gamma {gamma.value} > g at (n={n}, r={r}, s={s})"
             )
-    e_below_g = lam(e) <= 0
-    if certified and not e_below_g:
-        raise ArithmeticError(f"chain violation: certified e {e} > g at (n={n}, r={r}, s={s})")
+    e_below_g = fam.ray_leading(s, e.numerator, e.denominator) <= 0
     return BoundsReport(n, r, s, gamma, e, certified, witness, g, e_below_g)

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from fatflats import hilbert
 from fatflats.hilbert import (
-    alpha2_points_expected,
-    alpha_lines_general,
-    alpha_points_general,
+    alpha_expected,
     check_flat_domain,
     conditions_count,
     conditions_count_lines,
@@ -170,14 +168,14 @@ def test_symbolic_specializes_to_uniform():
 
 
 def test_alpha_closed_forms():
-    assert alpha_lines_general(3, 3) == 2
-    assert alpha_lines_general(3, 6) == 4
-    assert alpha_lines_general(3, 1) == 1
-    assert alpha_points_general(2, 5) == 2
-    assert alpha_points_general(7, 1) == 1
+    assert alpha_expected(3, 1, 3, 1) == 2
+    assert alpha_expected(3, 1, 6, 1) == 4
+    assert alpha_expected(3, 1, 1, 1) == 1
+    assert alpha_expected(2, 0, 5, 1) == 2
+    assert alpha_expected(7, 0, 1, 1) == 1
     # the stated count formula; this instance is one of the known exceptions,
     # so the true value (2) differs from the expected one computed here
-    assert alpha2_points_expected(2, 2) == 3
+    assert alpha_expected(2, 0, 2, 2) == 3
 
 
 def _walk(holds, t):
@@ -188,12 +186,23 @@ def _walk(holds, t):
 
 
 def test_alpha_searches_match_a_linear_walk():
+    # the closed counts: one condition per point, n + 1 per double point, t + 1 per line
     for n in range(1, 8):
         for s in range(1, 300):
-            assert alpha_points_general(n, s) == _walk(lambda t: comb(t + n, n) - s > 0, 1)
-            assert alpha2_points_expected(n, s) == _walk(lambda t: comb(t + n, n) - s * (n + 1) > 0, 1)
+            assert alpha_expected(n, 0, s, 1) == _walk(lambda t: comb(t + n, n) - s > 0, 1)
+            assert alpha_expected(n, 0, s, 2) == _walk(lambda t: comb(t + n, n) - s * (n + 1) > 0, 1)
             if n >= 3:
-                assert alpha_lines_general(n, s) == _walk(lambda t: comb(n + t, n) - s * (t + 1) > 0, 1)
+                assert alpha_expected(n, 1, s, 1) == _walk(lambda t: comb(n + t, n) - s * (t + 1) > 0, 1)
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (4, 1), (5, 1), (5, 2), (6, 2)])
+def test_alpha_expected_matches_a_walk_over_the_oracle(n, r):
+    # fat lines and planes, which no closed count covered: the least t >= m
+    # with C(t + n, n) > s * c, the count enumerated monomial by monomial
+    for m in (2, 3):
+        for s in range(1, 7):
+            walked = _walk(lambda t: comb(t + n, n) > s * conditions_count_oracle(n, r, m, t), m)
+            assert alpha_expected(n, r, s, m) == walked, (n, r, s, m)
 
 
 def test_least_positive_degree_search_is_logarithmic(monkeypatch):
@@ -210,7 +219,7 @@ def test_least_positive_degree_search_is_logarithmic(monkeypatch):
         return search(holds_counted, *bounds)
 
     monkeypatch.setattr(hilbert, "_least_holding", counted)
-    t = alpha_lines_general(3, 10**21)
+    t = alpha_expected(3, 1, 10**21, 1)
     assert t == 77459666922
     assert comb(t + 3, 3) > 10**21 * (t + 1) and comb(t + 2, 3) <= 10**21 * t
     assert calls <= 2 * log2(t) + 8
@@ -218,19 +227,21 @@ def test_least_positive_degree_search_is_logarithmic(monkeypatch):
 
 def test_points_helpers_validate_as_flats():
     with pytest.raises(ValueError, match="number of flats"):
-        alpha_points_general(3, 0)
+        alpha_expected(3, 0, 0, 1)
     with pytest.raises(ValueError, match="ambient dimension"):
-        alpha2_points_expected(0, 4)
+        alpha_expected(0, 0, 4, 2)
+    with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+        alpha_expected(3, 0, 4, 0)
 
 
 def test_lines_helper_validates_as_flats():
-    assert alpha_lines_general(2, 1) == 1  # one line in P^2 is cut out by one linear form
+    assert alpha_expected(2, 1, 1, 1) == 1  # one line in P^2 is cut out by one linear form
     with pytest.raises(ValueError, match="disjointness needs n >= 2r"):
-        alpha_lines_general(2, 2)
+        alpha_expected(2, 1, 2, 1)
     with pytest.raises(ValueError, match="flat dimension must satisfy"):
-        alpha_lines_general(1, 1)
+        alpha_expected(1, 1, 1, 1)
     with pytest.raises(ValueError, match="number of flats"):
-        alpha_lines_general(3, 0)
+        alpha_expected(3, 1, 0, 1)
 
 
 def test_identity_sums():
@@ -494,3 +505,19 @@ def test_conditions_lines_validates_through_the_domain_check():
         conditions_count_lines(3, 0, 3)
     with pytest.raises(ValueError, match="requires t >= m"):
         conditions_count_lines(3, 4, 3)
+
+
+def test_one_validator_rejects_t_below_m():
+    for count in (conditions_count, conditions_count_oracle):
+        with pytest.raises(ValueError, match="requires t >= m"):
+            count(3, 1, 4, 3)
+    with pytest.raises(ValueError, match="requires t >= m"):
+        check_flat_domain(3, 1, m=4, t=3)
+    check_flat_domain(3, 1, m=4, t=4)
+
+
+def test_identity_sums_share_one_check():
+    for identity in (identity_sum_binom, identity_sum_i_binom):
+        for a, m in ((-1, 2), (2, 0)):
+            with pytest.raises(ValueError, match="need a >= 0 and m >= 1"):
+                identity(a, m)

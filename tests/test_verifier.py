@@ -14,11 +14,12 @@ from fatflats.polynomials import UniPoly, binom
 from fatflats.roots import AlgebraicNumber, refine, sign_at
 from fatflats.verifier import (
     Violation,
+    _branch_poly,
     _cap,
     _high_ends,
     _midpoint,
     _scan_region,
-    analytic_branch_check,
+    analytic_branch_holds,
     identities_report,
     nosymetry_bounds,
     nosymetry_enumerate,
@@ -27,6 +28,7 @@ from fatflats.verifier import (
     two_line_overlap_factored,
     two_line_overlap_value,
 )
+from fatflats.waldschmidt import _negative_from
 
 
 def test_two_line_overlap_examples():
@@ -145,8 +147,14 @@ def test_enumeration_thread_determinism():
 
 
 def test_analytic_branch():
-    assert all(analytic_branch_check(s) for s in range(13, 41))
-    assert analytic_branch_check(11)
+    # the proof for every s at once against a per-s sweep; both facts fail
+    # one step below their least s, so neither start can be lowered
+    assert analytic_branch_holds()
+    for c, least in ((Fraction(1, 2), 11), (Fraction(5, 11), 13)):
+        assert all(lambda_poly(3, 1, s)(c * s) > 0 for s in range(least, 401))
+        assert lambda_poly(3, 1, least - 1)(c * (least - 1)) <= 0
+        assert not _negative_from(-_branch_poly(c), Fraction(least - 1))
+        assert all(_branch_poly(c)(s) * s == 6 * lambda_poly(3, 1, s)(c * s) for s in range(1, 50))
 
 
 def test_replay_registry():

@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, log2
 
 import pytest
 from hypothesis import given, settings
@@ -110,13 +110,23 @@ def test_e_empirical_matches_naive_scan(n, r, s, m_max):
 
 @pytest.mark.parametrize("config", [(3, 1, 6, 60), (5, 2, 7, 60), (2, 0, 20, 60), (8, 3, 4, 12)])
 def test_e_empirical_scans_bisect(monkeypatch, config):
-    # P_m at the top of the range, then a bisection: at most
-    # 1 + ceil(log2(stop - m)) Hilbert values per scan, none for an empty range
+    # m = 1 is the expected initial degree: a doubling search and a bisection,
+    # at most 2 * log2(t) + 3 Hilbert values.  Every later m is P_m at the top
+    # of the range, then a bisection: at most 1 + ceil(log2(stop - m)) Hilbert
+    # values per scan, none for an empty range
     import fatflats.hilbert as hilbert
+    import fatflats.waldschmidt as waldschmidt
 
-    scan, comb = hilbert.Family.first_positive, hilbert.comb
+    scan, comb, alpha = hilbert.Family.first_positive, hilbert.comb, waldschmidt.alpha_expected
     values = [0]
     budgets = []
+    starts = []
+
+    def counting_alpha(*args):
+        before = values[0]
+        t = alpha(*args)
+        starts.append((values[0] - before, t))
+        return t
 
     def counting_comb(a, b):
         values[0] += 1
@@ -130,8 +140,11 @@ def test_e_empirical_scans_bisect(monkeypatch, config):
 
     monkeypatch.setattr(hilbert, "comb", counting_comb)
     monkeypatch.setattr(hilbert.Family, "first_positive", counting)
+    monkeypatch.setattr(waldschmidt, "alpha_expected", counting_alpha)
     assert e_empirical(*config) == _naive_e_empirical(*config)
-    assert len(budgets) == config[-1] and any(used for used, _ in budgets)
+    [(used, t)] = starts
+    assert used <= 2 * log2(t) + 3, (used, t)
+    assert len(budgets) == config[-1] - 1 and any(used for used, _ in budgets)
     assert all(used <= budget for used, budget in budgets), budgets
 
 
@@ -428,6 +441,38 @@ def _grid_lines():
         except CertificationError as exc:
             outcome = {"step": exc.step, "detail": exc.detail}
         yield json.dumps(outcome, sort_keys=True)
+
+
+def test_bounds_report_builds_lambda_once_inside_g(monkeypatch):
+    import fatflats.asymptotic as asymptotic
+    import fatflats.waldschmidt as waldschmidt
+
+    build, g_of = asymptotic.lambda_poly, waldschmidt.g_value
+    inside_g, calls = [False], []
+
+    def counted_build(*args):
+        calls.append(inside_g[0])
+        return build(*args)
+
+    def traced_g(*args):
+        inside_g[0] = True
+        try:
+            return g_of(*args)
+        finally:
+            inside_g[0] = False
+
+    monkeypatch.setattr(asymptotic, "lambda_poly", counted_build)
+    monkeypatch.setattr(waldschmidt, "g_value", traced_g)
+    for config in [(3, 0, 4), (3, 1, 6), (4, 1, 1), (8, 1, 5)]:  # (3, 0, 4) has an exact gamma
+        calls.clear()
+        bounds_report(*config)
+        assert calls == [True], config
+
+
+def test_bounds_report_e_below_g_is_lambdas_sign_on_the_grid():
+    for n, r, s in GRID:
+        report = bounds_report(n, r, s)
+        assert report.e_below_g == (lambda_poly(n, r, s)(report.e) <= 0), (n, r, s)
 
 
 def test_ray_leading_is_the_rays_top_coefficient_on_the_grid():
