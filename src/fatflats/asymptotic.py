@@ -9,6 +9,7 @@ closed form
 
 is linked to lower (n, r) by differentiation, and has a single real root
 g >= 1 whose value bounds the Waldschmidt constant of the ideal from above.
+For s >= 2 Descartes' rule of signs certifies it with no Sturm chain.
 The closed form and the leading-coefficient extraction are implemented
 independently and cross-checked.
 """
@@ -73,6 +74,13 @@ def tower_check(n: int, r: int, s: int) -> bool:
     return step and at_one
 
 
+def _root_bounds(n: int, r: int, s: int) -> tuple[int, int]:
+    """Powers of two with low <= tau < up for every root tau >= 1 of lambda:
+    tau^n = s sum_{j <= r} C(n, j) (tau - 1)^j lies in [s, S tau^r]."""
+    big_s = s * sum(binom(n, j) for j in range(r + 1))
+    return 1 << (s.bit_length() - 1) // n, 1 << -(-big_s.bit_length() // (n - r))
+
+
 def g_value(
     n: int,
     r: int,
@@ -85,12 +93,17 @@ def g_value(
     in [1, infinity); a different count would contradict the sign analysis
     this whole construction rests on, so it is treated as fatal.  For s = 1
     the root is exactly 1 and is returned as an exact rational.
+
+    For s >= 2 no Sturm chain is built: A(y) = n! lambda(1 + y) has one
+    sign change, so Descartes counts.  A' = n B (B is A for (n - 1, r - 1))
+    and A - (1 + y) B = -s C(n - 1, r) y^r, so A and A' share no root, as
+    A(0) = 1 - s != 0.  Halvings outside ``_root_bounds`` read no sign.
     """
     lam = lambda_poly(n, r, s)
-    chain = sturm_chain(lam)
-    sf, one = chain[0], Fraction(1)
-    # the chain is read once, at 1 and at the bound isolate_largest_root would
-    # use; with one root counted, bisection needs only the sign of sf
+    # for s = 1, lambda has a repeated root at 1 once r >= 1
+    chain = sturm_chain(lam) if s == 1 else None
+    sf, one = (chain[0] if chain else lam), Fraction(1)
+    # with one root counted, bisection needs only the sign of sf
     bound = max(cauchy_root_bound(sf), one + 1)
     at_one = lam(one) == 0
     above = at_one + count_roots_in(sf, one, bound, chain)
@@ -100,7 +113,7 @@ def g_value(
         )
     if at_one:
         return AlgebraicNumber(sf.primitive(), one, one)
-    return exact_if_rational(sf, *bisect_root(sf, one, bound, precision))
+    return exact_if_rational(sf, *bisect_root(sf, one, bound, precision, within=_root_bounds(n, r, s)))
 
 
 class SpecialRootRow(NamedTuple):

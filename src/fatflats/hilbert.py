@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb, factorial
 from typing import Callable, Sequence
 
@@ -237,24 +237,20 @@ def conditions_count_lines(n: int, m: int, t: int) -> int:
 def hilbert_function_flat(n: int, r: int, m: int, length: int = 6) -> list[int]:
     """First ``length`` values of the Hilbert function of one fat r-flat in P^n.
 
-    The base sequence in codimension n - r is
-    min(C(t + n - r, n - r), C(m + n - r - 1, n - r)); r iterated partial
-    sums recover the flat's Hilbert function.  For t >= m the values agree
-    with conditions_count.
+    The base sequence in codimension n - r is C(t + n - r, n - r) up to
+    its cap C(m + n - r - 1, n - r), reached at t = m - 1; r iterated
+    partial sums recover the flat's Hilbert function.  For t >= m the
+    values agree with conditions_count.
     """
     check_flat_domain(n, r, m=m)
     if length < 1:
         raise ValueError("length must be >= 1")
     base_dim = n - r
-    cap = binom(m + base_dim - 1, base_dim)
-    values = [min(binom(t + base_dim, base_dim), cap) for t in range(length)]
+    below = min(m - 1, length)
+    values = [binom(t + base_dim, base_dim) for t in range(below)]
+    values += [binom(m + base_dim - 1, base_dim)] * (length - below)
     for _ in range(r):
-        acc = 0
-        summed = []
-        for v in values:
-            acc += v
-            summed.append(acc)
-        values = summed
+        values = list(accumulate(values))
     return values
 
 

@@ -1,10 +1,12 @@
 """Certified real-root counting and isolation for rational polynomials.
 
-Root counts come from sign-variation chains (Sturm's method) computed on the
-squarefree part, so repeated roots cannot confuse the count; the chains, like
-the gcds, are built by primitive pseudo-remainders in integers.  Isolation is
-one midpoint bisection, ``bisect_root``: the counts narrow an interval to a
-single root, then the sign of the squarefree part alone refines it.  When
+Root counts try Descartes' rule of signs first (Collins and Akritas); only
+two or more sign variations build a sign-variation chain (Sturm's method)
+on the squarefree part, so repeated roots cannot confuse the count; the
+chains, like the gcds, are built by primitive pseudo-remainders in
+integers.  Isolation is one midpoint bisection, ``bisect_root``: the counts
+narrow an interval to a single root, then the sign of the squarefree part
+alone refines it, except where known bounds on the root decide.  When
 many halvings remain, integer Newton predicts the dyadic cell they would end
 in, and opposite nonzero signs at its two ends confirm it (the idea of
 Abbott's quadratic interval refinement); anything unconfirmed goes back to
@@ -96,14 +98,35 @@ def sign_variations(chain: list[UniPoly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _variations_above(p: UniPoly, lo: Fraction) -> int:
+    """Sign variations of q^deg(p) den p((a + y)/q), lo = a/q, by a synthetic
+    Taylor shift; by Descartes' rule they bound the roots of p above lo,
+    counted with multiplicity, and have their parity."""
+    a, q = lo.numerator, lo.denominator
+    c = [v * q**k for k, v in enumerate(reversed(p.nums))][::-1]
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    signs = [v > 0 for v in c if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def count_roots_in(p: UniPoly, lo: Fraction, hi: Fraction, chain: list[UniPoly] | None = None) -> int:
-    """Exact number of distinct real roots of p in the half-open interval (lo, hi]."""
+    """Exact number of distinct real roots of p in the half-open interval (lo, hi].
+
+    Without a ``chain``, 0 or 1 Descartes variations above lo decide: one
+    means one simple root above lo, in (lo, hi] iff p(hi) is 0 or has the
+    leading sign.  Otherwise the Sturm chain (or the given one) is read.
+    """
     if p.is_zero:
         raise ValueError("zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("count_roots_in requires lo < hi")
     if chain is None:
+        v = _variations_above(p, lo)
+        if v < 2:
+            return v and int(p.sign(hi) * p.nums[-1] >= 0)
         chain = sturm_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
@@ -195,6 +218,7 @@ def bisect_root(
     hi: Fraction,
     width: Fraction,
     chain: list[UniPoly] | None = None,
+    within: tuple[Fraction, Fraction] | None = None,
 ) -> Optional[tuple[Fraction, Fraction]]:
     """Midpoint bisection to one root of the squarefree sf in (lo, hi].
 
@@ -208,7 +232,8 @@ def bisect_root(
     at most 2^-8 wide, ``_newton_cell`` may jump straight to the final cell
     of the halvings, certified by two signs; otherwise, and whenever it
     declines, the halvings go on from where they stand, so the result is
-    the same either way.
+    the same either way.  Given ``within`` = (low, up) with
+    low <= root < up, a midpoint >= up or < low reads no sign.
     """
     if chain is not None:
         v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
@@ -224,6 +249,7 @@ def bisect_root(
     a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
     s_hi = sf.sign(hi)
+    low, up = within or (lo, hi)  # every midpoint lies strictly inside (lo, hi)
     jump = width > 0  # a width <= 0 never ends the loop, and its k would be unbounded
     while (b - a) * width.denominator > width.numerator * q:
         if jump and s_hi and (b - a) << _JUMP_FROM_BITS <= q:
@@ -232,13 +258,18 @@ def bisect_root(
             if cell is not None:
                 return cell
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
-        s_mid = sf.sign(mid, q)
-        if s_mid == 0:
-            return Fraction(mid, q), Fraction(mid, q)
-        if s_hi == 0 or s_mid == -s_hi:
+        if mid * up.denominator >= up.numerator * q:  # above the root: sf(mid) has s_hi's sign
+            b = mid
+        elif mid * low.denominator < low.numerator * q:  # below the root
             a = mid
         else:
-            b, s_hi = mid, s_mid
+            s_mid = sf.sign(mid, q)
+            if s_mid == 0:
+                return Fraction(mid, q), Fraction(mid, q)
+            if s_hi == 0 or s_mid == -s_hi:
+                a = mid
+            else:
+                b, s_hi = mid, s_mid
     return Fraction(a, q), Fraction(b, q)
 
 
@@ -294,14 +325,19 @@ def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
 
     With lo = a/q and hi = b/q over a common denominator q, and p = nums/den,
     the result is the interval Horner enclosure of {p(x) : x in [lo, hi]}
-    times the positive den * q^deg(p), so it has the same signs.
+    times the positive den * q^deg(p), so it has the same signs.  For
+    lo >= 0 two products, chosen by the signs of alo and ahi, are the ends.
     """
     a, b, q = _bracket(lo, hi)
     alo = ahi = 0
     qk = 1
     for c in reversed(p.nums):
-        prods = (alo * a, alo * b, ahi * a, ahi * b)
-        alo, ahi = min(prods) + c * qk, max(prods) + c * qk
+        if a >= 0:
+            low, high = alo * (a if alo >= 0 else b), ahi * (b if ahi >= 0 else a)
+        else:
+            prods = (alo * a, alo * b, ahi * a, ahi * b)
+            low, high = min(prods), max(prods)
+        alo, ahi = low + c * qk, high + c * qk
         qk *= q
     return alo, ahi
 

@@ -351,7 +351,7 @@ def _branch_poly(c: Fraction) -> UniPoly:
 def analytic_branch_holds() -> bool:
     """lambda(3, 1, s) > 0 at s/2 for every s >= 11 (so g < s/2) and at 5s/11 for
     every s >= 13 (so 11g < 5s), the facts behind the s >= 13 branch: each by one
-    sign of ``_branch_poly`` at its least s and one Sturm count above it."""
+    sign of ``_branch_poly`` at its least s and one root count above it."""
     least_s = {Fraction(1, 2): 11, Fraction(5, 11): 13}
     return all(_negative_from(-_branch_poly(c), Fraction(least)) for c, least in least_s.items())
 

@@ -133,9 +133,9 @@ def _negative_from(poly: UniPoly, x: Fraction, chain: list[UniPoly] | None = Non
     """Whether poly < 0 at every real point >= x, for a rational x >= 0.
 
     A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails.  Then no
-    positive coefficient passes at once, and otherwise a Sturm count, on
-    ``chain`` when given, must find no root above x.  Once true at x it
-    stays true above x.
+    positive coefficient passes at once, and otherwise ``count_roots_in``
+    (Descartes' rule first, or ``chain``'s Sturm count when given) must find
+    no root above x.  Once true at x it stays true above x.
     """
     if poly.is_zero or poly.leading >= 0 or poly.sign(x) >= 0:
         return False

@@ -1,16 +1,19 @@
+import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from fatflats.asymptotic import (
+    _root_bounds,
     g_specials,
     g_value,
     lambda_poly,
     lambda_poly_via_leading,
     tower_check,
 )
-from fatflats.polynomials import UniPoly
+from fatflats.polynomials import UniPoly, poly_gcd
+from fatflats.roots import isolate_largest_root
 
 
 def test_lambda_closed_forms():
@@ -117,7 +120,8 @@ def test_g_specials_rows():
 
 
 def test_g_value_reads_the_sturm_chain_at_two_points(monkeypatch):
-    # the root count and the isolation share one pair of chain evaluations
+    # s = 1 keeps the chain (a repeated root at 1 once r >= 1), read once at 1
+    # and once at the bound; s >= 2 reads no chain at all
     import fatflats.roots as roots
 
     calls = []
@@ -128,6 +132,53 @@ def test_g_value_reads_the_sturm_chain_at_two_points(monkeypatch):
         return variations(chain, x)
 
     monkeypatch.setattr(roots, "sign_variations", counting)
+    g = g_value(3, 1, 1)
+    assert calls == [1, 3]  # 1 and the Cauchy bound of (tau - 1)(tau + 2)
+    assert g == roots.isolate_largest_root(lambda_poly(3, 1, 1), F(1))
+    calls.clear()
     g = g_value(3, 1, 6)
-    assert calls == [1, 19]  # 1 and the Cauchy bound of lambda
+    assert calls == []
+    monkeypatch.undo()
     assert g == roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1))
+
+
+def _shifted_closed_form(n, r, s):
+    """A(y) = n! lambda(1 + y) = (1 + y)^n - s sum_{j <= r} C(n, j) y^j."""
+    return UniPoly([1, 1]) ** n - UniPoly([s * comb(n, j) for j in range(r + 1)])
+
+
+def test_lambda_is_squarefree_for_s_at_least_two():
+    # the two facts g_value's chain-free count rests on, for every r < n
+    y = UniPoly([0, 1])
+    for n in range(1, 13):
+        for r in range(n):
+            for s in range(2, 101):
+                a, b = _shifted_closed_form(n, r, s), _shifted_closed_form(n - 1, r - 1, s)
+                assert a.derivative() == b * n  # the tower identity
+                assert a - (UniPoly([1]) + y) * b == UniPoly([0] * r + [-s * comb(n - 1, r)])
+                assert poly_gcd(a, a.derivative()) == UniPoly([1])
+                if n >= 2 * r + 1:
+                    lam = lambda_poly(n, r, s)
+                    assert poly_gcd(lam, lam.derivative()) == UniPoly([1])
+                    assert all(a(k) == factorial(n) * lam(1 + k) for k in range(n + 1))
+
+
+def test_root_bounds_hold_on_the_roots_grid():
+    # low <= g < up: lambda <= 0 at low and > 0 at up, both >= 1
+    for n in range(2, 13):
+        for r in range((n - 1) // 2 + 1):
+            for s in range(2, 101):
+                low, up = _root_bounds(n, r, s)
+                lam = lambda_poly(n, r, s)
+                assert 1 <= low < up and lam.sign(low) <= 0 < lam.sign(up), (n, r, s)
+
+
+@pytest.mark.parametrize("width", [F(2), F(1), F(1, 2), F(1, 10**12), F(1, 10**50)])
+def test_g_value_matches_the_chain_isolator(width):
+    # isolate_largest_root counts on the Sturm chain and reads every sign
+    rng = random.Random(27)
+    configs = [(n, r) for n in range(2, 13) for r in range((n - 1) // 2 + 1)]
+    for n, r in rng.sample(configs, 12):
+        for s in rng.sample(range(1, 101), 6):
+            expected = isolate_largest_root(lambda_poly(n, r, s), F(1), width)
+            assert g_value(n, r, s, width) == expected, (n, r, s, width)

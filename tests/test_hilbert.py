@@ -73,6 +73,28 @@ def test_hilbert_function_sequences():
     assert hilbert_function_flat(4, 2, 4, 6) == [1, 5, 15, 35, 65, 105]
 
 
+def test_hilbert_function_matches_the_capped_base_sequence():
+    # every m <= n + 2 and lengths around the cap, against min(C(t + n - r, n - r), cap)
+    for n, r in [(200, 0), (60, 20), (12, 5), (3, 1), (1, 0)]:
+        base = n - r
+        for m in range(1, n + 3):
+            cap = comb(m + base - 1, base)
+            for length in {1, m - 1, m, m + 1, n + r + 2} - {0}:
+                values = [min(comb(t + base, base), cap) for t in range(length)]
+                for _ in range(r):
+                    values = [sum(values[: i + 1]) for i in range(length)]
+                assert hilbert_function_flat(n, r, m, length) == values, (n, r, m, length)
+
+
+def test_large_family_build_stops_the_base_sequence_at_its_cap(monkeypatch):
+    # Family(200, 0) asks each m = 1..201 for 202 values; past t = m - 1 they are the cap
+    calls = []
+    monkeypatch.setattr(hilbert, "binom", lambda a, b: calls.append(a) or binom(a, b))
+    hilbert.Family(200, 0)
+    assert len(calls) <= 201 * 202 // 2  # 40,803 when every value called binom
+    assert max(calls) <= 400  # never C(t + 200, 200) above the cap's C(m + 199, 200)
+
+
 def test_hilbert_function_agrees_with_conditions():
     for n, r, m in [(3, 1, 2), (4, 2, 3), (5, 1, 4), (5, 2, 2)]:
         values = hilbert_function_flat(n, r, m, m + 6)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import ceil, isqrt
+from math import ceil, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +9,7 @@ from fatflats.asymptotic import g_value, lambda_poly
 from fatflats.polynomials import UniPoly, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
+    _interval_eval,
     bisect_root,
     cauchy_root_bound,
     count_roots_in,
@@ -51,6 +52,43 @@ def test_count_half_open_endpoints():
     assert count_roots_in(p, F(0), F(1)) == 1  # root at 1 included, 0 excluded
     assert count_roots_in(p, F(-1), F(0)) == 1
     assert count_roots_in(p, F(-2), F(1)) == 3
+
+
+def test_count_decided_by_descartes_builds_no_chain(monkeypatch):
+    built = _count_chains(monkeypatch)
+    # (1 + y)^3 - 18 (1 + y) + 12 = y^3 + 3y^2 - 15y - 5: one variation above 1
+    assert count_roots_in(UniPoly([12, -18, 0, 1]), F(1), F(10)) == 1
+    assert count_roots_in(UniPoly([12, -18, 0, 1]), F(1), F(3)) == 0
+    assert count_roots_in(UniPoly([0, -1, 0, 1]), F(0), F(1)) == 1  # the root at hi counts
+    assert count_roots_in(UniPoly([1, 0, 1]), F(0), F(10)) == 0  # no variation
+    assert built == []
+    assert count_roots_in(UniPoly([1, 0, 1]), F(-10), F(10)) == 0  # y^2 - 20y + 101: two
+    assert len(built) == 1
+    assert count_roots_in(UniPoly([0, -1, 0, 1]), F(-2), F(1)) == 3  # three variations
+    assert len(built) == 2
+
+
+@st.composite
+def counting_cases(draw):
+    """(p, lo, hi): a random integer polynomial times (x - lo)^i (x - hi)^j,
+    i, j <= 2, and at times the square of a random factor."""
+    lo = draw(st.fractions(min_value=-4, max_value=4, max_denominator=7))
+    hi = lo + draw(st.fractions(min_value=0, max_value=6, max_denominator=9).filter(bool))
+    p = UniPoly(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6)))
+    assume(not p.is_zero)
+    for end in (lo, hi):
+        p = p * UniPoly([-end, 1]) ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        h = UniPoly(draw(st.lists(st.integers(-5, 5), min_size=2, max_size=3)))
+        p = p * h * h if h.degree > 0 else p
+    return p, lo, hi
+
+
+@settings(max_examples=300)
+@given(counting_cases())
+def test_descartes_count_matches_the_sturm_count(case):
+    p, lo, hi = case
+    assert count_roots_in(p, lo, hi) == count_roots_in(p, lo, hi, sturm_chain(p))
 
 
 def test_count_rejects_zero_and_bad_interval():
@@ -246,6 +284,31 @@ def test_sign_at_matches_exact_reference(case):
     assert sign_at(alg, p) == expected
 
 
+def _four_product_eval(p, lo, hi):
+    """The interval Horner enclosure from all four end products, as reference."""
+    q = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+    alo = ahi = 0
+    qk = 1
+    for c in reversed(p.nums):
+        prods = (alo * a, alo * b, ahi * a, ahi * b)
+        alo, ahi = min(prods) + c * qk, max(prods) + c * qk
+        qk *= q
+    return alo, ahi
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+    st.fractions(min_value=-3, max_value=8, max_denominator=10**4),
+    st.fractions(min_value=0, max_value=5, max_denominator=10**4),
+)
+def test_interval_eval_takes_two_products_from_a_nonnegative_bracket(nums, lo, width):
+    p = UniPoly(nums)
+    assume(not p.is_zero)
+    assert _interval_eval(p, lo, lo + width) == _four_product_eval(p, lo, lo + width)
+
+
 def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
     import fatflats.roots as roots
 
@@ -418,13 +481,31 @@ def _count_chains(monkeypatch, *modules):
     return built
 
 
-@pytest.mark.parametrize("config", [(3, 1, 6), (4, 1, 9), (12, 5, 100)])
+@pytest.mark.parametrize("config", [(3, 1, 1), (4, 1, 1), (12, 5, 1)])
 def test_g_value_builds_one_chain(monkeypatch, config):
+    # s = 1: lambda has a repeated root at 1, so its squarefree part needs the chain
     import fatflats.asymptotic as asymptotic
 
     built = _count_chains(monkeypatch, asymptotic)
     g_value(*config, F(1, 10**50))
     assert built == [lambda_poly(*config)]
+
+
+@pytest.mark.parametrize("config", [(3, 1, 6), (4, 1, 9), (12, 5, 100), (2, 0, 2)])
+def test_g_value_builds_no_chain_for_s_at_least_two(monkeypatch, config):
+    import fatflats.asymptotic as asymptotic
+    import fatflats.polynomials as polynomials
+    import fatflats.roots as roots
+
+    built = _count_chains(monkeypatch, asymptotic)
+    calls = []
+    for module, name in [(polynomials, "remainder_sequence"), (roots, "remainder_sequence"), (roots, "sign_variations")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, f=original, name=name: calls.append(name) or f(*args))
+    g = g_value(*config, F(1, 10**50))
+    assert built == [] and calls == []
+    monkeypatch.undo()
+    assert g == isolate_largest_root(lambda_poly(*config), F(1), F(1, 10**50))
 
 
 def test_squarefree_chain_runs_one_remainder_sequence(monkeypatch):
@@ -440,8 +521,11 @@ def test_squarefree_chain_runs_one_remainder_sequence(monkeypatch):
 
     for module in (polynomials, roots):
         monkeypatch.setattr(module, "remainder_sequence", counting)
-    g_value(3, 1, 6)
-    assert runs == [lambda_poly(3, 1, 6).nums]
+    g_value(3, 0, 1)  # s = 1 builds the chain of the squarefree (tau^3 - 1)/6
+    assert runs == [lambda_poly(3, 0, 1).nums]
+    runs.clear()
+    g_value(3, 1, 6)  # s >= 2 builds none
+    assert runs == []
     # a repeated root: the gcd is divided out and the chain rerun once
     sf = UniPoly([-2, 1]) * UniPoly([3, 1])
     p = sf * UniPoly([-2, 1])
