@@ -9,7 +9,7 @@ closed form
 
 is linked to lower (n, r) by differentiation, and has a single real root
 g >= 1 whose value bounds the Waldschmidt constant of the ideal from above.
-For s >= 2 Descartes' rule of signs certifies it with no Sturm chain.
+Descartes' rule of signs certifies it with no Sturm chain.
 The closed form and the leading-coefficient extraction are implemented
 independently and cross-checked.
 """
@@ -21,7 +21,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .hilbert import check_flat_domain, hilbert_poly_symbolic
-from .polynomials import UniPoly, binom
+from .polynomials import UniPoly, binom, squarefree_part
 from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
@@ -29,7 +29,6 @@ from .roots import (
     cauchy_root_bound,
     count_roots_in,
     exact_if_rational,
-    sturm_chain,
 )
 
 
@@ -92,28 +91,27 @@ def g_value(
     Every call machine-checks that the polynomial has exactly one real root
     in [1, infinity); a different count would contradict the sign analysis
     this whole construction rests on, so it is treated as fatal.  For s = 1
-    the root is exactly 1 and is returned as an exact rational.
+    the root is exactly 1 and is returned as an exact rational, defined by
+    the squarefree part (lambda has a repeated root at 1 once r >= 1).
 
-    For s >= 2 no Sturm chain is built: A(y) = n! lambda(1 + y) has one
-    sign change, so Descartes counts.  A' = n B (B is A for (n - 1, r - 1))
-    and A - (1 + y) B = -s C(n - 1, r) y^r, so A and A' share no root, as
-    A(0) = 1 - s != 0.  Halvings outside ``_root_bounds`` read no sign.
+    No Sturm chain is built for any s: A(y) = n! lambda(1 + y) has the
+    coefficients C(n, j) (1 - s) for j <= r and C(n, j) above r, so at most
+    one sign change, and Descartes counts.  For s >= 2, A' = n B (B is A for
+    (n - 1, r - 1)) and A - (1 + y) B = -s C(n - 1, r) y^r, so A and A' share
+    no root, as A(0) = 1 - s != 0: lambda is squarefree.  Halvings outside
+    ``_root_bounds`` read no sign.
     """
-    lam = lambda_poly(n, r, s)
-    # for s = 1, lambda has a repeated root at 1 once r >= 1
-    chain = sturm_chain(lam) if s == 1 else None
-    sf, one = (chain[0] if chain else lam), Fraction(1)
-    # with one root counted, bisection needs only the sign of sf
-    bound = max(cauchy_root_bound(sf), one + 1)
+    lam, one = lambda_poly(n, r, s), Fraction(1)
+    bound = max(cauchy_root_bound(lam), one + 1)
     at_one = lam(one) == 0
-    above = at_one + count_roots_in(sf, one, bound, chain)
+    above = at_one + count_roots_in(lam, one, bound)
     if above != 1:
         raise ArithmeticError(
             f"expected exactly one root >= 1 for (n={n}, r={r}, s={s}), found {above}"
         )
     if at_one:
-        return AlgebraicNumber(sf.primitive(), one, one)
-    return exact_if_rational(sf, *bisect_root(sf, one, bound, precision, within=_root_bounds(n, r, s)))
+        return AlgebraicNumber(squarefree_part(lam).primitive(), one, one)
+    return exact_if_rational(lam, *bisect_root(lam, one, bound, precision, within=_root_bounds(n, r, s)))
 
 
 class SpecialRootRow(NamedTuple):

@@ -1,19 +1,19 @@
 """Certified real-root counting and isolation for rational polynomials.
 
-Root counts try Descartes' rule of signs first (Collins and Akritas); only
-two or more sign variations build a sign-variation chain (Sturm's method)
-on the squarefree part, so repeated roots cannot confuse the count; the
-chains, like the gcds, are built by primitive pseudo-remainders in
-integers.  Isolation is one midpoint bisection, ``bisect_root``: the counts
-narrow an interval to a single root, then the sign of the squarefree part
-alone refines it, except where known bounds on the root decide.  When
-many halvings remain, integer Newton predicts the dyadic cell they would end
-in, and opposite nonzero signs at its two ends confirm it (the idea of
-Abbott's quadratic interval refinement); anything unconfirmed goes back to
-halving, so the intervals are those of plain bisection.  A
-one-candidate test reports rational roots exactly (a degenerate
-one-point interval) instead of as a narrow interval.  Signs are computed in
-integers (``UniPoly.sign``), so the hot path builds no ``Fraction``.
+``count_roots_in`` is the one place a root count is decided: Descartes' rule
+of signs first (Collins and Akritas), and only two or more sign variations
+build a sign-variation chain (Sturm's method) on the squarefree part, so
+repeated roots cannot confuse the count; the chains, like the gcds, are
+built by primitive pseudo-remainders in integers.  Isolation is one midpoint
+bisection, ``bisect_root``, of an interval that holds one root: the sign of
+the squarefree part alone refines it, except where known bounds on the root
+decide.  When many halvings remain, integer Newton predicts the dyadic cell
+they would end in, and opposite nonzero signs at its two ends confirm it
+(the idea of Abbott's quadratic interval refinement); anything unconfirmed
+goes back to halving, so the intervals are those of plain bisection.  A
+one-candidate test reports rational roots exactly (a degenerate one-point
+interval) instead of as a narrow interval.  Signs are computed in integers
+(``UniPoly.sign``), so the hot path builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -111,23 +111,22 @@ def _variations_above(p: UniPoly, lo: Fraction) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def count_roots_in(p: UniPoly, lo: Fraction, hi: Fraction, chain: list[UniPoly] | None = None) -> int:
+def count_roots_in(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
     """Exact number of distinct real roots of p in the half-open interval (lo, hi].
 
-    Without a ``chain``, 0 or 1 Descartes variations above lo decide: one
-    means one simple root above lo, in (lo, hi] iff p(hi) is 0 or has the
-    leading sign.  Otherwise the Sturm chain (or the given one) is read.
+    0 or 1 Descartes variations above lo decide: one means one simple root
+    above lo, in (lo, hi] iff p(hi) is 0 or has the leading sign.  Only two
+    or more build the Sturm chain and read it at lo and hi.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi:
         raise ValueError("count_roots_in requires lo < hi")
-    if chain is None:
-        v = _variations_above(p, lo)
-        if v < 2:
-            return v and int(p.sign(hi) * p.nums[-1] >= 0)
-        chain = sturm_chain(p)
+    v = _variations_above(p, lo)
+    if v < 2:
+        return v and int(p.sign(hi) * p.nums[-1] >= 0)
+    chain = sturm_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
@@ -217,35 +216,21 @@ def bisect_root(
     lo: Fraction,
     hi: Fraction,
     width: Fraction,
-    chain: list[UniPoly] | None = None,
     within: tuple[Fraction, Fraction] | None = None,
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Midpoint bisection to one root of the squarefree sf in (lo, hi].
+) -> tuple[Fraction, Fraction]:
+    """Midpoint bisection to the one root of the squarefree sf in (lo, hi].
 
-    With a ``chain`` (the Sturm chain of sf), a counting phase first narrows
-    (lo, hi] to the largest root; it returns None when there is no root at
-    all.  Without one, (lo, hi] must already hold exactly one root.  Once it
-    does, the root is in (mid, hi] iff sf(hi) = 0 or sf(mid) and sf(hi)
-    differ in sign, so only the sign of sf is read.
+    (lo, hi] must already hold exactly one root.  It is in (mid, hi] iff
+    sf(hi) = 0 or sf(mid) and sf(hi) differ in sign, so only the sign of sf
+    is read.
     Returns (lo, hi) of width at most ``width`` holding the root; when a
-    midpoint is the largest root it returns (mid, mid).  Once the bracket is
+    midpoint is the root it returns (mid, mid).  Once the bracket is
     at most 2^-8 wide, ``_newton_cell`` may jump straight to the final cell
     of the halvings, certified by two signs; otherwise, and whenever it
     declines, the halvings go on from where they stand, so the result is
     the same either way.  Given ``within`` = (low, up) with
     low <= root < up, a midpoint >= up or < low reads no sign.
     """
-    if chain is not None:
-        v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
-        if v_lo == v_hi:
-            return None
-        while v_lo - v_hi > 1:
-            mid = (lo + hi) / 2
-            v_mid = sign_variations(chain, mid)
-            if v_mid == v_hi:
-                hi, v_hi = mid, v_mid
-            else:
-                lo, v_lo = mid, v_mid
     a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
     s_hi = sf.sign(hi)
@@ -278,19 +263,28 @@ def isolate_largest_root(
 ) -> Optional[AlgebraicNumber]:
     """Largest real root of p that is >= lower, or None if there is none.
 
-    Found by ``bisect_root`` on the squarefree part; the returned interval
-    has width at most ``precision``.  A rational root is detected by
-    candidate testing and reported exactly.
+    Halving narrows (lower, bound] to the largest root of the squarefree
+    part sf, keeping (mid, hi] whenever ``count_roots_in`` finds a root
+    there, and ``bisect_root`` then refines it; the returned interval has
+    width at most ``precision``.  A rational root is detected by candidate
+    testing and reported exactly.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    lower = Fraction(lower)
-    chain = sturm_chain(p)
-    sf = chain[0]
-    found = bisect_root(sf, lower, max(cauchy_root_bound(sf), lower + 1), precision, chain)
-    if found is None:
-        return AlgebraicNumber(sf.primitive(), lower, lower) if p.sign(lower) == 0 else None
-    return exact_if_rational(sf, *found)
+    lo = Fraction(lower)
+    sf = squarefree_part(p)
+    hi = max(cauchy_root_bound(sf), lo + 1)
+    above = count_roots_in(sf, lo, hi)
+    if not above:
+        return AlgebraicNumber(sf.primitive(), lo, lo) if p.sign(lo) == 0 else None
+    while above > 1:
+        mid = (lo + hi) / 2
+        upper = count_roots_in(sf, mid, hi)
+        if upper:
+            lo, above = mid, upper
+        else:
+            hi = mid
+    return exact_if_rational(sf, *bisect_root(sf, lo, hi, precision))
 
 
 def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:

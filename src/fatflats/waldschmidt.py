@@ -52,7 +52,7 @@ from typing import NamedTuple, Optional
 from .asymptotic import g_value
 from .hilbert import _least_holding, alpha_expected, check_flat_domain, family
 from .polynomials import UniPoly, fraction_to_json
-from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in, sturm_chain
+from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in
 
 
 class RatioWitness(NamedTuple):
@@ -129,20 +129,19 @@ class CertificationError(Exception):
         super().__init__(f"{step}: {detail}")
 
 
-def _negative_from(poly: UniPoly, x: Fraction, chain: list[UniPoly] | None = None) -> bool:
+def _negative_from(poly: UniPoly, x: Fraction) -> bool:
     """Whether poly < 0 at every real point >= x, for a rational x >= 0.
 
     A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails.  Then no
     positive coefficient passes at once, and otherwise ``count_roots_in``
-    (Descartes' rule first, or ``chain``'s Sturm count when given) must find
-    no root above x.  Once true at x it stays true above x.
+    must find no root above x.  Once true at x it stays true above x.
     """
     if poly.is_zero or poly.leading >= 0 or poly.sign(x) >= 0:
         return False
     if max(poly.nums) <= 0:
         return True
     top = max(cauchy_root_bound(poly), x + 1)
-    return count_roots_in(poly, x, top, chain) == 0
+    return count_roots_in(poly, x, top) == 0
 
 
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
@@ -196,13 +195,12 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
     p, q = candidate.numerator, candidate.denominator
 
-    # threshold: the least m >= 1 from which the ray stays negative, on one Sturm chain;
+    # threshold: the least m >= 1 from which the ray stays negative;
     # a positive k^n coefficient refuses the candidate before the ray is built
     ray = None if fam.ray_leading(s, p, q) > 0 else fam.along(s, q, 0, p, 0)
     if ray is None or ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
-    chain = sturm_chain(ray)
-    m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q), chain), 0)
+    m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q)), 0)
 
     # cover: the largest t below m * candidate, one lattice line per residue j of m mod q
     for j in range(q):

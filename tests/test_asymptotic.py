@@ -119,9 +119,9 @@ def test_g_specials_rows():
     assert lambda_poly(5, 1, 64)(4) == 0
 
 
-def test_g_value_reads_the_sturm_chain_at_two_points(monkeypatch):
-    # s = 1 keeps the chain (a repeated root at 1 once r >= 1), read once at 1
-    # and once at the bound; s >= 2 reads no chain at all
+def test_g_value_reads_no_sturm_chain(monkeypatch):
+    # Descartes decides g's count for every s, the repeated root at 1 of
+    # s = 1 included, so no chain is read at any point
     import fatflats.roots as roots
 
     calls = []
@@ -132,14 +132,11 @@ def test_g_value_reads_the_sturm_chain_at_two_points(monkeypatch):
         return variations(chain, x)
 
     monkeypatch.setattr(roots, "sign_variations", counting)
-    g = g_value(3, 1, 1)
-    assert calls == [1, 3]  # 1 and the Cauchy bound of (tau - 1)(tau + 2)
-    assert g == roots.isolate_largest_root(lambda_poly(3, 1, 1), F(1))
-    calls.clear()
-    g = g_value(3, 1, 6)
+    g_one, g_six = g_value(3, 1, 1), g_value(3, 1, 6)
     assert calls == []
     monkeypatch.undo()
-    assert g == roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1))
+    assert g_one == roots.isolate_largest_root(lambda_poly(3, 1, 1), F(1))
+    assert g_six == roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1))
 
 
 def _shifted_closed_form(n, r, s):
@@ -163,6 +160,23 @@ def test_lambda_is_squarefree_for_s_at_least_two():
                     assert all(a(k) == factorial(n) * lam(1 + k) for k in range(n + 1))
 
 
+def test_s_one_is_the_exact_root_one():
+    # A(y) = n! lambda(1 + y) = sum_{j > r} C(n, j) y^j at s = 1: no sign
+    # variation, so no root above 1, and 1 is a root of multiplicity r + 1
+    tau_minus_one = UniPoly([-1, 1])
+    for n in range(1, 13):
+        for r in range(n):
+            a = _shifted_closed_form(n, r, 1)
+            assert min(a.coeffs) >= 0 and not any(a.coeffs[: r + 1])
+            if n >= 2 * r + 1:
+                lam = lambda_poly(n, r, 1)
+                g = g_value(n, r, 1)
+                assert g.is_exact and g.value == 1
+                # the primitive squarefree part: the factor left after (tau - 1)^r
+                assert g.defining * tau_minus_one**r * F(lam.leading, g.defining.leading) == lam
+                assert poly_gcd(g.defining, g.defining.derivative()) == UniPoly([1])
+
+
 def test_root_bounds_hold_on_the_roots_grid():
     # low <= g < up: lambda <= 0 at low and > 0 at up, both >= 1
     for n in range(2, 13):
@@ -175,7 +189,8 @@ def test_root_bounds_hold_on_the_roots_grid():
 
 @pytest.mark.parametrize("width", [F(2), F(1), F(1, 2), F(1, 10**12), F(1, 10**50)])
 def test_g_value_matches_the_chain_isolator(width):
-    # isolate_largest_root counts on the Sturm chain and reads every sign
+    # isolate_largest_root halves from the Cauchy bound with no root bounds,
+    # counting roots where g_value reads one sign change
     rng = random.Random(27)
     configs = [(n, r) for n in range(2, 13) for r in range((n - 1) // 2 + 1)]
     for n, r in rng.sample(configs, 12):

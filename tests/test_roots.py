@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 from math import ceil, isqrt, lcm
 
@@ -88,7 +89,8 @@ def counting_cases(draw):
 @given(counting_cases())
 def test_descartes_count_matches_the_sturm_count(case):
     p, lo, hi = case
-    assert count_roots_in(p, lo, hi) == count_roots_in(p, lo, hi, sturm_chain(p))
+    chain = sturm_chain(p)
+    assert count_roots_in(p, lo, hi) == sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
 def test_count_rejects_zero_and_bad_interval():
@@ -465,8 +467,9 @@ def test_refine_and_threshold_golden_bytes():
     assert "pieces" not in cert
 
 
-def _count_chains(monkeypatch, *modules):
-    """Record every Sturm chain built, through roots and the given importers."""
+def _count_chains(monkeypatch):
+    """Record every Sturm chain built, through every fatflats module that
+    holds the name."""
     import fatflats.roots as roots
 
     built = []
@@ -476,28 +479,28 @@ def _count_chains(monkeypatch, *modules):
         built.append(p)
         return original(p)
 
-    for module in (roots, *modules):
-        monkeypatch.setattr(module, "sturm_chain", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fatflats") and getattr(module, "sturm_chain", None) is original:
+            monkeypatch.setattr(module, "sturm_chain", counting)
     return built
 
 
 @pytest.mark.parametrize("config", [(3, 1, 1), (4, 1, 1), (12, 5, 1)])
-def test_g_value_builds_one_chain(monkeypatch, config):
-    # s = 1: lambda has a repeated root at 1, so its squarefree part needs the chain
-    import fatflats.asymptotic as asymptotic
-
-    built = _count_chains(monkeypatch, asymptotic)
-    g_value(*config, F(1, 10**50))
-    assert built == [lambda_poly(*config)]
+def test_g_value_builds_no_chain_at_s_one(monkeypatch, config):
+    # s = 1: n! lambda(1 + y) has no sign variation, so Descartes counts no
+    # root above 1 although lambda has a repeated root there
+    built = _count_chains(monkeypatch)
+    g = g_value(*config, F(1, 10**50))
+    assert built == []
+    assert g.is_exact and g.value == 1 and g.defining == squarefree_part(lambda_poly(*config)).primitive()
 
 
 @pytest.mark.parametrize("config", [(3, 1, 6), (4, 1, 9), (12, 5, 100), (2, 0, 2)])
 def test_g_value_builds_no_chain_for_s_at_least_two(monkeypatch, config):
-    import fatflats.asymptotic as asymptotic
     import fatflats.polynomials as polynomials
     import fatflats.roots as roots
 
-    built = _count_chains(monkeypatch, asymptotic)
+    built = _count_chains(monkeypatch)
     calls = []
     for module, name in [(polynomials, "remainder_sequence"), (roots, "remainder_sequence"), (roots, "sign_variations")]:
         original = getattr(module, name)
@@ -521,7 +524,7 @@ def test_squarefree_chain_runs_one_remainder_sequence(monkeypatch):
 
     for module in (polynomials, roots):
         monkeypatch.setattr(module, "remainder_sequence", counting)
-    g_value(3, 0, 1)  # s = 1 builds the chain of the squarefree (tau^3 - 1)/6
+    g_value(3, 0, 1)  # s = 1 takes the squarefree part of (tau^3 - 1)/6, and builds no chain
     assert runs == [lambda_poly(3, 0, 1).nums]
     runs.clear()
     g_value(3, 1, 6)  # s >= 2 builds none
@@ -550,8 +553,9 @@ def test_refine_and_sign_at_build_no_chain(monkeypatch):
 
 
 def _plain_bisect(sf, lo, hi, width, chain=None):
-    """Reference: bisect_root's counting phase, then one halving per step on
-    ``Fraction`` values of sf, with no jump."""
+    """Reference: with a ``chain``, a counting phase narrows (lo, hi] to the
+    largest root (None when there is none), as ``isolate_largest_root`` does;
+    then one halving per step on ``Fraction`` values of sf, with no jump."""
     if chain is not None:
         v_lo, v_hi = sign_variations(chain, lo), sign_variations(chain, hi)
         if v_lo == v_hi:
@@ -640,17 +644,37 @@ NEAR_GRID = [
 ]
 
 
+def _largest_matches_plain(p, lower, width):
+    """isolate_largest_root(p, lower, width) against the chain-counting
+    reference on (lower, bound]; a rational root may come back as a point
+    inside the reference's bracket."""
+    chain = sturm_chain(p)
+    sf = chain[0]
+    found = isolate_largest_root(p, lower, width)
+    want = _plain_bisect(sf, lower, max(cauchy_root_bound(sf), lower + 1), width, chain)
+    if want is None and p(lower) == 0:
+        assert found.is_exact and found.value == lower
+    elif want is None:
+        assert found is None
+    elif found.is_exact and want[0] != want[1]:
+        assert want[0] < found.value <= want[1] and sf(found.value) == 0
+    else:
+        assert (found.lo, found.hi) == want
+
+
 @pytest.mark.parametrize("target, width", NEAR_GRID)
-@pytest.mark.parametrize("with_chain", [False, True])
-def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, with_chain):
+@pytest.mark.parametrize("largest", [False, True])
+def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, largest):
     u = target - F(isqrt(2 * 4**200), 2**200)  # u + sqrt(2) is within 2^-200 above target
     lo, hi = F(1), F(2)
     for sf in (UniPoly([-target, 1]) * UniPoly([-3, 1]), UniPoly([u * u - 2, -2 * u, 1])):
         assert count_roots_in(sf, lo, hi) == 1
-        chain = sturm_chain(sf) if with_chain else None  # its counting phase has nothing to narrow
-        want = _plain_bisect(sf, lo, hi, width, chain)
+        if largest:  # the same roots through isolate_largest_root's counting halvings
+            _largest_matches_plain(sf, lo, width)
+            continue
+        want = _plain_bisect(sf, lo, hi, width)
         calls = _count_signs(monkeypatch)
-        assert bisect_root(sf, lo, hi, width, chain) == want
+        assert bisect_root(sf, lo, hi, width) == want
         monkeypatch.undo()
         if target != NEAR_GRID[0][0]:  # off the grid: the jump, not 60-odd halvings
             assert calls[0] <= 20
@@ -664,12 +688,11 @@ def test_bisect_root_matches_plain_bisection(case):
 
 
 @settings(max_examples=50)
-@given(isolated_roots(), st.integers(0, 3), st.integers(0, 3))
-def test_bisect_root_with_chain_matches_plain_bisection(case, below, above):
-    sf, lo, hi, width = case
-    lo, hi = lo - below, hi + above  # the counting phase narrows this again
-    chain = sturm_chain(sf)
-    assert bisect_root(sf, lo, hi, width, chain) == _plain_bisect(sf, lo, hi, width, chain)
+@given(isolated_roots(), st.integers(0, 3), st.integers(0, 2))
+def test_isolate_largest_root_matches_plain_bisection(case, below, power):
+    sf, lo, _, width = case
+    # more roots above lower, and a repeated factor, for the counting halvings to pass
+    _largest_matches_plain(sf * UniPoly([-lo, 1]) ** power, lo - below, width)
 
 
 class _Stop(Exception):

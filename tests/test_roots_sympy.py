@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflats.polynomials import UniPoly, poly_gcd, squarefree_part
-from fatflats.roots import bisect_root, count_roots_in, isolate_largest_root, sturm_chain
+from fatflats.roots import count_roots_in, isolate_largest_root
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -83,26 +83,18 @@ def test_isolated_interval_holds_sympys_largest_root(p, lower, width):
 
 
 @settings(deadline=None)
-@given(integer_polys(), endpoints, endpoints)
-def test_bisection_brackets_sympys_extreme_root(p, a, b):
-    lo, hi = min(a, b), max(a, b)
-    if lo == hi:
-        hi += 1
+@given(integer_polys(), endpoints)
+def test_bisection_brackets_sympys_extreme_root(p, lower):
     sp = _to_sympy(p)
-    # sympy's isolating intervals of the roots in (lo, hi], which may end at hi
-    inside = [
-        (_fraction(u), _fraction(v))
-        for (u, v), _ in sp.intervals(inf=_rational(lo), sup=_rational(hi))
-        if not u == v == lo
-    ]
-    chain = sturm_chain(p)
-    found = bisect_root(chain[0], lo, hi, F(1, 1000), chain)
+    # sympy's isolating intervals of the roots >= lower, which may start at lower
+    inside = [(_fraction(u), _fraction(v)) for (u, v), _ in sp.intervals(inf=_rational(lower))]
+    found = isolate_largest_root(p, lower, F(1, 1000))
     if not inside:
         assert found is None
         return
     u, v = max(inside)
-    left, right = max(u, found[0]), min(v, found[1])
-    assert found[1] - found[0] <= F(1, 1000) and left <= right
+    left, right = max(u, found.lo), min(v, found.hi)
+    assert found.hi - found.lo <= F(1, 1000) and left <= right
     assert sp.count_roots(_rational(left), _rational(right)) >= 1
 
 

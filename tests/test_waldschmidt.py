@@ -227,15 +227,6 @@ def test_negative_from_a_rational_point(cs, point, excluded):
     assert _negative_from(UniPoly(cs), point) is excluded
 
 
-def test_negative_from_reads_a_given_chain():
-    from fatflats.roots import sturm_chain
-
-    poly = UniPoly([0, -12, 7, -1])  # roots 0, 3 and 4
-    assert _negative_from(poly, F(9, 2), sturm_chain(poly))
-    # the count reads the chain it is given, here one with no root anywhere
-    assert _negative_from(poly, 1, sturm_chain(UniPoly([-1, 0, -1])))
-
-
 def test_threshold_is_the_least_m_the_cover_test_accepts():
     try:
         import sympy
@@ -278,7 +269,7 @@ def test_cover_fails_on_a_line_that_is_not_excluded(monkeypatch):
     assert err.value.detail == "line (t, m) = (27k + 19, 7k + 5) is not negative from k = 7"
 
 
-def test_certificate_builds_one_chain(monkeypatch):
+def test_certificate_builds_no_chain(monkeypatch):
     import fatflats.roots as roots
     import fatflats.waldschmidt as waldschmidt
 
@@ -290,10 +281,20 @@ def test_certificate_builds_one_chain(monkeypatch):
         return original(p)
 
     for module in (roots, waldschmidt):
-        monkeypatch.setattr(module, "sturm_chain", counting)
+        monkeypatch.setattr(module, "sturm_chain", counting, raising=False)
     e_certify(3, 1, 6, F(27, 7))
-    # the ray's, for the whole threshold search; every line passes without one
-    assert built == [family(3, 1).along(6, 7, 0, 27, 0)]
+    assert built == []
+    # every count of the grid's certificates, ray and lines, is decided by Descartes
+    certified = 0
+    for n in range(2, 9):
+        for r in range((n - 1) // 2 + 1):
+            for s in range(2, 21):
+                try:
+                    e_certify(n, r, s, e_empirical(n, r, s).ratio)
+                except CertificationError:
+                    continue
+                certified += 1
+    assert (certified, built) == (95, [])
 
 
 @settings(max_examples=40, deadline=None)
