@@ -72,7 +72,8 @@ def cremona_transform(sys: LinearSystem, idx: Iterable[int]) -> tuple[LinearSyst
     """Apply the standard involution over the n+1 points selected by ``idx``.
 
     Returns the transformed system and the shift c; the multiplicity list is
-    padded with zeros if it has fewer than n+1 entries.
+    padded with zeros up to the largest chosen index plus one, so the chosen
+    indices 0, 1, 2, 9 make a 10-point system.
     """
     chosen = sorted(set(idx))
     if len(chosen) != sys.n + 1:

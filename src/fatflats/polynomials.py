@@ -291,17 +291,12 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return UniPoly(remainder_sequence(a.nums, b.nums)[-1]).monic()
 
 
-def squarefree_part(p: UniPoly, seq: list[list[int]] | None = None) -> UniPoly:
-    """p divided by gcd(p, p'): same roots, all simple.
-
-    ``seq`` is remainder_sequence(p.nums, p'.nums), when the caller has
-    already run it.
-    """
+def squarefree_part(p: UniPoly) -> UniPoly:
+    """p divided by gcd(p, p'): same roots, all simple; p itself when the
+    gcd is constant."""
     if p.is_zero:
         raise ValueError("zero polynomial has no squarefree part")
-    if seq is None:
-        seq = remainder_sequence(p.nums, p.derivative().nums)
-    g = UniPoly(seq[-1]).monic()
+    g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
         return p
     q, r = poly_divmod(p, g)

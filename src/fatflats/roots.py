@@ -2,18 +2,20 @@
 
 ``count_roots_in`` is the one place a root count is decided: Descartes' rule
 of signs first (Collins and Akritas), and only two or more sign variations
-build a sign-variation chain (Sturm's method) on the squarefree part, so
+build a sign-variation chain (Sturm's method) on ``squarefree_part``, so
 repeated roots cannot confuse the count; the chains, like the gcds, are
-built by primitive pseudo-remainders in integers.  Isolation is one midpoint
+built by primitive pseudo-remainders in integers.  ``sign_at`` asks it too,
+whether a gcd shares the defining root.  Isolation is one midpoint
 bisection, ``bisect_root``, of an interval that holds one root: the sign of
 the squarefree part alone refines it, except where known bounds on the root
-decide.  When many halvings remain, integer Newton predicts the dyadic cell
-they would end in, and opposite nonzero signs at its two ends confirm it
-(the idea of Abbott's quadratic interval refinement); anything unconfirmed
-goes back to halving, so the intervals are those of plain bisection.  A
-one-candidate test reports rational roots exactly (a degenerate one-point
-interval) instead of as a narrow interval.  Signs are computed in integers
-(``UniPoly.sign``), so the hot path builds no ``Fraction``.
+decide.  Once the bracket is at most 1/4 wide, integer Newton predicts the
+dyadic cell the halvings would end in, and opposite nonzero signs at its two
+ends confirm it (the idea of Abbott's quadratic interval refinement);
+anything unconfirmed goes back to halving, so the intervals are those of
+plain bisection.  A one-candidate test reports rational roots exactly (a
+degenerate one-point interval) instead of as a narrow interval.  Signs are
+computed in integers (``UniPoly.sign``), so the hot path builds no
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -79,17 +81,15 @@ class AlgebraicNumber:
 def sturm_chain(p: UniPoly) -> list[UniPoly]:
     """Sign-variation chain of the squarefree part of p.
 
-    ``chain[0]`` is the squarefree part and ``chain[1]`` its derivative; the
-    rest are the negated primitive pseudo-remainders of their numerators.
+    ``chain[0]`` is ``squarefree_part(p)`` and ``chain[1]`` its derivative;
+    the rest are the negated primitive pseudo-remainders of their numerators.
     Each is a positive multiple of the negated rational remainder, so every
-    sign-variation count is the same as for the classical chain.
+    sign-variation count is the same as for the classical chain.  The gcd
+    that ``squarefree_part`` divides out and the chain are two remainder
+    sequences, even when p is squarefree.  A zero p raises ValueError.
     """
-    if p.is_zero:
-        raise ValueError("zero polynomial")
+    p = squarefree_part(p)
     seq = remainder_sequence(p.nums, p.derivative().nums)  # just [p.nums] when p is constant
-    if len(seq[-1]) > 1:  # gcd(p, p') is nonconstant, so p has a repeated root
-        p = squarefree_part(p, seq)
-        seq = remainder_sequence(p.nums, p.derivative().nums)
     return [p, p.derivative()][: len(seq)] + [UniPoly(r) for r in seq[2:]]
 
 
@@ -144,8 +144,7 @@ def _bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     return lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator), q
 
 
-_JUMP_FROM_BITS = 8  # try the Newton jump once the bracket is at most 2^-8 wide
-_JUMP_MIN_STEPS = 24  # and at least this many halvings are left
+_JUMP_FROM_BITS = 2  # try the Newton jump once the bracket is at most 1/4 wide
 _NEWTON_GUARD_BITS = 16
 
 
@@ -160,23 +159,21 @@ def _newton_cell(
     the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Integer
     Newton predicts j: x <- x - f // f' with f(x) = 2^(K deg) den sf(x / 2^K),
     x clamped to the bracket, from its midpoint at the one precision K 16
-    bits finer than a cell, until a step of at most 1.  From a bracket at
-    most 2^-8 wide each step about doubles the correct bits, so
-    log2(K) + 2 steps are allowed.  The cell is returned only when sf
-    has opposite nonzero signs at its two ends, which puts the root strictly
-    inside it; those two signs are the whole certificate.  Equal signs move
-    j one cell toward the root, at most twice.  None sends the caller back to
-    halving: a sign 0 (a grid point is the root), a move off the grid, fewer
-    than ``_JUMP_MIN_STEPS`` halvings to save, a zero derivative or no step
-    of at most 1 within those steps.
+    bits finer than a cell, until a step of at most 1.  Once Newton is
+    close, each step about doubles the correct bits, so log2(K) + 2 steps
+    are allowed; from a bracket at most 1/4 wide that sufficed for g on
+    every workload.  The cell is returned only when sf has opposite nonzero
+    signs at its two ends, which puts the root strictly inside it; those two
+    signs are the whole certificate.  Equal signs move j one cell toward the
+    root, at most twice.  None sends the caller back to halving: a sign 0
+    (a grid point is the root), a move off the grid, a zero derivative or
+    no step of at most 1 within those steps.
     """
     span = b - a
     num, den = span * width.denominator, width.numerator * q
     k = max(num.bit_length() - den.bit_length(), 0)
     if num > den << k:
         k += 1
-    if k < _JUMP_MIN_STEPS:
-        return None
     prec = k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS
     nums = sf.nums[::-1]
     x = ((a + b) << prec) // (2 * q)  # the midpoint
@@ -225,8 +222,8 @@ def bisect_root(
     is read.
     Returns (lo, hi) of width at most ``width`` holding the root; when a
     midpoint is the root it returns (mid, mid).  Once the bracket is
-    at most 2^-8 wide, ``_newton_cell`` may jump straight to the final cell
-    of the halvings, certified by two signs; otherwise, and whenever it
+    at most 1/4 wide, ``_newton_cell`` is tried once and may jump straight
+    to the final cell of the halvings, certified by two signs; whenever it
     declines, the halvings go on from where they stand, so the result is
     the same either way.  Given ``within`` = (low, up) with
     low <= root < up, a midpoint >= up or < low reads no sign.
@@ -341,7 +338,10 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
 
     The interval enclosure of p on the bracket decides first: when it
     excludes zero, p has that sign on the whole bracket.  Only a straddling
-    enclosure pays the gcd test for a shared root and then refines.
+    enclosure computes the gcd of p and the defining polynomial: p vanishes
+    at the root iff ``count_roots_in`` finds a root of the gcd in
+    (lo, hi].  Otherwise the bracket is refined until the enclosure
+    excludes zero.
     """
     if p.is_zero:
         return 0
@@ -349,14 +349,9 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
         return p.sign(alg.value)
     vlo, vhi = _interval_eval(p, alg.lo, alg.hi)
     if vlo <= 0 <= vhi:
-        g = poly_gcd(p, alg.defining)
-        if g.degree > 0:
-            # g is squarefree and its roots in (lo, hi] are the defining root
-            # or none, so a sign change of g there (from just right of lo)
-            # shares it
-            at_hi = g.sign(alg.hi)
-            if at_hi == 0 or (g.sign(alg.lo) or g.derivative().sign(alg.lo)) != at_hi:
-                return 0
+        g = poly_gcd(p, alg.defining)  # its one possible root in (lo, hi] is the defining root
+        if g.degree > 0 and count_roots_in(g, alg.lo, alg.hi):
+            return 0
         current = alg
         for _ in range(8192):
             current = refine(current, (current.hi - current.lo) / 4)

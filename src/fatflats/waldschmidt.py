@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import NamedTuple, Optional
 
 from .asymptotic import g_value
@@ -215,7 +214,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     # the witness is the first point of the ray t = m * candidate with P > 0
     pairs, witness = 0, None
     for m in range(1, m_threshold):
-        stop = ceil(m * candidate)
+        stop = -(-m * p // q)  # ceil(m * candidate)
         t = fam.first_positive(s, m, stop)
         if t is not None:
             raise CertificationError(

@@ -314,19 +314,20 @@ def test_interval_eval_takes_two_products_from_a_nonnegative_bracket(nums, lo, w
 def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
     import fatflats.roots as roots
 
-    calls = []
-    original = roots.poly_gcd
+    calls, counts = [], []
+    original, original_count = roots.poly_gcd, roots.count_roots_in
 
     def counting(a, b):
         calls.append((a, b))
         return original(a, b)
 
     monkeypatch.setattr(roots, "poly_gcd", counting)
+    monkeypatch.setattr(roots, "count_roots_in", lambda *args: counts.append(args) or original_count(*args))
     g = g_value(3, 1, 6, F(1, 10**50))
     assert sign_at(g, lambda_poly(3, 1, 7)) == -1
-    assert calls == []
-    assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # straddles: the gcd decides
-    assert len(calls) == 1
+    assert calls == [] and counts == []
+    assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # straddles: the gcd's root count decides
+    assert len(calls) == 1 and counts == [(lambda_poly(3, 1, 6).monic(), g.lo, g.hi)]
 
 
 @st.composite
@@ -400,6 +401,8 @@ def test_sturm_chain_shape():
     assert chain[0] == UniPoly([12, -18, 0, 1])
     assert chain[1] == UniPoly([-18, 0, 3])
     assert len(chain) >= 3
+    with pytest.raises(ValueError):
+        sturm_chain(UniPoly())
 
 
 def test_algebraic_number_json():
@@ -677,7 +680,7 @@ def test_bisect_root_on_and_near_grid_points(monkeypatch, target, width, largest
         assert bisect_root(sf, lo, hi, width) == want
         monkeypatch.undo()
         if target != NEAR_GRID[0][0]:  # off the grid: the jump, not 60-odd halvings
-            assert calls[0] <= 20
+            assert calls[0] <= 10
 
 
 @settings(max_examples=150)
@@ -714,12 +717,30 @@ def _count_signs(monkeypatch, stop_after=None):
     return calls
 
 
-@pytest.mark.parametrize("config, budget", [((12, 5, 100), 80), ((3, 1, 6), 50)])
-def test_g_value_sign_budget(monkeypatch, config, budget):
+@pytest.mark.parametrize("config", [(12, 5, 100), (3, 1, 6)])
+def test_g_value_sign_budget(monkeypatch, config):
     # plain bisection to 1e-50 takes 220 and 189 signs here
     calls = _count_signs(monkeypatch)
     g_value(*config, F(1, 10**50))
-    assert calls[0] <= budget
+    assert calls[0] <= 12
+
+
+def test_newton_jump_never_declines_on_the_workloads(monkeypatch):
+    # g_value over the roots grid at 1e-50 and over the bounds grid at the
+    # default 1e-12: every jump, tried from a bracket 1/4 wide, lands
+    import fatflats.roots as roots
+
+    cells = []
+    original = roots._newton_cell
+    monkeypatch.setattr(roots, "_newton_cell", lambda *args: cells.append(original(*args)) or cells[-1])
+    roots_grid = [(n, r, s, F(1, 10**50)) for n in range(2, 13) for r in range((n - 1) // 2 + 1) for s in range(2, 101)]
+    bounds_grid = [(n, r, s, F(1, 10**12)) for n in range(2, 9) for r in range((n - 1) // 2 + 1) for s in range(2, 21)]
+    assert (len(roots_grid), len(bounds_grid)) == (4059, 361)
+    for config in roots_grid + bounds_grid:
+        tried = len(cells)
+        g = g_value(*config)
+        # a rational root can be a midpoint the halvings reach before any jump
+        assert (len(cells) > tried or g.is_exact) and None not in cells[tried:], config
 
 
 @pytest.mark.parametrize("width", [0, -1, F(-1, 10**50)])
