@@ -14,8 +14,9 @@ coefficients in t) for m = 0..64 once, when it is built, so the scans read
 a stored row per m; beyond the table a row is r + 1 Horner evaluations in
 m, and the table never grows.  At a fixed m the degrees t >= m with a
 positive Hilbert value form a half-line (``Family.first_positive``), so
-the least of them below a bound is one Hilbert value plus a bisection, and
-the least of them at all (``alpha_expected``) a doubling search and a bisection.
+the least of them below a bound is a doubling walk down from the bound
+plus a bisection, and the least of them at all (``alpha_expected``) a
+doubling search up plus a bisection.
 This module also provides an independent monomial-enumeration oracle for the count, the Hilbert
 function of a single fat flat via the iterated-summation recursion, and
 Hilbert polynomials of unions with uniform or mixed multiplicities
@@ -149,20 +150,30 @@ class Family:
         C(t + n, n), which counts every monomial.  Hence (t + 1) * P_m(t + 1)
         >= (t + n + 1) * P_m(t): once positive at some t >= m, P_m stays
         positive and rises, and the positive t >= m form a half-line.
-        So None exactly when P_m(stop - 1) <= 0, and otherwise a bisection
-        finds the least positive t: at most 1 + ceil(log2(stop - m)) values.
-        Callers validate.
+        So None exactly when P_m(stop - 1) <= 0.  Otherwise the least
+        positive t is found walking down from the known end (Bentley and
+        Yao's unbounded search, mirrored): t = stop - 2, stop - 4, ...
+        while positive, never below the middle of what is left above m - 1,
+        then a bisection of the last gap.  At most 2 * bit_length(stop - t)
+        Hilbert values, each n! * C(t + n, n) against s times the stored
+        row put in by Horner.  Callers validate.
         """
-        if stop <= m:
-            return None
-        n, scale, in_t = self.n, self.scale, self.count_in_t(m)
-
-        def positive(t: int) -> bool:
-            return scale * comb(t + n, n) > s * _horner(in_t, t)
-
-        if not positive(stop - 1):
-            return None
-        return _least_holding(positive, m - 1, stop - 1)
+        n, scale = self.n, self.scale
+        row = (self.rows[m] if m <= _TABLED_M else self.count_in_t(m))[::-1]  # highest degree first
+        # P_m <= 0 at every t <= lo, and P_m(hi) > 0 unless hi is still stop
+        lo, hi, t = m - 1, stop, stop - 1
+        while hi - lo > 1:
+            count = 0
+            for c in row:
+                count = count * t + c
+            if scale * comb(t + n, n) > s * count:
+                hi = t
+            else:
+                lo = t
+            mid, t = (lo + hi) // 2, 2 * hi - stop  # walk down from stop until past mid, then bisect
+            if t < mid:
+                t = mid
+        return hi if hi < stop else None
 
     def ray_leading(self, s: int, p: int, q: int) -> int:
         """q^n * n! * lambda(p/q) for s flats: the coefficient of k^n in
@@ -310,18 +321,18 @@ def hilbert_poly_symbolic(n: int, r: int, s: int) -> BiPoly:
     return BiPoly.from_uni_u(binom_poly(n, n)) - s * conditions_poly_symbolic(n, r)
 
 
-def _least_holding(holds: Callable[[int], bool], lo: int, hi: int | None = None) -> int:
+def _least_holding(holds: Callable[[int], bool], lo: int) -> int:
     """The least t > lo with holds(t), for a predicate that stays true once
     true past lo: the t > lo where it holds form a half-line.
 
-    Given hi, holds(hi) must be true.  Without it, hi runs lo + 1, lo + 2,
-    lo + 4, ... (each failed hi becoming lo) until holds(hi); then (lo, hi]
-    is bisected.  About 2 * log2(t - lo) + 1 predicate calls in all.
+    hi runs lo + 1, lo + 2, lo + 4, ... (each failed hi becoming lo) until
+    holds(hi); then (lo, hi] is bisected.  About 2 * log2(t - lo) + 1
+    predicate calls in all.  ``Family.first_positive`` searches a bounded
+    range the other way, down from its end, in its own loop.
     """
-    if hi is None:
-        hi, step = lo + 1, 1
-        while not holds(hi):
-            lo, hi, step = hi, hi + step, 2 * step
+    hi, step = lo + 1, 1
+    while not holds(hi):
+        lo, hi, step = hi, hi + step, 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):

@@ -42,8 +42,10 @@ class AlgebraicNumber:
     """A real algebraic number certified by a defining polynomial and interval.
 
     ``defining`` is squarefree with integer-primitive coefficients and positive
-    leading coefficient; it has exactly one real root in [lo, hi].  When the
-    number is rational the interval degenerates to a point.
+    leading coefficient; when lo < hi it has exactly one real root in the
+    half-open (lo, hi], as ``count_roots_in``, ``bisect_root`` and
+    ``refine`` read the bracket.  When the number is rational the interval
+    may degenerate to the point lo = hi.
     """
 
     defining: UniPoly
@@ -341,7 +343,8 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
     enclosure computes the gcd of p and the defining polynomial: p vanishes
     at the root iff ``count_roots_in`` finds a root of the gcd in
     (lo, hi].  Otherwise the bracket is refined until the enclosure
-    excludes zero.
+    excludes zero.  A defining root at lo lies outside (lo, hi], so that
+    bracket is refused there with a ValueError.
     """
     if p.is_zero:
         return 0
@@ -349,6 +352,8 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
         return p.sign(alg.value)
     vlo, vhi = _interval_eval(p, alg.lo, alg.hi)
     if vlo <= 0 <= vhi:
+        if alg.defining.sign(alg.lo) == 0:
+            raise ValueError(f"the defining polynomial vanishes at lo = {alg.lo}, outside (lo, hi]")
         g = poly_gcd(p, alg.defining)  # its one possible root in (lo, hi] is the defining root
         if g.degree > 0 and count_roots_in(g, alg.lo, alg.hi):
             return 0

@@ -27,11 +27,12 @@ whatever m is.  Past the expected initial degree at m = 1
 (``hilbert.alpha_expected``), both (t, m) scans ask the family, one m at a
 time, for the least t in [m, stop) with P_m(t) > 0
 (``Family.first_positive``).  At a fixed m the positive t >= m form a
-half-line, so that is one Hilbert value at stop - 1, plus a bisection only
-when it is positive: the certificate's scan of m < m_threshold costs one
-value per m, plus one per multiple of q until it meets the witness on the
-ray t = m * candidate.  Ratio bounds are turned into integer ranges of t by
-cross-multiplication, never by building a Fraction per pair.
+half-line, so that is one Hilbert value at stop - 1, plus a walk down and
+a bisection only when it is positive: the certificate's scan of
+m < m_threshold costs one value per m, plus one per multiple of q until it
+meets the witness on the ray t = m * candidate.  Ratio bounds are turned
+into integer ranges of t by cross-multiplication, never by building a
+Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the certificate's polynomials are n! * (P - 1), with the constant
@@ -73,20 +74,20 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     m takes t only while t/m stays below the best ratio so far
     (t * best.m < best.t * m); larger t cannot improve the infimum
     estimate, and equal ratios keep the earlier, smaller m.  Each m is one
-    ``Family.first_positive`` call on [m, stop), empty when stop <= m.
+    ``Family.first_positive`` call on [m, stop), empty when stop <= m, and
+    only the final pair's Hilbert value is computed.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    t = alpha_expected(n, r, s, 1)
-    best = RatioWitness(t, 1, fam.hilbert_value(s, 1, t))
+    best_t, best_m = alpha_expected(n, r, s, 1), 1
     for m in range(2, m_max + 1):
-        stop = -(-best.t * m // best.m)  # least t with t * best.m >= best.t * m
+        stop = -(-best_t * m // best_m)  # least t with t * best_m >= best_t * m
         t = fam.first_positive(s, m, stop)
         if t is not None:
-            best = RatioWitness(t, m, fam.hilbert_value(s, m, t))
-    return best
+            best_t, best_m = t, m
+    return RatioWitness(best_t, best_m, fam.hilbert_value(s, best_m, best_t))
 
 
 class ECertificate(NamedTuple):
@@ -169,8 +170,8 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
       scan: the finitely many pairs with m < m_threshold and
         m <= t < m * candidate are settled per m by ``Family.first_positive``:
         P_m <= 0 at the largest t of the range covers the whole range,
-        and a positive value is bisected down to the least t that beats
-        the candidate.
+        and from a positive value the scan walks down to the least t that
+        beats the candidate.
 
     The witness is read off the scan: at each multiple m of q, one Hilbert
     value at t = m * candidate, until one is positive.  A witness (p*k, q*k)

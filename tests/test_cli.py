@@ -48,6 +48,18 @@ def test_e_certify_json(capsys):
     assert payload["witness"] == {"t": 27, "m": 7, "value": 28}
 
 
+def test_e_certify_past_the_table_json(capsys):
+    # e(8, 1, 5) = 106/71 is attained at m = 71 and certified from m = 86 on
+    code, out = run_cli(capsys, "e", "8", "1", "5", "--mmax", "80", "--certify", "--json")
+    assert code == 0
+    assert out == (
+        '{"e":"106/71","witness":{"t":106,"m":71,"value":239344083},"certified":true,'
+        '"certificate":{"ratio":"106/71","witness":{"t":106,"m":71,"value":239344083},'
+        '"m_threshold":86,"finite_scan_range":"all integer pairs with 1 <= m < 86 and '
+        'm <= t < m*106/71","pairs_checked":1841}}\n'
+    )
+
+
 def test_e_certify_failure_text_and_json(capsys):
     # 19/6 lies above g = sqrt(10), so the ray does not tend to -infinity
     detail = "nonconstant part does not tend to -infinity at the candidate"

@@ -327,6 +327,12 @@ def _scan_cases(draw):
 @example((3, 1, 6, 11, 43))  # the range ends just below it: None
 @example((7, 3, 2, 5, 20))  # first positive t = 10
 @example((4, 1, 9, 2, 1))  # stop below m
+@example((3, 1, 6, 100, 387))  # the least t = 386 is stop - 1, past the table
+@example((3, 1, 1, 5, 60))  # the least t is m: the walk down passes below m
+@example((2, 0, 20, 3, 100))  # the walk passes below m, then bisects (m - 1, 36]
+@example((3, 1, 1, 5, 6))  # stop = m + 1, positive at m
+@example((3, 1, 6, 11, 12))  # stop = m + 1, not positive: None
+@example((3, 1, 6, 70, 300))  # m > _TABLED_M: the row comes from count_in_t; t = 271
 def test_first_positive_matches_direct_scan(case):
     n, r, s, m, stop = case
     fam = family(n, r)

@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction as F
 from math import ceil, isqrt, lcm
+from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -212,6 +213,17 @@ def test_refine_and_sign_at():
     assert sign_at(tight, UniPoly([3, -2])) == 1  # 3 - 2*sqrt(2) > 0
     assert sign_at(root, UniPoly([F(-3, 2), 1])) == -1  # sqrt(2) < 3/2, coarse interval
 
+
+
+def test_sign_at_refuses_a_root_at_lo_at_once():
+    # the bracket is (lo, hi]: x - 2 has no root in (2, 3], and refining
+    # toward it used to spin through 8,192 refinements before raising
+    alg = AlgebraicNumber(UniPoly([-2, 1]), F(2), F(3))
+    start = perf_counter()
+    with pytest.raises(ValueError, match="vanishes at lo"):
+        sign_at(alg, UniPoly([-4, 0, 1]))
+    assert perf_counter() - start < 1
+    assert sign_at(alg, UniPoly([-1, 1])) == 1  # an enclosure that decides needs no check
 
 @pytest.mark.parametrize(
     "config", [(3, 1, 7), (3, 1, 9), (3, 1, 12), (3, 0, 10), (4, 1, 9), (12, 5, 100)]
