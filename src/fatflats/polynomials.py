@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic over the rationals.
 
-Everything here is built on Python integers, so no rounding ever happens:
-a :class:`UniPoly` is integer numerators over one denominator, and
-``Fraction`` appears only at the edges and in :class:`BiPoly`.  It provides
+Everything here is built on Python integers, so no rounding happens
+outside the decimal rendering: a :class:`UniPoly` is integer numerators
+over one denominator, and ``Fraction`` appears only at the edges and in
+:class:`BiPoly`.  It provides
 
 * :func:`binom`, the binomial coefficient with the out-of-range convention
   C(a, b) = 0 for b < 0 or b > a,
@@ -12,12 +13,15 @@ a :class:`UniPoly` is integer numerators over one denominator, and
 * :class:`BiPoly`, a sparse polynomial in two formal variables, used for the
   degree/multiplicity bookkeeping where both the evaluation point and the
   multiplicity stay symbolic.
+* :func:`decimal_str`, a rational rendered to ``sig`` significant digits by
+  one correctly rounded ``decimal`` division (General Decimal Arithmetic).
 
 All values are immutable after construction; every function is pure.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
@@ -50,37 +54,15 @@ def fraction_to_json(q: Scalar):
 def decimal_str(q: Scalar, sig: int = 10) -> str:
     """Correctly rounded decimal rendering of a rational to ``sig`` significant digits.
 
-    Exact (no floating point); trailing zeros after the decimal point are
-    stripped, so exact values render minimally ("3", "1.5").
+    One ``decimal`` division, rounded half away from zero (exact, no floating
+    point, for any number of digits); trailing zeros are stripped, so exact
+    values render minimally ("3", "1.5").  Exponent form ("1e-6") is used when
+    the rounded exponent lies outside -4..sig-1.
     """
     q = Fraction(q)
-    if q == 0:
-        return "0"
-    sign = "-" if q < 0 else ""
-    num, den = abs(q.numerator), q.denominator
-    # e = floor(log10(num/den)) by integer comparisons
-    e = len(str(num)) - len(str(den))
-    if num * 10 ** max(0, -e) < den * 10 ** max(0, e):
-        e -= 1
-    # round num/den * 10^(sig-1-e) to the nearest integer, half away from zero
-    shift = sig - 1 - e
-    if shift >= 0:
-        scaled_num, scaled_den = num * 10**shift, den
-    else:
-        scaled_num, scaled_den = num, den * 10 ** (-shift)
-    digits = (2 * scaled_num + scaled_den) // (2 * scaled_den)
-    ds = str(digits)
-    if len(ds) > sig:  # rounding bumped into the next decade
-        e += 1
-        ds = ds[:sig]
-    if 0 <= e < sig:
-        intpart, fracpart = ds[: e + 1], ds[e + 1 :].rstrip("0")
-        return sign + intpart + ("." + fracpart if fracpart else "")
-    if -4 <= e < 0:
-        fracpart = ("0" * (-e - 1) + ds).rstrip("0")
-        return sign + "0." + fracpart
-    mant = ds[0] + ("." + ds[1:].rstrip("0") if ds[1:].rstrip("0") else "")
-    return f"{sign}{mant}e{e:+d}"
+    ctx = Context(sig, ROUND_HALF_UP, MIN_EMIN, MAX_EMAX)
+    d = ctx.normalize(ctx.divide(Decimal(q.numerator), q.denominator))
+    return f"{d:f}" if -4 <= d.adjusted() < sig else f"{d:e}"
 
 
 class UniPoly:

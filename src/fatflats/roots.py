@@ -5,16 +5,16 @@ of signs first (Collins and Akritas), and only two or more sign variations
 build a sign-variation chain (Sturm's method) on ``squarefree_part``, so
 repeated roots cannot confuse the count; the chains, like the gcds, are
 built by primitive pseudo-remainders in integers.  ``sign_at`` asks it too,
-whether a gcd shares the defining root.  Isolation is one midpoint
-bisection, ``bisect_root``, of an interval that holds one root: the sign of
-the squarefree part alone refines it, except where known bounds on the root
-decide.  Once the bracket is at most 1/4 wide, integer Newton predicts the
-dyadic cell the halvings would end in, and opposite nonzero signs at its two
-ends confirm it (the idea of Abbott's quadratic interval refinement);
-anything unconfirmed goes back to halving, so the intervals are those of
-plain bisection.  A one-candidate test reports rational roots exactly (a
-degenerate one-point interval) instead of as a narrow interval.  Signs are
-computed in integers (``UniPoly.sign``), so the hot path builds no
+whether its bracket holds one root and a gcd shares it.  Isolation is one
+midpoint bisection, ``bisect_root``, of an interval that holds one root: the
+sign of the squarefree part alone refines it, except where known bounds on
+the root decide.  Once the bracket is at most 1/4 wide, integer Newton
+predicts the dyadic cell the halvings would end in, and opposite nonzero
+signs at its two ends confirm it (the idea of Abbott's quadratic interval
+refinement); anything unconfirmed goes back to halving, so the intervals are
+those of plain bisection.  A one-candidate test reports rational roots
+exactly (a degenerate one-point interval) instead of as a narrow interval.
+Signs are computed in integers (``UniPoly.sign``), so the hot path builds no
 ``Fraction``.
 """
 
@@ -340,29 +340,25 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
 
     The interval enclosure of p on the bracket decides first: when it
     excludes zero, p has that sign on the whole bracket.  Only a straddling
-    enclosure computes the gcd of p and the defining polynomial: p vanishes
-    at the root iff ``count_roots_in`` finds a root of the gcd in
-    (lo, hi].  Otherwise the bracket is refined until the enclosure
-    excludes zero.  A defining root at lo lies outside (lo, hi], so that
-    bracket is refused there with a ValueError.
+    enclosure counts the defining roots in (lo, hi] (anything but one is a
+    ValueError) and computes the gcd of p and the defining polynomial: p
+    vanishes at the root iff ``count_roots_in`` finds a root of the gcd in
+    (lo, hi].  Otherwise p is nonzero at the root, so bisecting the bracket
+    ends with an enclosure that excludes zero.
     """
     if p.is_zero:
         return 0
     if alg.is_exact:
         return p.sign(alg.value)
-    vlo, vhi = _interval_eval(p, alg.lo, alg.hi)
+    lo, hi = alg.lo, alg.hi
+    vlo, vhi = _interval_eval(p, lo, hi)
     if vlo <= 0 <= vhi:
-        if alg.defining.sign(alg.lo) == 0:
-            raise ValueError(f"the defining polynomial vanishes at lo = {alg.lo}, outside (lo, hi]")
+        if count_roots_in(alg.defining, lo, hi) != 1:
+            raise ValueError(f"the defining polynomial has no single root in ({lo}, {hi}]")
         g = poly_gcd(p, alg.defining)  # its one possible root in (lo, hi] is the defining root
-        if g.degree > 0 and count_roots_in(g, alg.lo, alg.hi):
+        if g.degree > 0 and count_roots_in(g, lo, hi):
             return 0
-        current = alg
-        for _ in range(8192):
-            current = refine(current, (current.hi - current.lo) / 4)
-            vlo, vhi = _interval_eval(p, current.lo, current.hi)
-            if vlo > 0 or vhi < 0:
-                break
-        else:
-            raise ArithmeticError("sign_at failed to separate from zero")
+        while vlo <= 0 <= vhi:
+            lo, hi = bisect_root(alg.defining, lo, hi, (hi - lo) / 4)
+            vlo, vhi = _interval_eval(p, lo, hi)
     return 1 if vlo > 0 else -1

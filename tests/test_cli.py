@@ -366,6 +366,21 @@ def test_subprocess_exit_codes():
     assert usage.stderr
 
 
+def test_g_past_the_int_to_str_digit_cap():
+    # the interval's ends have more than CPython's default 4,300 digits, so
+    # the report prints only with the cap lifted
+    argv = ("lambda", "3", "1", "6", "--g", "--prec", "1e-5000")
+    text, js = _run_subprocess(*argv), _run_subprocess(*argv, "--json")
+    assert text.returncode == 0 and text.stdout == b"g(3,1,6) = 3.858783723\n"
+    assert js.returncode == 0
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    report = json.loads(js.stdout)
+    lo, hi = (Fraction(end) for end in report["interval"])
+    assert 0 < hi - lo <= Fraction(1, 10**5000)
+    assert abs((lo + hi) / 2 - Fraction(report["decimal"])) <= Fraction(5, 10**10)
+
+
 def test_closed_stdout_is_no_error():
     # the reader goes away before the report is written: the command still
     # exits with its own status and prints no traceback

@@ -1,8 +1,9 @@
+import sys
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflats.hilbert import hilbert_poly_symbolic
@@ -157,6 +158,61 @@ def test_decimal_rounding_carries_into_the_next_decade():
     assert decimal_str(F(99999999999, 10**10)) == "10"
     assert decimal_str(F(-99999995, 10**7), 6) == "-10"
     assert decimal_str(F(999999999995, 10**17)) == "1e-5"
+
+
+def _round_half_up(q, sig):
+    """(digits, e) with digits * 10^(e + 1 - sig) the rounding of |q| != 0 to
+    sig significant digits, half away from zero, and 10^e <= that < 10^(e + 1);
+    integers only, no str()."""
+    num, den = abs(q.numerator), q.denominator
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000  # about log10(2)
+    while num * 10 ** max(-e, 0) < den * 10 ** max(e, 0):
+        e -= 1
+    while num * 10 ** max(-e - 1, 0) >= den * 10 ** max(e + 1, 0):
+        e += 1
+    shift = sig - 1 - e
+    n, d = num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0)
+    digits = (2 * n + d) // (2 * d)
+    if digits == 10**sig:  # the rounding carried into the next decade
+        return 10 ** (sig - 1), e + 1
+    return digits, e
+
+
+@st.composite
+def decimal_cases(draw):
+    """(q, sig): a random rational, one with a numerator or denominator past
+    CPython's default 4,300-digit cap on int-to-str, or an exact tie
+    (2d + 1) / 2 * 10^j between two sig-digit roundings."""
+    sig = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "huge", "tie"]))
+    sign = draw(st.sampled_from([1, -1]))
+    if kind == "random":
+        num, den = draw(st.integers(1, 10**80)), draw(st.integers(1, 10**80))
+    elif kind == "huge":
+        big = draw(st.integers(4300, 4600))
+        num = draw(st.integers(1, 10**40)) * 10 ** draw(st.sampled_from([0, big]))
+        den = draw(st.integers(1, 10**40)) * 10 ** draw(st.sampled_from([0, big])) + draw(st.integers(0, 1))
+    else:
+        d = draw(st.integers(10 ** (sig - 1), 10**sig - 1))
+        j = draw(st.integers(-4400, 4400))
+        num, den = (2 * d + 1) * 10 ** max(j, 0), 2 * 10 ** max(-j, 0)
+    return sign * F(num, den), sig
+
+
+@settings(max_examples=300)
+@given(decimal_cases())
+def test_decimal_str_matches_integer_rounding(case):
+    q, sig = case
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(4300)  # CPython's default cap on int-to-str
+    text = decimal_str(q, sig)
+    digits, e = _round_half_up(q, sig)
+    assert F(text) == (1 if q > 0 else -1) * digits * F(10) ** (e + 1 - sig)
+    mantissa, _, exponent = text.partition("e")
+    assert not ("." in mantissa and mantissa.endswith(("0", ".")))
+    assert bool(exponent) == (not -4 <= e < sig)
+    if exponent:
+        assert int(exponent) == e and len(mantissa.lstrip("-").split(".")[0]) == 1
 
 
 def test_poly_json_round_trip():

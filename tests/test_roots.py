@@ -216,14 +216,23 @@ def test_refine_and_sign_at():
 
 
 def test_sign_at_refuses_a_root_at_lo_at_once():
-    # the bracket is (lo, hi]: x - 2 has no root in (2, 3], and refining
-    # toward it used to spin through 8,192 refinements before raising
+    # the bracket is (lo, hi]: x - 2 has no root in (2, 3], so no refinement
+    # could ever separate x^2 - 4 from zero there; one root count refuses it
     alg = AlgebraicNumber(UniPoly([-2, 1]), F(2), F(3))
     start = perf_counter()
-    with pytest.raises(ValueError, match="vanishes at lo"):
+    with pytest.raises(ValueError, match="no single root"):
         sign_at(alg, UniPoly([-4, 0, 1]))
     assert perf_counter() - start < 1
     assert sign_at(alg, UniPoly([-1, 1])) == 1  # an enclosure that decides needs no check
+
+
+def test_sign_at_with_another_defining_root_at_lo():
+    # (0, 3] is a valid bracket of sqrt(2) for x^3 - 2x: its other root 0 lies
+    # at lo, outside the half-open bracket, and must not be refused
+    alg = isolate_largest_root(UniPoly([0, -2, 0, 1]), F(-3), precision=4)
+    assert (alg.lo, alg.hi) == (0, 3)
+    assert [sign_at(alg, UniPoly([-c, 0, 1])) for c in (1, 2, 3)] == [1, 0, -1]
+
 
 @pytest.mark.parametrize(
     "config", [(3, 1, 7), (3, 1, 9), (3, 1, 12), (3, 0, 10), (4, 1, 9), (12, 5, 100)]
@@ -257,7 +266,8 @@ def signs_at_roots(draw):
     irrational u + sqrt(n)/m in a bracket (lo, hi] of random width (hi = r
     at times); p shares the root, has a root of its own on the bracket's
     dyadic grid (so the enclosure straddles zero and refining lands on it),
-    or is random."""
+    or is random.  At times the defining polynomial also vanishes at lo,
+    which lies outside the half-open bracket."""
     if draw(st.booleans()):
         r = draw(st.fractions(min_value=-3, max_value=3, max_denominator=9))
         factor, approx = UniPoly([-r, 1]), r
@@ -269,13 +279,16 @@ def signs_at_roots(draw):
         factor = UniPoly([u * u - F(n, m * m), -2 * u, 1])
         approx = u + F(isqrt(n * 4**80), m * 2**80)  # within 2^-80 below the root
         expected = lambda p: _value_in_quadratic_field(p, u, n, m)  # noqa: E731
-    defining = (factor * UniPoly([draw(st.integers(4, 9)), 1])).primitive()  # and a root below -3
+    defining = factor * UniPoly([draw(st.integers(4, 9)), 1])  # and a root below -3
     below = F(1, 2 ** draw(st.integers(3, 120)))
     above = F(1, 2 ** draw(st.integers(3, 120)))
     if factor.degree == 1 and draw(st.booleans()):
         above = F(0)  # the root is the bracket's right end
     lo, hi = approx - below, approx + (factor.degree - 1) * F(1, 2**80) + above
-    assume(count_roots_in(defining, lo, hi) == 1 and defining.sign(lo) != 0)
+    if draw(st.booleans()):
+        defining = defining * UniPoly([-lo, 1])  # a root at lo, outside (lo, hi]
+    defining = defining.primitive()
+    assume(count_roots_in(defining, lo, hi) == 1)
     alg = AlgebraicNumber(defining, lo, hi)
     kind = draw(st.sampled_from(["shared", "grid", "random"]))
     h = UniPoly(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)))
@@ -339,7 +352,9 @@ def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
     assert sign_at(g, lambda_poly(3, 1, 7)) == -1
     assert calls == [] and counts == []
     assert sign_at(g, lambda_poly(3, 1, 6) * UniPoly([1, 1])) == 0  # straddles: the gcd's root count decides
-    assert len(calls) == 1 and counts == [(lambda_poly(3, 1, 6).monic(), g.lo, g.hi)]
+    # one count checks the bracket, one decides whether the gcd shares the root
+    assert len(calls) == 1
+    assert counts == [(g.defining, g.lo, g.hi), (lambda_poly(3, 1, 6).monic(), g.lo, g.hi)]
 
 
 @st.composite
