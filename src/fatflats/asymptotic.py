@@ -102,7 +102,7 @@ def g_value(
     ``_root_bounds`` read no sign.
     """
     lam, one = lambda_poly(n, r, s), Fraction(1)
-    bound = max(cauchy_root_bound(lam), one + 1)
+    bound = max(cauchy_root_bound(lam), 2)
     at_one = lam(one) == 0
     above = at_one + count_roots_in(lam, one, bound)
     if above != 1:

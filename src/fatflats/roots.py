@@ -161,15 +161,18 @@ def _newton_cell(
     the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Integer
     Newton predicts j: x <- x - f // f' with f(x) = 2^(K deg) den sf(x / 2^K),
     x clamped to the bracket, from its midpoint at the one precision K 16
-    bits finer than a cell, until a step of at most 1.  Once Newton is
-    close, each step about doubles the correct bits, so log2(K) + 2 steps
-    are allowed; from a bracket at most 1/4 wide that sufficed for g on
+    bits finer than a cell; the coefficients are scaled to K once, so each
+    step is plain integer Horner.  Once Newton is close, each step about
+    squares the error, so a step of fewer than K/2 bits leaves a correction
+    far below the 16 guard bits and ends the iteration; log2(K) + 2 steps
+    are allowed, and from a bracket at most 1/4 wide that sufficed for g on
     every workload.  The cell is returned only when sf has opposite nonzero
     signs at its two ends, which puts the root strictly inside it; those two
-    signs are the whole certificate.  Equal signs move j one cell toward the
-    root, at most twice.  None sends the caller back to halving: a sign 0
-    (a grid point is the root), a move off the grid, a zero derivative or
-    no step of at most 1 within those steps.
+    signs are the whole certificate, so the stop rule changes only the cost,
+    never the cell.  Equal signs move j one cell toward the root, at most
+    twice.  None sends the caller back to halving: a sign 0 (a grid point is
+    the root), a move off the grid, a zero derivative or no stop within
+    those steps.
     """
     span = b - a
     num, den = span * width.denominator, width.numerator * q
@@ -177,20 +180,19 @@ def _newton_cell(
     if num > den << k:
         k += 1
     prec = k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS
-    nums = sf.nums[::-1]
+    scaled = [c << i * prec for i, c in enumerate(reversed(sf.nums))]
     x = ((a + b) << prec) // (2 * q)  # the midpoint
     x_lo, x_hi = -((-a << prec) // q), (b << prec) // q  # the bracket, rounded inward
     for _ in range(prec.bit_length() + 2):
-        f = df = shift = 0
-        for c in nums:  # Horner for f and its derivative together
+        f = df = 0
+        for c in scaled:  # Horner for f and its derivative together
             df = df * x + f
-            f = f * x + (c << shift)
-            shift += prec
+            f = f * x + c
         if not df:
             return None
         step = f // df
         x = min(max(x - step, x_lo), x_hi)
-        if -1 <= step <= 1:
+        if 2 * step.bit_length() < prec:
             break
     else:
         return None
@@ -228,23 +230,27 @@ def bisect_root(
     to the final cell of the halvings, certified by two signs; whenever it
     declines, the halvings go on from where they stand, so the result is
     the same either way.  Given ``within`` = (low, up) with
-    low <= root < up, a midpoint >= up or < low reads no sign.
+    low <= root < up, a midpoint >= up or < low reads no sign.  The width,
+    the ``within`` bounds and the sign at hi are read into integers once,
+    so the halvings touch no ``Fraction``.
     """
     a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
-    s_hi = sf.sign(hi)
+    w_num, w_den = width.numerator, width.denominator
+    s_hi = sf.sign(b, q)
     low, up = within or (lo, hi)  # every midpoint lies strictly inside (lo, hi)
-    jump = width > 0  # a width <= 0 never ends the loop, and its k would be unbounded
-    while (b - a) * width.denominator > width.numerator * q:
+    low_num, low_den, up_num, up_den = low.numerator, low.denominator, up.numerator, up.denominator
+    jump = w_num > 0  # a width <= 0 never ends the loop, and its k would be unbounded
+    while (b - a) * w_den > w_num * q:
         if jump and s_hi and (b - a) << _JUMP_FROM_BITS <= q:
             jump = False
             cell = _newton_cell(sf, a, b, q, s_hi, width)
             if cell is not None:
                 return cell
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
-        if mid * up.denominator >= up.numerator * q:  # above the root: sf(mid) has s_hi's sign
+        if mid * up_den >= up_num * q:  # above the root: sf(mid) has s_hi's sign
             b = mid
-        elif mid * low.denominator < low.numerator * q:  # below the root
+        elif mid * low_den < low_num * q:  # below the root
             a = mid
         else:
             s_mid = sf.sign(mid, q)
@@ -298,9 +304,10 @@ def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumbe
     """
     defining = sf.primitive()
     lc = defining.nums[-1]
-    top = hi if (hi - lo) * lc < 1 else bisect_root(sf, lo, hi, Fraction(1, 2 * lc))[1]
+    a, b, q = _bracket(lo, hi)
+    top = hi if (b - a) * lc < q else bisect_root(sf, lo, hi, Fraction(1, 2 * lc))[1]
     k = top.numerator * lc // top.denominator
-    if lo < Fraction(k, lc) and defining.sign(k, lc) == 0:
+    if a * lc < k * q and defining.sign(k, lc) == 0:
         # the interval holds exactly one root of sf, so k / lc is that root
         lo = hi = Fraction(k, lc)
     return AlgebraicNumber(defining, lo, hi)

@@ -1,6 +1,8 @@
+import hashlib
+import json
 import sys
 from fractions import Fraction as F
-from math import ceil, isqrt, lcm
+from math import ceil, floor, isqrt, lcm
 from time import perf_counter
 
 import pytest
@@ -717,6 +719,18 @@ def test_bisect_root_matches_plain_bisection(case):
     assert bisect_root(sf, lo, hi, width) == _plain_bisect(sf, lo, hi, width)
 
 
+@settings(max_examples=150)
+@given(isolated_roots(), st.data())
+def test_bisect_root_within_matches_plain_bisection(case, data):
+    # low <= root < up: integer powers of two as _root_bounds gives them,
+    # rationals at or just around the root, and ends past (lo, hi]
+    sf, lo, hi, width = case
+    below, above = _plain_bisect(sf, lo, hi, F(1, 2**200))  # below < root <= above, or both the root
+    low = data.draw(st.sampled_from([1 << (floor(below).bit_length() - 1) if below >= 1 else -4, floor(below), below, lo, lo - 3]))
+    up = data.draw(st.sampled_from([1 << max(floor(above), 0).bit_length(), floor(above) + 1, above + F(1, 2**100), hi + 1]))
+    assert bisect_root(sf, lo, hi, width, within=(low, up)) == _plain_bisect(sf, lo, hi, width)
+
+
 @settings(max_examples=50)
 @given(isolated_roots(), st.integers(0, 3), st.integers(0, 2))
 def test_isolate_largest_root_matches_plain_bisection(case, below, power):
@@ -752,22 +766,37 @@ def test_g_value_sign_budget(monkeypatch, config):
     assert calls[0] <= 12
 
 
+# sha256 of the roots grid's g_value(n, r, s, 1e-50).to_json(), one compact
+# JSON line per configuration in grid order, joined by newlines
+ROOTS_GRID_G_SHA256 = "2321b944d2593d86feddea2d482a413db6b3d44e3782fb0ad081b16ffbcea32b"
+
+
 def test_newton_jump_never_declines_on_the_workloads(monkeypatch):
     # g_value over the roots grid at 1e-50 and over the bounds grid at the
-    # default 1e-12: every jump, tried from a bracket 1/4 wide, lands
+    # default 1e-12: every jump, tried from a bracket 1/4 wide, lands; the
+    # roots grid's bytes and both grids' sign totals are pinned, so a Newton
+    # stop rule that costs one extra cell move shows
     import fatflats.roots as roots
 
     cells = []
     original = roots._newton_cell
     monkeypatch.setattr(roots, "_newton_cell", lambda *args: cells.append(original(*args)) or cells[-1])
+    calls = _count_signs(monkeypatch)
     roots_grid = [(n, r, s, F(1, 10**50)) for n in range(2, 13) for r in range((n - 1) // 2 + 1) for s in range(2, 101)]
     bounds_grid = [(n, r, s, F(1, 10**12)) for n in range(2, 9) for r in range((n - 1) // 2 + 1) for s in range(2, 21)]
     assert (len(roots_grid), len(bounds_grid)) == (4059, 361)
-    for config in roots_grid + bounds_grid:
+    lines = []
+    for i, config in enumerate(roots_grid + bounds_grid):
+        if i == len(roots_grid):
+            roots_signs = calls[0]
         tried = len(cells)
         g = g_value(*config)
         # a rational root can be a midpoint the halvings reach before any jump
         assert (len(cells) > tried or g.is_exact) and None not in cells[tried:], config
+        if i < len(roots_grid):
+            lines.append(json.dumps(g.to_json(), separators=(",", ":")))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOTS_GRID_G_SHA256
+    assert (roots_signs, calls[0] - roots_signs) == (34576, 2912)
 
 
 @pytest.mark.parametrize("width", [0, -1, F(-1, 10**50)])
