@@ -73,11 +73,12 @@ def tower_check(n: int, r: int, s: int) -> bool:
     return step and at_one
 
 
-def _root_bounds(n: int, r: int, s: int) -> tuple[int, int]:
-    """Powers of two with low <= tau < up for every root tau >= 1 of lambda:
-    tau^n = s sum_{j <= r} C(n, j) (tau - 1)^j lies in [s, S tau^r]."""
+def _root_bounds(n: int, r: int, s: int) -> int:
+    """A power of two up >= 2 with tau < up for every root tau >= 1 of lambda
+    at s >= 2: tau^n = s sum_{j <= r} C(n, j) (tau - 1)^j <= S tau^r, with
+    S = s sum_{j <= r} C(n, j) < up^(n - r)."""
     big_s = s * sum(binom(n, j) for j in range(r + 1))
-    return 1 << (s.bit_length() - 1) // n, 1 << -(-big_s.bit_length() // (n - r))
+    return 1 << -(-big_s.bit_length() // (n - r))
 
 
 def g_value(
@@ -98,8 +99,9 @@ def g_value(
     coefficients C(n, j) (1 - s) for j <= r and C(n, j) above r, so at most
     one sign change, and Descartes counts.  For s >= 2, A' = n B (B is A for
     (n - 1, r - 1)) and A - (1 + y) B = -s C(n - 1, r) y^r, so A and A' share
-    no root, as A(0) = 1 - s != 0: lambda is squarefree.  Halvings outside
-    ``_root_bounds`` read no sign.
+    no root, as A(0) = 1 - s != 0: lambda is squarefree.  Its one root
+    above 1 is bisected in (1, up], up from ``_root_bounds``: g < up, and
+    the count over the Cauchy bound shows that no other root lies above 1.
     """
     lam, one = lambda_poly(n, r, s), Fraction(1)
     bound = max(cauchy_root_bound(lam), 2)
@@ -111,7 +113,7 @@ def g_value(
         )
     if at_one:
         return AlgebraicNumber(squarefree_part(lam).primitive(), one, one)
-    return exact_if_rational(lam, *bisect_root(lam, one, bound, precision, within=_root_bounds(n, r, s)))
+    return exact_if_rational(lam, *bisect_root(lam, one, _root_bounds(n, r, s), precision))
 
 
 class SpecialRootRow(NamedTuple):

@@ -345,9 +345,10 @@ def verify_gamma_points_case(n: int, s: int, h_range: Iterable[int] = range(1, 4
                 expected, degree = (n,) * (n + 1) + (-1, -1), n + 1
             else:
                 expected, degree = (1,) * n + (0, 0, 0), 1
-            endpoint_note = (
-                "endpoint multiset matches the expected reduced system"
-                if sorted(final.mults) == sorted(expected) and final.d == degree
-                else f"endpoint {final.format()} differs from the expected reduced system"
-            )
+            if not up_trace.steps:  # certified at the start: there is no reduced endpoint
+                endpoint_note = f"no Cremona step: {final.format()} is certified ({up_trace.certificate})"
+            elif sorted(final.mults) == sorted(expected) and final.d == degree:
+                endpoint_note = "endpoint multiset matches the expected reduced system"
+            else:
+                endpoint_note = f"endpoint {final.format()} differs from the expected reduced system"
     return GammaCaseReport(n, s, gamma, tuple(rows), endpoint_note)

@@ -7,15 +7,14 @@ repeated roots cannot confuse the count; the chains, like the gcds, are
 built by primitive pseudo-remainders in integers.  ``sign_at`` asks it too,
 whether its bracket holds one root and a gcd shares it.  Isolation is one
 midpoint bisection, ``bisect_root``, of an interval that holds one root: the
-sign of the squarefree part alone refines it, except where known bounds on
-the root decide.  Once the bracket is at most 1/4 wide, integer Newton
-predicts the dyadic cell the halvings would end in, and opposite nonzero
-signs at its two ends confirm it (the idea of Abbott's quadratic interval
-refinement); anything unconfirmed goes back to halving, so the intervals are
-those of plain bisection.  A one-candidate test reports rational roots
-exactly (a degenerate one-point interval) instead of as a narrow interval.
-Signs are computed in integers (``UniPoly.sign``), so the hot path builds no
-``Fraction``.
+sign of the squarefree part alone refines it.  Once the bracket is at most
+1/4 wide, integer Newton predicts the dyadic cell the halvings would end in,
+and opposite nonzero signs at its two ends confirm it (the idea of Abbott's
+quadratic interval refinement); anything unconfirmed goes back to halving,
+so the intervals are those of plain bisection.  A one-candidate test
+reports rational roots exactly (a degenerate one-point interval) instead of
+as a narrow interval.  Signs are computed in integers (``UniPoly.sign``),
+so the hot path builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -212,34 +211,23 @@ def _newton_cell(
     return None
 
 
-def bisect_root(
-    sf: UniPoly,
-    lo: Fraction,
-    hi: Fraction,
-    width: Fraction,
-    within: tuple[Fraction, Fraction] | None = None,
-) -> tuple[Fraction, Fraction]:
+def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Midpoint bisection to the one root of the squarefree sf in (lo, hi].
 
     (lo, hi] must already hold exactly one root.  It is in (mid, hi] iff
-    sf(hi) = 0 or sf(mid) and sf(hi) differ in sign, so only the sign of sf
-    is read.
-    Returns (lo, hi) of width at most ``width`` holding the root; when a
-    midpoint is the root it returns (mid, mid).  Once the bracket is
-    at most 1/4 wide, ``_newton_cell`` is tried once and may jump straight
-    to the final cell of the halvings, certified by two signs; whenever it
-    declines, the halvings go on from where they stand, so the result is
-    the same either way.  Given ``within`` = (low, up) with
-    low <= root < up, a midpoint >= up or < low reads no sign.  The width,
-    the ``within`` bounds and the sign at hi are read into integers once,
-    so the halvings touch no ``Fraction``.
+    sf(hi) = 0 or sf(mid) and sf(hi) differ in sign, so each halving reads
+    one sign of sf.  Returns (lo, hi) of width at most ``width`` holding the
+    root; when a midpoint is the root it returns (mid, mid).  Once the
+    bracket is at most 1/4 wide, ``_newton_cell`` is tried once and may jump
+    straight to the final cell of the halvings, certified by two signs;
+    whenever it declines, the halvings go on from where they stand, so the
+    result is the same either way.  The bracket and the width are read into
+    integers once, so the halvings touch no ``Fraction``.
     """
     a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
     w_num, w_den = width.numerator, width.denominator
     s_hi = sf.sign(b, q)
-    low, up = within or (lo, hi)  # every midpoint lies strictly inside (lo, hi)
-    low_num, low_den, up_num, up_den = low.numerator, low.denominator, up.numerator, up.denominator
     jump = w_num > 0  # a width <= 0 never ends the loop, and its k would be unbounded
     while (b - a) * w_den > w_num * q:
         if jump and s_hi and (b - a) << _JUMP_FROM_BITS <= q:
@@ -248,18 +236,13 @@ def bisect_root(
             if cell is not None:
                 return cell
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
-        if mid * up_den >= up_num * q:  # above the root: sf(mid) has s_hi's sign
-            b = mid
-        elif mid * low_den < low_num * q:  # below the root
+        s_mid = sf.sign(mid, q)
+        if s_mid == 0:
+            return Fraction(mid, q), Fraction(mid, q)
+        if s_hi == 0 or s_mid == -s_hi:
             a = mid
         else:
-            s_mid = sf.sign(mid, q)
-            if s_mid == 0:
-                return Fraction(mid, q), Fraction(mid, q)
-            if s_hi == 0 or s_mid == -s_hi:
-                a = mid
-            else:
-                b, s_hi = mid, s_mid
+            b, s_hi = mid, s_mid
     return Fraction(a, q), Fraction(b, q)
 
 

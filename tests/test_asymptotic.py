@@ -13,7 +13,8 @@ from fatflats.asymptotic import (
     tower_check,
 )
 from fatflats.polynomials import UniPoly, poly_gcd
-from fatflats.roots import isolate_largest_root
+from fatflats.roots import count_roots_in, isolate_largest_root
+from test_roots import _plain_g, _same_root
 
 
 def test_lambda_closed_forms():
@@ -136,7 +137,8 @@ def test_g_value_reads_no_sturm_chain(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert g_one == roots.isolate_largest_root(lambda_poly(3, 1, 1), F(1))
-    assert g_six == roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1))
+    assert g_six == _plain_g(3, 1, 6, roots.DEFAULT_PRECISION)
+    assert _same_root(g_six, roots.isolate_largest_root(lambda_poly(3, 1, 6), F(1)))
 
 
 def _shifted_closed_form(n, r, s):
@@ -178,22 +180,23 @@ def test_s_one_is_the_exact_root_one():
 
 
 def test_root_bounds_hold_on_the_roots_grid():
-    # low <= g < up: lambda <= 0 at low and > 0 at up, both >= 1
+    # g_value bisects (1, up]: lambda > 0 at up, and g is its one root there
     for n in range(2, 13):
         for r in range((n - 1) // 2 + 1):
             for s in range(2, 101):
-                low, up = _root_bounds(n, r, s)
+                up = _root_bounds(n, r, s)
                 lam = lambda_poly(n, r, s)
-                assert 1 <= low < up and lam.sign(low) <= 0 < lam.sign(up), (n, r, s)
+                assert up >= 2 and lam.sign(up) > 0 and count_roots_in(lam, 1, up) == 1, (n, r, s)
 
 
 @pytest.mark.parametrize("width", [F(2), F(1), F(1, 2), F(1, 10**12), F(1, 10**50)])
 def test_g_value_matches_the_chain_isolator(width):
-    # isolate_largest_root halves from the Cauchy bound with no root bounds,
-    # counting roots where g_value reads one sign change
+    # isolate_largest_root halves from the Cauchy bound, counting roots where
+    # g_value bisects (1, up]: the same root, and plain bisection's bytes
     rng = random.Random(27)
     configs = [(n, r) for n in range(2, 13) for r in range((n - 1) // 2 + 1)]
     for n, r in rng.sample(configs, 12):
         for s in rng.sample(range(1, 101), 6):
-            expected = isolate_largest_root(lambda_poly(n, r, s), F(1), width)
-            assert g_value(n, r, s, width) == expected, (n, r, s, width)
+            g = g_value(n, r, s, width)
+            assert _same_root(g, isolate_largest_root(lambda_poly(n, r, s), F(1), width)), (n, r, s, width)
+            assert s == 1 or g == _plain_g(n, r, s, width), (n, r, s, width)

@@ -226,6 +226,14 @@ def test_gamma_case_reports():
     assert all(row.lower_empty for row in rep.rows)
     assert "matches" in rep.endpoint_note
 
+    # the conic system L(2; 1^5) has virtual dimension 1: certified before
+    # any Cremona step, so there is no reduced endpoint to compare
+    rep = verify_gamma_points_case(2, 5, range(1, 3))
+    assert rep.ok and rep.gamma == 2
+    assert rep.endpoint_note == "no Cremona step: 2;1,1,1,1,1 is certified (virtual dimension 1 > 0)"
+    for n in range(3, 8):
+        assert "matches" in verify_gamma_points_case(n, n + 3, [1]).endpoint_note, n
+
 
 @pytest.mark.parametrize("h_range", [[], range(1, 1), [0], [1, 0], [2, -1]])
 def test_gamma_case_rejects_empty_or_nonpositive_h(h_range):

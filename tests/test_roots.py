@@ -2,14 +2,14 @@ import hashlib
 import json
 import sys
 from fractions import Fraction as F
-from math import ceil, floor, isqrt, lcm
+from math import ceil, isqrt, lcm
 from time import perf_counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fatflats.asymptotic import g_value, lambda_poly
+from fatflats.asymptotic import _root_bounds, g_value, lambda_poly
 from fatflats.polynomials import UniPoly, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
@@ -442,37 +442,37 @@ def test_algebraic_number_json():
 
 
 # g_value(n, r, s, 1e-50) byte for byte: any change in the midpoint
-# bisection schedule moves these intervals
+# bisection schedule of (1, up] moves these intervals
 GOLDEN_G = {
     (3, 1, 6): {
         "defining": [12, -18, 0, 1],
         "interval": [
-            "2887484789597636611332099168708091476806619710959487/748288838313422294120286634350736906063837462003712",
-            "5774969579195273222664198337416182953613239421918983/1496577676626844588240573268701473812127674924007424",
+            "22558474918731536026032024755531964662551716491871/5846006549323611672814739330865132078623730171904",
+            "2887484789597636611332099168708091476806619710959495/748288838313422294120286634350736906063837462003712",
         ],
         "decimal": "3.858783723",
     },
     (4, 1, 10): {
         "defining": [30, -40, 0, 0, 1],
         "interval": [
-            "2335041737810064390358208843594938458609264803385437/748288838313422294120286634350736906063837462003712",
-            "1167520868905032195179104421797469229304632401692721/374144419156711147060143317175368453031918731001856",
+            "72970054306564512198694026362341826831539525105795/23384026197294446691258957323460528314494920687616",
+            "1167520868905032195179104421797469229304632401692723/374144419156711147060143317175368453031918731001856",
         ],
         "decimal": "3.120508577",
     },
     (5, 2, 7): {
         "defining": [-42, 105, -70, 0, 0, 1],
         "interval": [
-            "21061243768531422620989666009887491082486227136368131/5986310706507378352962293074805895248510699696029696",
-            "42122487537062845241979332019774982164972454272736367/11972621413014756705924586149611790497021399392059392",
+            "658163867766606956905927062808984096327694598011503/187072209578355573530071658587684226515959365500928",
+            "2632655471066427827623708251235936385310778392046019/748288838313422294120286634350736906063837462003712",
         ],
         "decimal": "3.518234318",
     },
     (12, 5, 100): {
         "defining": [46200, -252000, 554400, -616000, 346500, -79200, 0, 0, 0, 0, 0, 0, 1],
         "interval": [
-            "3262118722384641750495829133747001460305200324548656463/766247770432944429179173513575154591809369561091801088",
-            "6524237444769283500991658267494002920610400649097322551/1532495540865888858358347027150309183618739122183602176",
+            "3185662814828751709468583138424806113579297191942043/748288838313422294120286634350736906063837462003712",
+            "1592831407414375854734291569212403056789648595971025/374144419156711147060143317175368453031918731001856",
         ],
         "decimal": "4.257263575",
     },
@@ -491,7 +491,7 @@ def test_refine_and_threshold_golden_bytes():
 
     assert refine(g_value(3, 1, 7), F(1, 10**18)).to_json() == {
         "defining": [14, -21, 0, 1],
-        "interval": ["77540961102671154559/18446744073709551616", "155081922205342309139/36893488147419103232"],
+        "interval": ["9692620137833894319/2305843009213693952", "38770480551335577283/9223372036854775808"],
         "decimal": "4.203503924",
     }
     cert = e_certify(3, 1, 6, F(27, 7)).to_json()
@@ -540,7 +540,8 @@ def test_g_value_builds_no_chain_for_s_at_least_two(monkeypatch, config):
     g = g_value(*config, F(1, 10**50))
     assert built == [] and calls == []
     monkeypatch.undo()
-    assert g == isolate_largest_root(lambda_poly(*config), F(1), F(1, 10**50))
+    assert g == _plain_g(*config, F(1, 10**50))
+    assert _same_root(g, isolate_largest_root(lambda_poly(*config), F(1), F(1, 10**50)))
 
 
 def test_squarefree_chain_runs_one_remainder_sequence(monkeypatch):
@@ -615,6 +616,21 @@ def _plain_bisect(sf, lo, hi, width, chain=None):
         else:
             hi, s_hi = mid, s_mid
     return lo, hi
+
+
+def _plain_g(n, r, s, width):
+    """g_value's reference for s >= 2: plain bisection of (1, up], up from
+    ``_root_bounds``, and a rational root reported exactly."""
+    lam = lambda_poly(n, r, s)
+    return exact_if_rational(lam, *_plain_bisect(lam, F(1), F(_root_bounds(n, r, s)), width))
+
+
+def _same_root(g, other):
+    """Two AlgebraicNumbers of one root: equal when either is exact, and
+    otherwise half-open brackets that overlap."""
+    if g.is_exact or other.is_exact:
+        return g == other
+    return g.lo < other.hi and other.lo < g.hi
 
 
 def _halvings(lo, hi, width):
@@ -719,16 +735,22 @@ def test_bisect_root_matches_plain_bisection(case):
     assert bisect_root(sf, lo, hi, width) == _plain_bisect(sf, lo, hi, width)
 
 
+@st.composite
+def g_configs(draw):
+    """(n, r, s, width) with n <= 12, n >= 2r + 1, 2 <= s <= 100, and a width
+    coarser than the bracket, a third, or a power of 2 or 10 below 1."""
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(0, (n - 1) // 2))
+    s = draw(st.integers(2, 100))
+    k = draw(st.integers(1, 60))
+    width = draw(st.sampled_from([F(2), F(1), F(1, 3), F(1, 2**k), F(1, 10**k)]))
+    return n, r, s, width
+
+
 @settings(max_examples=150)
-@given(isolated_roots(), st.data())
-def test_bisect_root_within_matches_plain_bisection(case, data):
-    # low <= root < up: integer powers of two as _root_bounds gives them,
-    # rationals at or just around the root, and ends past (lo, hi]
-    sf, lo, hi, width = case
-    below, above = _plain_bisect(sf, lo, hi, F(1, 2**200))  # below < root <= above, or both the root
-    low = data.draw(st.sampled_from([1 << (floor(below).bit_length() - 1) if below >= 1 else -4, floor(below), below, lo, lo - 3]))
-    up = data.draw(st.sampled_from([1 << max(floor(above), 0).bit_length(), floor(above) + 1, above + F(1, 2**100), hi + 1]))
-    assert bisect_root(sf, lo, hi, width, within=(low, up)) == _plain_bisect(sf, lo, hi, width)
+@given(g_configs())
+def test_g_value_matches_plain_bisection_from_its_bound(config):
+    assert g_value(*config) == _plain_g(*config)
 
 
 @settings(max_examples=50)
@@ -760,15 +782,15 @@ def _count_signs(monkeypatch, stop_after=None):
 
 @pytest.mark.parametrize("config", [(12, 5, 100), (3, 1, 6)])
 def test_g_value_sign_budget(monkeypatch, config):
-    # plain bisection to 1e-50 takes 220 and 189 signs here
+    # up = 8 for both, and plain bisection of (1, 8] to 1e-50 reads 170 signs
     calls = _count_signs(monkeypatch)
     g_value(*config, F(1, 10**50))
-    assert calls[0] <= 12
+    assert calls[0] <= 9
 
 
 # sha256 of the roots grid's g_value(n, r, s, 1e-50).to_json(), one compact
 # JSON line per configuration in grid order, joined by newlines
-ROOTS_GRID_G_SHA256 = "2321b944d2593d86feddea2d482a413db6b3d44e3782fb0ad081b16ffbcea32b"
+ROOTS_GRID_G_SHA256 = "5473e1ba6def6b0c9596786d7eff5528b0cd358b4c5fe599c06403a532aa9e7b"
 
 
 def test_newton_jump_never_declines_on_the_workloads(monkeypatch):
@@ -796,7 +818,7 @@ def test_newton_jump_never_declines_on_the_workloads(monkeypatch):
         if i < len(roots_grid):
             lines.append(json.dumps(g.to_json(), separators=(",", ":")))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOTS_GRID_G_SHA256
-    assert (roots_signs, calls[0] - roots_signs) == (34576, 2912)
+    assert (roots_signs, calls[0] - roots_signs) == (32094, 2743)
 
 
 @pytest.mark.parametrize("width", [0, -1, F(-1, 10**50)])
