@@ -374,7 +374,7 @@ def _cmd_verify_appendix(args):
 
 
 def _cmd_verify_gamma_case(args):
-    report = verify_gamma_points_case(args.n, args.s, range(1, args.hmax + 1))
+    report = verify_gamma_points_case(args.n, args.s, args.hmax)
     lines = [
         f"h={row.h}: alpha={row.alpha} ratio={fraction_to_json(row.ratio)} "
         f"nonempty={row.upper_nonempty} lower_empty={row.lower_empty} consistent={row.consistent}"

@@ -314,22 +314,21 @@ def _case_systems(n: int, s: int, h: int) -> tuple[LinearSystem, Optional[Linear
     raise ValueError(f"alpha bookkeeping covers n+1 <= s <= n+3, got s={s}, n={n}")
 
 
-def verify_gamma_points_case(n: int, s: int, h_range: Iterable[int] = range(1, 4)) -> GammaCaseReport:
+def verify_gamma_points_case(n: int, s: int, h_max: int = 3) -> GammaCaseReport:
     """Replay the alpha bookkeeping for s in {n+1, n+2, n+3} general points.
 
-    For each h: the witness system must reduce to nonempty, the system one
-    degree lower (where an emptiness chain is available) must reduce to
-    empty, and the realized ratio degree/multiplicity must match the closed
-    form for the Waldschmidt constant.  An empty h range, or any h < 1, is
-    rejected: it would pass with nothing checked.
+    For each h = 1..h_max: the witness system must reduce to nonempty, the
+    system one degree lower (where an emptiness chain is available) must
+    reduce to empty, and the realized ratio degree/multiplicity must match
+    the closed form for the Waldschmidt constant.  h_max < 1 is rejected:
+    it would pass with nothing checked.
     """
-    h_range = list(h_range)
-    if not h_range or min(h_range) < 1:
-        raise ValueError(f"need a nonempty range of h >= 1, got {h_range}")
+    if h_max < 1:
+        raise ValueError(f"need h_max >= 1, got {h_max}")
     gamma = gamma_points_closed(n, s)
     rows = []
     endpoint_note = ""
-    for h in h_range:
+    for h in range(1, h_max + 1):
         upper, lower, d, m = _case_systems(n, s, h)
         up_trace = reduce_system(upper)
         upper_ok = up_trace.verdict == "nonempty"

@@ -43,7 +43,8 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None, t: int |
 
     Requires 0 <= r < n, s >= 1, n >= 2r+1 once s >= 2 (two or more disjoint
     r-flats only fit in P^n when n >= 2r+1), m >= 1 and t >= m (below m the
-    count formula counts no conditions, so it is not extrapolated there).
+    count formula counts no conditions, so it is not extrapolated there); a
+    degree t is only checked against its multiplicity, so t needs m.
     """
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got n={n}")
@@ -55,6 +56,8 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None, t: int |
         raise ValueError(f"disjointness needs n >= 2r+1, got n={n}, r={r}")
     if m is not None and m < 1:
         raise ValueError(f"multiplicity must be >= 1, got m={m}")
+    if t is not None and m is None:
+        raise ValueError(f"a degree needs a multiplicity, got t={t} without m")
     if t is not None and t < m:
         raise ValueError(f"the count requires t >= m, got t={t}, m={m}")
 
@@ -174,13 +177,6 @@ class Family:
             if t < mid:
                 t = mid
         return hi if hi < stop else None
-
-    def ray_leading(self, s: int, p: int, q: int) -> int:
-        """q^n * n! * lambda(p/q) for s flats: the coefficient of k^n in
-        ``along(s, q, 0, p, 0)``, read off the top-degree terms t^a m^(n-a)
-        of n! * P alone, without building the ray."""
-        n = self.n
-        return p**n - s * sum(row[n - a] * p**a * q ** (n - a) for a, row in enumerate(self.counts))
 
     def along(self, s: int, q: int, j: int, p: int, c: int) -> UniPoly:
         """n! * (P_m(t) - 1) for s flats along m = q*k + j, t = p*k + c, in k.

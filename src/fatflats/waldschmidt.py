@@ -12,9 +12,8 @@ matters, and along a lattice line of (t, m) the polynomial n! * (P - 1) is
 one integer polynomial in the line's parameter (``Family.along``):
 
   1. m_threshold is the least M such that n! * (P - 1) < 0 along the ray
-     t = m*p/q at every real m >= M.  A candidate above g is refused first
-     by one sign: the ray's top coefficient, q^n * n! * lambda(p/q), read
-     off the family's top-degree terms (``Family.ray_leading``);
+     t = m*p/q at every real m >= M.  The ray's top coefficient is
+     q^n * n! * lambda(p/q), so a candidate above g is refused here;
   2. for m >= M, the largest t below m*p/q lies on one of q lattice lines,
      one per residue of m mod q, and each line is < 0 from M on;
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
@@ -39,8 +38,8 @@ is why the certificate's polynomials are n! * (P - 1), with the constant
 term carried along exactly rather than dropped.  Known Waldschmidt
 constants (closed forms for few general points, table values for few
 general lines) are exposed with source tags, and ``bounds_report``
-assembles the certified chain gamma <= e <= g, reading lambda's sign off
-the family too.
+assembles the certified chain gamma <= e <= g, reading each side of g off
+g's own defining polynomial.
 """
 
 from __future__ import annotations
@@ -153,13 +152,11 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
       threshold: along the ray (t, m) = (p*k, q*k), n! * (P - 1) is
         ``ray = Family.along(s, q, 0, p, 0)``, q^n * ray(m/q) the nonconstant
-        part of n! * P(m * candidate) at scale q^n.  Its k^n coefficient
-        q^n * n! * lambda(p/q) is read first off the family's top-degree
-        terms (``Family.ray_leading``): when it is positive the candidate
-        lies above g and is refused without building the ray.  Otherwise
-        m_threshold is the least m >= 1 with ray < 0 at every real
-        k >= m/q, one more than the floor of q times the ray's largest
-        root;
+        part of n! * P(m * candidate) at scale q^n.  It must tend to
+        -infinity, which refuses every candidate above g, where its k^n
+        coefficient q^n * n! * lambda(p/q) is positive.  Then m_threshold
+        is the least m >= 1 with ray < 0 at every real k >= m/q, one more
+        than the floor of q times the ray's largest root;
       cover: for m = q*k + j >= m_threshold, the largest t below m * p/q is
         p*k + ceil(j*p/q) - 1; along each of the q lines j = 0..q-1,
         n! * (P - 1) must be < 0 at every real k >= k_j, the least k with
@@ -195,10 +192,9 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
     p, q = candidate.numerator, candidate.denominator
 
-    # threshold: the least m >= 1 from which the ray stays negative;
-    # a positive k^n coefficient refuses the candidate before the ray is built
-    ray = None if fam.ray_leading(s, p, q) > 0 else fam.along(s, q, 0, p, 0)
-    if ray is None or ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
+    # threshold: the least m >= 1 from which the ray stays negative
+    ray = fam.along(s, q, 0, p, 0)
+    if ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
     m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q)), 0)
 
@@ -302,7 +298,7 @@ class BoundsReport:
     e_certified: bool
     e_witness: RatioWitness
     g: AlgebraicNumber
-    e_below_g: bool = True
+    e_below_g: bool
 
     def to_json(self) -> dict:
         gamma = None
@@ -329,31 +325,33 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     """Assemble gamma (when known), e (certified when possible), and g.
 
     The assertable parts of the ordering gamma <= e <= g are checked with
-    exact arithmetic: the sign of lambda(p/q), that of
-    ``Family.ray_leading``, decides position relative to g.  A violation
-    would be a genuine contradiction and raises.  A certified e is never
-    above g, since ``e_certify`` refuses a positive ``ray_leading``; for an
-    uncertified e the report records whether e <= g held.
+    exact arithmetic.  A rational x >= 1 lies above g exactly when g's
+    defining polynomial is positive at x: for s >= 2 it is n! * lambda, and
+    for s = 1 the squarefree part of lambda, whose dropped factors are
+    positive above 1.  A violation would be a genuine contradiction and
+    raises.  ``e_certify`` refuses every candidate above g, so it runs only
+    when e <= g; an uncertified e records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
     witness = e_empirical(n, r, s, m_max)
     e = witness.ratio
-    try:
-        e_certify(n, r, s, e)
-        certified = True
-    except CertificationError:
-        certified = False
     g = g_value(n, r, s)
-    fam = family(n, r)
 
     if gamma is not None and gamma.exact:
         if gamma.value > e:
             raise ArithmeticError(
                 f"chain violation: gamma {gamma.value} > e {e} at (n={n}, r={r}, s={s})"
             )
-        if fam.ray_leading(s, gamma.value.numerator, gamma.value.denominator) > 0:
+        if g.defining.sign(gamma.value) > 0:
             raise ArithmeticError(
                 f"chain violation: gamma {gamma.value} > g at (n={n}, r={r}, s={s})"
             )
-    e_below_g = fam.ray_leading(s, e.numerator, e.denominator) <= 0
+    e_below_g = g.defining.sign(e) <= 0
+    certified = False
+    if e_below_g:
+        try:
+            e_certify(n, r, s, e)
+            certified = True
+        except CertificationError:
+            pass
     return BoundsReport(n, r, s, gamma, e, certified, witness, g, e_below_g)

@@ -160,7 +160,7 @@ def criterion_7_cremona():
             up2 = LinearSystem(n, h * (n + 2), (h * n,) * (n + 2))
             assert hyperplane_product_witness(up2) is not None
         for s in (n + 1, n + 2, n + 3):
-            assert verify_gamma_points_case(n, s, range(1, 3)).ok
+            assert verify_gamma_points_case(n, s, 2).ok
 
     strict = bounds_report(3, 0, 4)
     assert strict.gamma.value == F(4, 3) and strict.e == F(3, 2)

@@ -364,6 +364,10 @@ def test_subprocess_exit_codes():
     usage = _run_subprocess("lambda")
     assert usage.returncode == 2
     assert usage.stderr
+    # 19/6 lies above g = sqrt(10): the threshold step refuses it
+    refused = _run_subprocess("e", "2", "0", "10", "--certify")
+    assert refused.returncode == 1
+    assert b"certification failed at step threshold" in refused.stdout
 
 
 def test_g_past_the_int_to_str_digit_cap():

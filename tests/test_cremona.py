@@ -208,40 +208,40 @@ def test_reduce_empty_families():
 
 
 def test_gamma_case_reports():
-    rep = verify_gamma_points_case(3, 4, range(1, 4))
+    rep = verify_gamma_points_case(3, 4, 3)
     assert rep.ok
     assert [row.alpha for row in rep.rows] == [4, 8, 12]
     assert all(row.ratio == F(4, 3) for row in rep.rows)
 
-    rep = verify_gamma_points_case(3, 5, range(1, 4))
+    rep = verify_gamma_points_case(3, 5, 3)
     assert rep.ok
     assert [row.alpha for row in rep.rows] == [5, 10, 15]
 
-    rep = verify_gamma_points_case(4, 7, range(1, 3))
+    rep = verify_gamma_points_case(4, 7, 2)
     assert rep.ok and rep.gamma == F(3, 2)
     assert "matches" in rep.endpoint_note
 
-    rep = verify_gamma_points_case(3, 6, range(1, 3))
+    rep = verify_gamma_points_case(3, 6, 2)
     assert rep.ok and rep.gamma == F(12, 7)
     assert all(row.lower_empty for row in rep.rows)
     assert "matches" in rep.endpoint_note
 
     # the conic system L(2; 1^5) has virtual dimension 1: certified before
     # any Cremona step, so there is no reduced endpoint to compare
-    rep = verify_gamma_points_case(2, 5, range(1, 3))
+    rep = verify_gamma_points_case(2, 5, 2)
     assert rep.ok and rep.gamma == 2
     assert rep.endpoint_note == "no Cremona step: 2;1,1,1,1,1 is certified (virtual dimension 1 > 0)"
     for n in range(3, 8):
-        assert "matches" in verify_gamma_points_case(n, n + 3, [1]).endpoint_note, n
+        assert "matches" in verify_gamma_points_case(n, n + 3, 1).endpoint_note, n
 
 
-@pytest.mark.parametrize("h_range", [[], range(1, 1), [0], [1, 0], [2, -1]])
-def test_gamma_case_rejects_empty_or_nonpositive_h(h_range):
-    with pytest.raises(ValueError, match="h >= 1"):
-        verify_gamma_points_case(3, 6, h_range)
+@pytest.mark.parametrize("h_max", [0, -2])
+def test_gamma_case_rejects_empty_or_nonpositive_h(h_max):
+    with pytest.raises(ValueError, match="h_max >= 1"):
+        verify_gamma_points_case(3, 6, h_max)
 
 
 def test_gamma_case_all_small_dimensions():
     for n in range(2, 6):
         for s in (n + 1, n + 2, n + 3):
-            assert verify_gamma_points_case(n, s, range(1, 3)).ok
+            assert verify_gamma_points_case(n, s, 2).ok

@@ -544,6 +544,11 @@ def test_one_validator_rejects_t_below_m():
     check_flat_domain(3, 1, m=4, t=4)
 
 
+def test_a_degree_without_a_multiplicity_is_a_value_error():
+    with pytest.raises(ValueError, match="a degree needs a multiplicity"):
+        check_flat_domain(3, 1, t=5)
+
+
 def test_identity_sums_share_one_check():
     for identity in (identity_sum_binom, identity_sum_i_binom):
         for a, m in ((-1, 2), (2, 0)):

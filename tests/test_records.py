@@ -29,8 +29,8 @@ RECORDS = {
     "Witness": lambda: hyperplane_product_witness(LinearSystem(3, 4, (3, 3, 3, 3))),
     "ReductionStep": lambda: reduce_system(LinearSystem(3, 12, (7,) * 6)).steps[0],
     "ReductionTrace": lambda: reduce_system(LinearSystem(3, 12, (7,) * 6)),
-    "GammaCaseRow": lambda: verify_gamma_points_case(3, 4, range(1, 2)).rows[0],
-    "GammaCaseReport": lambda: verify_gamma_points_case(3, 4, range(1, 3)),
+    "GammaCaseRow": lambda: verify_gamma_points_case(3, 4, 1).rows[0],
+    "GammaCaseReport": lambda: verify_gamma_points_case(3, 4, 2),
     "Violation": lambda: Violation(5, (1, 2, 2), -3),
     "ReplayAssertion": lambda: replay_appendix("e-3-0-4").assertions[0],
     "ReplayReport": lambda: replay_appendix("e-3-0-4"),

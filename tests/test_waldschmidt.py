@@ -1,7 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
-from math import ceil, floor, log2
+from math import ceil, factorial, floor, log2
 
 import pytest
 from hypothesis import given, settings
@@ -513,40 +513,38 @@ def test_bounds_report_e_below_g_is_lambdas_sign_on_the_grid():
         assert report.e_below_g == (lambda_poly(n, r, s)(report.e) <= 0), (n, r, s)
 
 
-def test_ray_leading_is_the_rays_top_coefficient_on_the_grid():
-    # every p/q in [1, 4] with q <= 12: the sign that refuses a candidate
-    # early is the sign the ray's own leading coefficient would give
+def test_ray_top_coefficient_is_lambda_on_the_grid():
+    # every p/q in [1, 4] with q <= 12: the ray's k^n coefficient, which
+    # e_certify's threshold step refuses on, is q^n * n! * lambda(p/q), and
+    # its sign is that of g's defining polynomial, which bounds_report reads
     ratios = {F(p, q) for q in range(1, 13) for p in range(q, 4 * q + 1)}
     for n, r, s in GRID:
-        fam = family(n, r)
+        fam, lam, g = family(n, r), lambda_poly(n, r, s), g_value(n, r, s)
         for x in ratios:
             p, q = x.numerator, x.denominator
             ray = fam.along(s, q, 0, p, 0)
-            top = fam.ray_leading(s, p, q)
-            assert (top > 0) == (ray.degree == n and ray.leading > 0), (n, r, s, x)
-            assert top == (ray.nums[n] if ray.degree == n else 0), (n, r, s, x)
+            top = ray.nums[n] if ray.degree == n else 0
+            assert top == q**n * factorial(n) * lam(x), (n, r, s, x)
+            assert (top > 0) == (g.defining.sign(x) > 0), (n, r, s, x)
 
 
 @pytest.mark.parametrize(
-    "config, candidate, rays",
+    "config, candidate",
     [
-        ((2, 0, 4), F(2), 1),  # the six rational e = g: lambda(e) = 0, so the ray is built
-        ((2, 0, 9), F(3), 1),
-        ((3, 0, 8), F(2), 1),
-        ((3, 1, 2), F(2), 1),
-        ((5, 2, 2), F(2), 1),
-        ((7, 3, 2), F(2), 1),
-        ((3, 1, 6), F(4), 0),  # above g ~ 3.8588: refused before the ray
+        ((2, 0, 4), F(2)),  # the six rational e = g: lambda(e) = 0
+        ((2, 0, 9), F(3)),
+        ((3, 0, 8), F(2)),
+        ((3, 1, 2), F(2)),
+        ((5, 2, 2), F(2)),
+        ((7, 3, 2), F(2)),
+        ((3, 1, 6), F(4)),  # above g ~ 3.8588: lambda(4) > 0
     ],
 )
-def test_threshold_refusal_builds_the_ray_only_when_lambda_is_not_positive(
-    monkeypatch, config, candidate, rays
-):
+def test_threshold_refusal_builds_exactly_one_ray(monkeypatch, config, candidate):
     from fatflats.hilbert import Family
 
     n, r, s = config
-    g = g_value(n, r, s)
-    assert (g.is_exact and g.value == candidate) == (rays == 1)
+    assert g_value(n, r, s).defining.sign(candidate) >= 0
     along, built = Family.along, []
 
     def counting(self, *args):
@@ -560,7 +558,22 @@ def test_threshold_refusal_builds_the_ray_only_when_lambda_is_not_positive(
         "threshold",
         "nonconstant part does not tend to -infinity at the candidate",
     )
-    assert built == [(s, candidate.denominator, 0, candidate.numerator, 0)] * rays
+    assert built == [(s, candidate.denominator, 0, candidate.numerator, 0)]
+
+
+def test_bounds_report_certifies_only_e_below_g_on_the_grid(monkeypatch):
+    import fatflats.waldschmidt as waldschmidt
+
+    certify, calls = waldschmidt.e_certify, []
+
+    def counting(n, r, s, candidate):
+        calls.append((n, r, s))
+        return certify(n, r, s, candidate)
+
+    monkeypatch.setattr(waldschmidt, "e_certify", counting)
+    above = {config for config in GRID if not bounds_report(*config).e_below_g}
+    assert len(calls) == len(set(calls)) == 101
+    assert len(above) == 260 and above.isdisjoint(calls)
 
 
 def test_whole_grid_bytes():
