@@ -272,11 +272,13 @@ def conditions_poly(n: int, r: int, m: int) -> UniPoly:
     return UniPoly(fam.count_in_t(m), fam.scale)
 
 
+@lru_cache(maxsize=None)
 def conditions_poly_symbolic(n: int, r: int) -> BiPoly:
     """c(n, r, m, t) with both t and m symbolic, as a BiPoly in (t, m).
 
     The i-indexed summands are polynomials in (t, i); summing i from 0 to
     m - 1 symbolically replaces the index by power-sum polynomials in m.
+    Cached: it depends on (n, r) alone, and a ``BiPoly`` is never mutated.
     """
     check_flat_domain(n, r)
     # first factor C(t - i + r, r) as a BiPoly in (t, i)

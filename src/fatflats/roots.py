@@ -8,10 +8,11 @@ built by primitive pseudo-remainders in integers.  ``sign_at`` asks it too,
 whether its bracket holds one root and a gcd shares it.  Isolation is one
 midpoint bisection, ``bisect_root``, of an interval that holds one root: the
 sign of the squarefree part alone refines it.  Once the bracket is at most
-1/4 wide, integer Newton predicts the dyadic cell the halvings would end in,
-and opposite nonzero signs at its two ends confirm it (the idea of Abbott's
-quadratic interval refinement); anything unconfirmed goes back to halving,
-so the intervals are those of plain bisection.  A one-candidate test
+1/4 wide, Newton in fixed point, at precisions that halve down from the
+final one, predicts the dyadic cell the halvings would end in, and opposite
+nonzero signs at its two ends confirm it (the idea of Abbott's quadratic
+interval refinement); anything unconfirmed goes back to halving, so the
+intervals are those of plain bisection.  A one-candidate test
 reports rational roots exactly (a degenerate one-point interval) instead of
 as a narrow interval.  Signs are computed in integers (``UniPoly.sign``),
 so the hot path builds no ``Fraction``.
@@ -147,6 +148,7 @@ def _bracket(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
 
 _JUMP_FROM_BITS = 2  # try the Newton jump once the bracket is at most 1/4 wide
 _NEWTON_GUARD_BITS = 16
+_NEWTON_BASE_BITS = 128  # Newton's first, coarsest stage runs at most this precise
 
 
 def _newton_cell(
@@ -157,21 +159,26 @@ def _newton_cell(
     (a/q, b/q] holds exactly one root of sf, and s_hi != 0 is the sign of
     sf(b/q).  Bisection to ``width`` takes k halvings, the least k with
     (b - a) / (q 2^k) <= width.  When no point of that depth-k dyadic grid is
-    the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Integer
-    Newton predicts j: x <- x - f // f' with f(x) = 2^(K deg) den sf(x / 2^K),
-    x clamped to the bracket, from its midpoint at the one precision K 16
-    bits finer than a cell; the coefficients are scaled to K once, so each
-    step is plain integer Horner.  Once Newton is close, each step about
-    squares the error, so a step of fewer than K/2 bits leaves a correction
-    far below the 16 guard bits and ends the iteration; log2(K) + 2 steps
-    are allowed, and from a bracket at most 1/4 wide that sufficed for g on
-    every workload.  The cell is returned only when sf has opposite nonzero
-    signs at its two ends, which puts the root strictly inside it; those two
-    signs are the whole certificate, so the stop rule changes only the cost,
-    never the cell.  Equal signs move j one cell toward the root, at most
-    twice.  None sends the caller back to halving: a sign 0 (a grid point is
-    the root), a move off the grid, a zero derivative or no stop within
-    those steps.
+    the root, it ends in cell j = floor((root q - a) 2^k / (b - a)).  Newton
+    predicts j in fixed point.  At precision p an integer x stands for the
+    point x / 2^p; one Horner pass, each term (f * x >> p) + c 2^p, gives
+    2^p den sf(x / 2^p) and 2^p times its derivative as f and f', up to the
+    rounding of each term; the step is (f << p) // f', and x is clamped to
+    the bracket.  The final precision K is 16 bits finer than a cell.  The
+    stages run at K, ceil(K/2), ... down to the first of at most 128 bits: x
+    starts from the bracket's midpoint at the smallest and is carried up to
+    each next stage by one shift, so the operands stay near p bits instead
+    of deg K.  Once Newton is close, each step about squares the error, so a
+    step of fewer than p/2 bits leaves a correction below one unit of its
+    stage and ends the stage; log2(K) + 1 + (the number of stages) steps are
+    allowed in all, and from a bracket at most 1/4 wide that sufficed for g
+    on every workload.  The cell is returned only when sf has opposite
+    nonzero signs at its two ends, which puts the root strictly inside it;
+    those two signs are the whole certificate, so the stages, the truncation
+    and the stop rule change only the cost, never the cell.  Equal signs
+    move j one cell toward the root, at most twice.  None sends the caller
+    back to halving: a sign 0 (a grid point is the root), a move off the
+    grid, a zero derivative or no stop within those steps.
     """
     span = b - a
     num, den = span * width.denominator, width.numerator * q
@@ -179,22 +186,33 @@ def _newton_cell(
     if num > den << k:
         k += 1
     prec = k + q.bit_length() - span.bit_length() + _NEWTON_GUARD_BITS
-    scaled = [c << i * prec for i, c in enumerate(reversed(sf.nums))]
-    x = ((a + b) << prec) // (2 * q)  # the midpoint
-    x_lo, x_hi = -((-a << prec) // q), (b << prec) // q  # the bracket, rounded inward
-    for _ in range(prec.bit_length() + 2):
-        f = df = 0
-        for c in scaled:  # Horner for f and its derivative together
-            df = df * x + f
-            f = f * x + c
-        if not df:
+    stages = [prec]  # prec, ceil(prec / 2), ... down to the first of at most 128 bits
+    while stages[-1] > _NEWTON_BASE_BITS:
+        stages.append((stages[-1] + 1) // 2)
+    steps = prec.bit_length() + 1 + len(stages)
+    p = stages[-1]
+    x = ((a + b) << p) // (2 * q)  # the midpoint
+    for stage in reversed(stages):
+        x, p = x << stage - p, stage
+        lead, *rest = [c << p for c in reversed(sf.nums)]
+        x_lo, x_hi = -((-a << p) // q), (b << p) // q  # the bracket, rounded inward
+        for steps in range(steps - 1, -1, -1):  # the steps left after this one
+            f, df = lead, 0
+            for c in rest:  # truncated Horner for f and its derivative together
+                df = (df * x >> p) + f
+                f = (f * x >> p) + c
+            if not df:
+                return None
+            step = (f << p) // df
+            x -= step
+            if x < x_lo:
+                x = x_lo
+            elif x > x_hi:
+                x = x_hi
+            if 2 * step.bit_length() < p:
+                break
+        else:
             return None
-        step = f // df
-        x = min(max(x - step, x_lo), x_hi)
-        if 2 * step.bit_length() < prec:
-            break
-    else:
-        return None
     cells = 1 << k
     j = min(max(((x * q - (a << prec)) << k) // (span << prec), 0), cells - 1)
     q <<= k

@@ -736,6 +736,38 @@ def test_bisect_root_matches_plain_bisection(case):
 
 
 @st.composite
+def lambda_shaped_roots(draw):
+    """(sf, lo, hi, width): sf squarefree and shaped like lambda, a positive
+    leading coefficient over a run of zeros and a low block of coefficients
+    up to 10^7, some of them zero (the constant term among them); (lo, hi]
+    holds its largest real root, and widths go down to 2^-1200, where the
+    Newton jump runs five stages."""
+    degree = draw(st.integers(1, 12))
+    low = draw(st.lists(st.one_of(st.just(0), st.integers(-(10**7), 10**7)), min_size=1, max_size=degree))
+    sf = UniPoly(low + [0] * (degree - len(low)) + [draw(st.integers(1, 99))])
+    assume(squarefree_part(sf).degree == degree)
+    hi = cauchy_root_bound(sf)
+    lo = -hi
+    assume(count_roots_in(sf, lo, hi))
+    while count_roots_in(sf, lo, hi) > 1:  # counting halvings toward the largest root
+        mid = (lo + hi) / 2
+        if count_roots_in(sf, mid, hi):
+            lo = mid
+        else:
+            hi = mid
+    e = draw(st.integers(1, 1200))
+    width = F(1, 2**e) if draw(st.booleans()) else F(1, 10 ** (3 * e // 10 + 1))
+    return sf, lo, hi, width
+
+
+@settings(max_examples=60)
+@given(lambda_shaped_roots())
+def test_lambda_shaped_roots_match_plain_bisection(case):
+    sf, lo, hi, width = case
+    assert bisect_root(sf, lo, hi, width) == _plain_bisect(sf, lo, hi, width)
+
+
+@st.composite
 def g_configs(draw):
     """(n, r, s, width) with n <= 12, n >= 2r + 1, 2 <= s <= 100, and a width
     coarser than the bracket, a third, or a power of 2 or 10 below 1."""
@@ -819,6 +851,30 @@ def test_newton_jump_never_declines_on_the_workloads(monkeypatch):
             lines.append(json.dumps(g.to_json(), separators=(",", ":")))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ROOTS_GRID_G_SHA256
     assert (roots_signs, calls[0] - roots_signs) == (32094, 2743)
+
+
+@pytest.mark.parametrize(
+    "configs, width",
+    [
+        ([(3, 1, s) for s in range(7, 13)], F(1, 10**18)),
+        ([(n, r, s) for n in range(2, 13) for r in range((n - 1) // 2 + 1) for s in range(2, 101, 13)], F(1, 10**300)),
+    ],
+    ids=["nosymetry-g-1e-18", "roots-sample-1e-300"],
+)
+def test_newton_jump_never_declines_at_other_widths(monkeypatch, configs, width):
+    # the nosymetry verifier's g(3, 1, 7..12) runs Newton in one stage; at
+    # 1e-300 it runs four, and a step budget of log2 K + 2 that ignored the
+    # stages would decline on (9, 1, 2), (10, 1, 2), (10, 2, 15), (11, 1, 2)
+    # and (11, 4, 2) of this sample
+    import fatflats.roots as roots
+
+    cells = []
+    original = roots._newton_cell
+    monkeypatch.setattr(roots, "_newton_cell", lambda *args: cells.append(original(*args)) or cells[-1])
+    for config in configs:
+        tried = len(cells)
+        g = g_value(*config, width)
+        assert (len(cells) > tried or g.is_exact) and None not in cells[tried:], config
 
 
 @pytest.mark.parametrize("width", [0, -1, F(-1, 10**50)])
