@@ -17,7 +17,7 @@ independently and cross-checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from .hilbert import check_flat_domain, hilbert_poly_symbolic
@@ -26,7 +26,6 @@ from .roots import (
     DEFAULT_PRECISION,
     AlgebraicNumber,
     bisect_root,
-    cauchy_root_bound,
     count_roots_in,
     exact_if_rational,
 )
@@ -35,15 +34,15 @@ from .roots import (
 def lambda_poly(n: int, r: int, s: int) -> UniPoly:
     """Closed form of the scaling-limit polynomial, 1/n! factor included.
 
-    n! * lambda = tau^n - s * sum_j C(n, j) sum_k C(j, k) (-1)^(j-k) tau^k
-    is built in integers and divided by n! once.
+    n! lambda = tau^n - s sum_{j <= r} C(n, j) (tau - 1)^j, and in the sum
+    tau^k has C(n, k) sum_{i <= r - k} (-1)^i C(n - k, i), which the identity
+    sum_{i <= m} (-1)^i C(N, i) = (-1)^m C(N - 1, m) turns into C(n, k)
+    (-1)^(r - k) C(n - k - 1, r - k) as k <= r < n: r + 1 terms in integers.
     """
     check_flat_domain(n, r, s)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    for j in range(r + 1):
-        for k in range(j + 1):
-            coeffs[k] -= s * binom(n, j) * binom(j, k) * (-1) ** (j - k)
+    coeffs = [0] * n + [1]
+    for k in range(r + 1):
+        coeffs[k] = -s * (-1) ** (r - k) * comb(n, k) * comb(n - k - 1, r - k)
     return UniPoly(coeffs, factorial(n))
 
 
@@ -76,7 +75,8 @@ def tower_check(n: int, r: int, s: int) -> bool:
 def _root_bounds(n: int, r: int, s: int) -> int:
     """A power of two up >= 2 with tau < up for every root tau >= 1 of lambda
     at s >= 2: tau^n = s sum_{j <= r} C(n, j) (tau - 1)^j <= S tau^r, with
-    S = s sum_{j <= r} C(n, j) < up^(n - r)."""
+    S = s sum_{j <= r} C(n, j) < up^(n - r).  At s = 1 lambda has no root
+    above 1 (Descartes counts no variation), so any up >= 2 serves."""
     big_s = s * sum(binom(n, j) for j in range(r + 1))
     return 1 << -(-big_s.bit_length() // (n - r))
 
@@ -90,8 +90,8 @@ def g_value(
     """The largest real root of lambda_poly(n, r, s), certified.
 
     Every call machine-checks that the polynomial has exactly one real root
-    in [1, infinity); a different count would contradict the sign analysis
-    this whole construction rests on, so it is treated as fatal.  For s = 1
+    in [1, up], up from ``_root_bounds``; a different count would contradict
+    the sign analysis this construction rests on, so it is fatal.  For s = 1
     the root is exactly 1 and is returned as an exact rational, defined by
     the squarefree part (lambda has a repeated root at 1 once r >= 1).
 
@@ -99,21 +99,20 @@ def g_value(
     coefficients C(n, j) (1 - s) for j <= r and C(n, j) above r, so at most
     one sign change, and Descartes counts.  For s >= 2, A' = n B (B is A for
     (n - 1, r - 1)) and A - (1 + y) B = -s C(n - 1, r) y^r, so A and A' share
-    no root, as A(0) = 1 - s != 0: lambda is squarefree.  Its one root
-    above 1 is bisected in (1, up], up from ``_root_bounds``: g < up, and
-    the count over the Cauchy bound shows that no other root lies above 1.
+    no root, as A(0) = 1 - s != 0: lambda is squarefree.  With one variation
+    the count over (1, up] reads lambda's sign at up, so it also certifies
+    g <= up, which the bisection of (1, up] needs.
     """
-    lam, one = lambda_poly(n, r, s), Fraction(1)
-    bound = max(cauchy_root_bound(lam), 2)
+    lam, one, up = lambda_poly(n, r, s), Fraction(1), _root_bounds(n, r, s)
     at_one = lam(one) == 0
-    above = at_one + count_roots_in(lam, one, bound)
+    above = at_one + count_roots_in(lam, one, up)
     if above != 1:
         raise ArithmeticError(
             f"expected exactly one root >= 1 for (n={n}, r={r}, s={s}), found {above}"
         )
     if at_one:
         return AlgebraicNumber(squarefree_part(lam).primitive(), one, one)
-    return exact_if_rational(lam, *bisect_root(lam, one, _root_bounds(n, r, s), precision))
+    return exact_if_rational(lam, *bisect_root(lam, one, up, precision))
 
 
 class SpecialRootRow(NamedTuple):

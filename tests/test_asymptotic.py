@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatflats.asymptotic import (
     _root_bounds,
@@ -36,8 +38,43 @@ def test_lambda_domain():
     lambda_poly(3, 2, 1)  # single flat: no disjointness constraint
 
 
+def _double_sum_lambda(n, r, s):
+    """n! lambda = tau^n - s sum_j C(n, j) sum_k C(j, k) (-1)^(j - k) tau^k,
+    (tau - 1)^j expanded term by term, over n!."""
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for j in range(r + 1):
+        for k in range(j + 1):
+            coeffs[k] -= s * comb(n, j) * comb(j, k) * (-1) ** (j - k)
+    return UniPoly(coeffs, factorial(n))
+
+
+def test_lambda_poly_matches_the_double_sum():
+    # the O(r) closed form against (tau - 1)^j expanded, for every r < n
+    for n in range(1, 15):
+        for r in range(n):
+            for s in (1, 2, 7, 100, 10**30):
+                if s == 1 or n >= 2 * r + 1:
+                    assert lambda_poly(n, r, s) == _double_sum_lambda(n, r, s), (n, r, s)
+
+
+@st.composite
+def lambda_configs(draw):
+    """(n, r, s) with n <= 40 and s <= 10^30; r < n, and n >= 2r + 1 once s >= 2."""
+    n = draw(st.integers(1, 40))
+    s = draw(st.one_of(st.just(1), st.integers(2, 10**30)))
+    r = draw(st.integers(0, n - 1 if s == 1 else (n - 1) // 2))
+    return n, r, s
+
+
+@settings(max_examples=200)
+@given(lambda_configs())
+def test_lambda_coefficients_match_double_sum(config):
+    assert lambda_poly(*config) == _double_sum_lambda(*config)
+
+
 def test_leading_extraction_matches_closed_form():
-    for n in range(1, 9):
+    for n in range(1, 13):
         for r in range((n - 1) // 2 + 1):
             for s in (1, 2, 5, 10, 100):
                 assert lambda_poly(n, r, s) == lambda_poly_via_leading(n, r, s)
@@ -187,6 +224,17 @@ def test_root_bounds_hold_on_the_roots_grid():
                 up = _root_bounds(n, r, s)
                 lam = lambda_poly(n, r, s)
                 assert up >= 2 and lam.sign(up) > 0 and count_roots_in(lam, 1, up) == 1, (n, r, s)
+
+
+def test_g_value_checks_its_power_of_two_bracket(monkeypatch):
+    # g(3, 1, 6) ~ 3.86 and g(4, 1, 10) ~ 3.12 lie above a bound of 2: the
+    # count over (1, 2] reads lambda < 0 at 2 and refuses the bracket
+    import fatflats.asymptotic as asymptotic
+
+    monkeypatch.setattr(asymptotic, "_root_bounds", lambda n, r, s: 2)
+    for config in [(3, 1, 6), (4, 1, 10)]:
+        with pytest.raises(ArithmeticError):
+            g_value(*config)
 
 
 @pytest.mark.parametrize("width", [F(2), F(1), F(1, 2), F(1, 10**12), F(1, 10**50)])
