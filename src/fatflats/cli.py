@@ -397,24 +397,29 @@ class SystemExit2(Exception):
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # a report's integers may have any length
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if cap is not None:  # a report's integers may have any length, in this run only
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        report, lines, status = args.handler(args)
-    except SystemExit2 as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (ValueError, KeyError, IndexError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ArithmeticError as err:
-        print(f"verification failure: {err}", file=sys.stderr)
-        return 1
-    _emit(report, args, lines)
-    return status
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            report, lines, status = args.handler(args)
+        except SystemExit2 as err:
+            print(f"usage error: {err}", file=sys.stderr)
+            parser.print_usage(sys.stderr)
+            return 2
+        except (ValueError, KeyError, IndexError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except ArithmeticError as err:
+            print(f"verification failure: {err}", file=sys.stderr)
+            return 1
+        _emit(report, args, lines)
+        return status
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

@@ -7,21 +7,22 @@ degrees t >= m such vanishing imposes exactly
     c(n, r, m, t) = sum_{0 <= i < m} C(t - i + r, r) * C(i + n - r - 1, n - r - 1)
 
 independent conditions.  The count depends on the family (n, r) only, and
-``family(n, r)`` builds it once, in integers, as n! * c with both t and m
-left free; every count below is an evaluation of that object, O(n * r) for
-any m.  The family also tabulates its rows in t (n! * c at one m, integer
-coefficients in t) for m = 0..64 once, when it is built, so the scans read
-a stored row per m; beyond the table a row is r + 1 Horner evaluations in
-m, and the table never grows.  At a fixed m the degrees t >= m with a
-positive Hilbert value form a half-line (``Family.first_positive``), so
-the least of them below a bound is a doubling walk down from the bound
-plus a bisection, and the least of them at all (``alpha_expected``) a
-doubling search up plus a bisection.
-This module also provides an independent monomial-enumeration oracle for the count, the Hilbert
-function of a single fat flat via the iterated-summation recursion, and
-Hilbert polynomials of unions with uniform or mixed multiplicities
-(including a fully symbolic variant where the multiplicity stays a formal
-variable, kept as an independent cross-check of the family).
+``family(n, r)`` builds it once, in integers, as n! * c with both t and m left
+free: this sum gives its values on a box of (m, t), one term each, and
+interpolation the rest.  Every count below is an evaluation of that object,
+O(n * r) for any m.  The family also tabulates its rows in t (n! * c at one m,
+integer coefficients in t) for m = 0..64 once, when it is built, so the scans
+read a stored row per m; beyond the table a row is r + 1 Horner evaluations in
+m, and the table never grows.  At a fixed m the degrees t >= m with a positive
+Hilbert value form a half-line (``Family.first_positive``), so the least of
+them below a bound is a doubling walk down from the bound plus a bisection, and
+the least of them at all (``alpha_expected``) a doubling search up plus a
+bisection.  This module also provides an independent monomial-enumeration
+oracle for the count, the Hilbert function of a single fat flat via the
+iterated-summation recursion (a check of the family, not its input), and
+Hilbert polynomials of unions with uniform or mixed multiplicities (including a
+fully symbolic variant where the multiplicity stays a formal variable, kept as
+an independent cross-check of the family).
 """
 
 from __future__ import annotations
@@ -109,18 +110,17 @@ class Family:
         """Build from exact counts by interpolation.
 
         The count has degree r in t and n in (t, m) together, so its values
-        on the box m = 1..n+1, t = n+1..n+r+1 (where t >= m, and the
-        iterated sums of ``hilbert_function_flat`` give them exactly) fix
-        it: n! * c is interpolated in t at each m of the box, then each
-        coefficient in m.  n! * c has integer coefficients, and so has its
-        restriction to any integer m, so ``_interpolate`` stays in integers.
+        on the box m = 1..n+1, t = n+1..n+r+1 (where t >= m) fix it.  The
+        defining sum gives the box one term per (m, t): its row at m + 1 is
+        its row at m plus the term i = m.  n! * c is interpolated in t at each
+        m, then each coefficient in m.  n! * c has integer coefficients, and so
+        has its restriction to any integer m: ``_interpolate`` stays in integers.
         """
-        scale = factorial(n)
-        t0 = n + 1
-        in_t = [
-            _interpolate([scale * v for v in hilbert_function_flat(n, r, m, t0 + r + 1)[t0:]], t0)
-            for m in range(1, n + 2)
-        ]
+        scale, t0 = factorial(n), n + 1
+        box, in_t = [0] * (r + 1), []
+        for i in range(n + 1):  # the row at m = i + 1, times n!, and its interpolation in t
+            box = [v + scale * comb(t0 + k - i + r, r) * comb(i + n - r - 1, n - r - 1) for k, v in enumerate(box)]
+            in_t.append(_interpolate(box, t0))
         counts = [_interpolate([row[a] for row in in_t], 1)[: n + 1 - a] for a in range(r + 1)]
         self.n, self.r, self.scale = n, r, scale
         self.counts = tuple(map(tuple, counts))

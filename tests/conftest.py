@@ -14,9 +14,9 @@ settings.load_profile("fast")
 
 @pytest.fixture(autouse=True)
 def _restore_int_digit_cap():
-    """``cli.main`` lifts CPython's cap on int-to-str digits for the whole
-    process; putting it back after each test starts every test at the
-    interpreter's cap (Pythons before 3.10.7 have none)."""
+    """Some tests set CPython's cap on int-to-str digits themselves; putting
+    it back after each test starts every test at the interpreter's cap
+    (Pythons before 3.10.7 have none)."""
     if not hasattr(sys, "get_int_max_str_digits"):
         yield
         return

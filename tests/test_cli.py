@@ -385,6 +385,23 @@ def test_g_past_the_int_to_str_digit_cap():
     assert abs((lo + hi) / 2 - Fraction(report["decimal"])) <= Fraction(5, 10**10)
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str cap before 3.10.7")
+def test_main_puts_back_the_callers_int_to_str_digit_cap(capsys):
+    # main lifts the cap for its own run only: the 5,000-digit ends print under
+    # a caller's cap of 4,300, and the cap is 4,300 again after every exit path
+    sys.set_int_max_str_digits(4300)
+    assert main(["lambda", "3", "1", "6", "--g", "--prec", "1e-5000", "--json"]) == 0
+    assert sys.get_int_max_str_digits() == 4300
+    assert len(capsys.readouterr().out) > 10000
+    assert main(["alpha", "lines", "3", "6"]) == 0
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(SystemExit):  # argparse's usage exit
+        main(["bogus"])
+    assert sys.get_int_max_str_digits() == 4300
+    assert main(["e", "2", "0", "10", "--certify"]) == 1  # the certificate fails
+    assert sys.get_int_max_str_digits() == 4300
+
+
 def test_closed_stdout_is_no_error():
     # the reader goes away before the report is written: the command still
     # exits with its own status and prints no traceback

@@ -86,13 +86,32 @@ def test_hilbert_function_matches_the_capped_base_sequence():
                 assert hilbert_function_flat(n, r, m, length) == values, (n, r, m, length)
 
 
-def test_large_family_build_stops_the_base_sequence_at_its_cap(monkeypatch):
-    # Family(200, 0) asks each m = 1..201 for 202 values; past t = m - 1 they are the cap
+def test_family_build_takes_one_term_of_the_defining_sum_per_box_value(monkeypatch):
+    # the box m = 1..n+1, t = n+1..n+r+1 has (n + 1)(r + 1) values, and each is
+    # its neighbour at m - 1 plus one term, a product of two binomials
     calls = []
-    monkeypatch.setattr(hilbert, "binom", lambda a, b: calls.append(a) or binom(a, b))
-    hilbert.Family(200, 0)
-    assert len(calls) <= 201 * 202 // 2  # 40,803 when every value called binom
-    assert max(calls) <= 400  # never C(t + 200, 200) above the cap's C(m + 199, 200)
+    monkeypatch.setattr(hilbert, "comb", lambda a, b: calls.append(a) or comb(a, b))
+    for n, r in [(200, 0), (60, 29)]:
+        calls.clear()
+        hilbert.Family(n, r)
+        assert 0 < len(calls) <= 2 * (n + 1) * (r + 1), (n, r)
+
+
+def _counts_from_the_recursion(n, r):
+    """The family's coefficients by two-stage interpolation of the box values
+    of ``hilbert_function_flat``: in t at each m = 1..n+1, then in m."""
+    scale, t0 = factorial(n), n + 1
+    in_t = [
+        hilbert._interpolate([scale * v for v in hilbert_function_flat(n, r, m, t0 + r + 1)[t0:]], t0)
+        for m in range(1, n + 2)
+    ]
+    return tuple(tuple(hilbert._interpolate([row[a] for row in in_t], 1)[: n + 1 - a]) for a in range(r + 1))
+
+
+def test_family_counts_equal_the_interpolated_recursion():
+    for n in range(1, 15):
+        for r in range(n):
+            assert hilbert.Family(n, r).counts == _counts_from_the_recursion(n, r), (n, r)
 
 
 def test_hilbert_function_agrees_with_conditions():
