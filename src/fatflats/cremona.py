@@ -75,12 +75,13 @@ def cremona_transform(sys: LinearSystem, idx: Iterable[int]) -> tuple[LinearSyst
     padded with zeros up to the largest chosen index plus one, so the chosen
     indices 0, 1, 2, 9 make a 10-point system.
     """
-    chosen = sorted(set(idx))
+    given = list(idx)
+    chosen = sorted(set(given))
     if len(chosen) != sys.n + 1:
-        raise ValueError(f"need exactly n+1 = {sys.n + 1} distinct indices, got {chosen}")
+        raise ValueError(f"need exactly n+1 = {sys.n + 1} distinct indices, got {given}")
     sys = sys.padded(max(chosen) + 1)
     if chosen[0] < 0:
-        raise IndexError(f"index out of range in {chosen}")
+        raise IndexError(f"index out of range in {given}")
     c = (sys.n - 1) * sys.d - sum(sys.mults[j] for j in chosen)
     mults = list(sys.mults)
     for j in chosen:

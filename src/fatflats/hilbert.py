@@ -72,21 +72,31 @@ def _horner(coeffs: Sequence[int], x: int) -> int:
 
 def _interpolate(values: list[int], x0: int) -> list[int]:
     """Integer coefficients, lowest degree first, of the polynomial of degree
-    < len(values) that takes values[i] at x0 + i.
+    < len(values) that takes values[i] at x0 + i; the caller's list is not
+    modified.
 
     Newton's forward form: with the forward differences d_i at x0 it is
     sum_i d_i / i! * (x - x0)(x - x0 - 1)...(x - x0 - i + 1), and each
     d_i / i! is an integer when the polynomial has integer coefficients.
+    One copy of ``values`` holds the differences, taken in place, then the
+    Newton coefficients (one running factorial), then the monomial
+    coefficients: from the top down, multiplying by (x - x0 - i) and adding
+    the i-th Newton coefficient rewrites its entries i..len - 1.
     """
-    newton = []
-    for i in range(len(values)):
-        newton.append(values[0] // factorial(i))
-        values = [b - a for a, b in zip(values, values[1:])]
-    out: list[int] = []
-    for i in reversed(range(len(newton))):  # out = out * (x - x0 - i) + newton[i]
-        out = [a - (x0 + i) * b for a, b in zip([0] + out, out + [0])]
-        out[0] += newton[i]
-    return out
+    d = list(values)
+    size = len(d)
+    for i in range(1, size):  # d[k] for k >= i becomes the i-th difference at x0 + k - i
+        for k in range(size - 1, i - 1, -1):
+            d[k] -= d[k - 1]
+    fact = 1
+    for i in range(2, size):
+        fact *= i
+        d[i] //= fact
+    for i in range(size - 2, -1, -1):
+        a = x0 + i
+        for k in range(i, size - 1):
+            d[k] -= a * d[k + 1]
+    return d
 
 
 class Family:
@@ -186,13 +196,25 @@ class Family:
         k = 0..n (``_interpolate``).  The values are polynomial values,
         whatever the sign of t - m: comb(t + n, n) is C(t + n, n) at every
         integer t >= -n, and the count is the family polynomial.  Callers
-        keep t >= -n.
+        keep t >= -n.  Each count is put in by Horner, from the stored row
+        at m when there is one, else from ``counts``, one row in m per power
+        of t.
         """
-        n, scale = self.n, self.scale
-        values = [
-            scale * (comb(p * k + c + n, n) - 1) - s * _horner(self.count_in_t(q * k + j), p * k + c)
-            for k in range(n + 1)
-        ]
+        n, scale, rows, counts = self.n, self.scale, self.rows, self.counts
+        values = []
+        for k in range(n + 1):
+            m, t = q * k + j, p * k + c
+            count = 0
+            if m <= _TABLED_M:
+                for coeff in reversed(rows[m]):
+                    count = count * t + coeff
+            else:
+                for row in reversed(counts):
+                    coeff = 0
+                    for b in reversed(row):
+                        coeff = coeff * m + b
+                    count = count * t + coeff
+            values.append(scale * (comb(t + n, n) - 1) - s * count)
         return UniPoly(_interpolate(values, 0))
 
 

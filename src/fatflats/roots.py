@@ -26,6 +26,7 @@ from math import lcm
 from typing import Optional
 
 from .polynomials import (
+    Scalar,
     UniPoly,
     decimal_str,
     fraction_to_json,
@@ -95,12 +96,12 @@ def sturm_chain(p: UniPoly) -> list[UniPoly]:
     return [p, p.derivative()][: len(seq)] + [UniPoly(r) for r in seq[2:]]
 
 
-def sign_variations(chain: list[UniPoly], x: Fraction) -> int:
+def sign_variations(chain: list[UniPoly], x: Scalar) -> int:
     signs = [v for v in (f.sign(x) for f in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations_above(p: UniPoly, lo: Fraction) -> int:
+def _variations_above(p: UniPoly, lo: Scalar) -> int:
     """Sign variations of q^deg(p) den p((a + y)/q), lo = a/q, by a synthetic
     Taylor shift; by Descartes' rule they bound the roots of p above lo,
     counted with multiplicity, and have their parity."""
@@ -113,21 +114,25 @@ def _variations_above(p: UniPoly, lo: Fraction) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def count_roots_in(p: UniPoly, lo: Fraction, hi: Fraction) -> int:
-    """Exact number of distinct real roots of p in the half-open interval (lo, hi].
+def count_roots_in(p: UniPoly, lo: Scalar, hi: Optional[Scalar] = None) -> int:
+    """Exact number of distinct real roots of p in the half-open interval
+    (lo, hi], or in (lo, infinity) when hi is omitted; lo and hi are rational.
 
     0 or 1 Descartes variations above lo decide: one means one simple root
-    above lo, in (lo, hi] iff p(hi) is 0 or has the leading sign.  Only two
-    or more build the Sturm chain and read it at lo and hi.
+    above lo, in (lo, hi] iff p(hi) is 0 or has the leading sign, and no
+    sign is read when there is no hi.  Only two or more build the Sturm
+    chain and read it at lo and hi, or at max(Cauchy bound, lo + 1), above
+    every root, when there is no hi.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
+    if hi is not None and not lo < hi:
         raise ValueError("count_roots_in requires lo < hi")
     v = _variations_above(p, lo)
     if v < 2:
-        return v and int(p.sign(hi) * p.nums[-1] >= 0)
+        return v if hi is None else v and int(p.sign(hi) * p.nums[-1] >= 0)
+    if hi is None:
+        hi = max(cauchy_root_bound(p), lo + 1)
     chain = sturm_chain(p)
     return sign_variations(chain, lo) - sign_variations(chain, hi)
 

@@ -50,8 +50,8 @@ from typing import NamedTuple, Optional
 
 from .asymptotic import g_value
 from .hilbert import _least_holding, alpha_expected, check_flat_domain, family
-from .polynomials import UniPoly, fraction_to_json
-from .roots import AlgebraicNumber, cauchy_root_bound, count_roots_in
+from .polynomials import Scalar, UniPoly, fraction_to_json
+from .roots import AlgebraicNumber, count_roots_in
 
 
 class RatioWitness(NamedTuple):
@@ -128,19 +128,20 @@ class CertificationError(Exception):
         super().__init__(f"{step}: {detail}")
 
 
-def _negative_from(poly: UniPoly, x: Fraction) -> bool:
+def _negative_from(poly: UniPoly, x: Scalar) -> bool:
     """Whether poly < 0 at every real point >= x, for a rational x >= 0.
 
-    A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails.  Then no
-    positive coefficient passes at once, and otherwise ``count_roots_in``
-    must find no root above x.  Once true at x it stays true above x.
+    A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails; the
+    leading sign is read off the numerators, whose denominator is positive.
+    Then no positive coefficient passes at once, and otherwise
+    ``count_roots_in`` must find no root in (x, infinity).  Once true at x
+    it stays true above x.
     """
-    if poly.is_zero or poly.leading >= 0 or poly.sign(x) >= 0:
+    if poly.is_zero or poly.nums[-1] >= 0 or poly.sign(x) >= 0:
         return False
     if max(poly.nums) <= 0:
         return True
-    top = max(cauchy_root_bound(poly), x + 1)
-    return count_roots_in(poly, x, top) == 0
+    return count_roots_in(poly, x) == 0
 
 
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
@@ -194,7 +195,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
 
     # threshold: the least m >= 1 from which the ray stays negative
     ray = fam.along(s, q, 0, p, 0)
-    if ray.is_zero or ray.leading >= 0:  # checked first: the search below would never stop
+    if ray.is_zero or ray.nums[-1] >= 0:  # checked first: the search below would never stop
         raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
     m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q)), 0)
 

@@ -143,6 +143,21 @@ def test_cremona_transform_reduce_witness(capsys):
 
 
 @pytest.mark.parametrize(
+    "transform, message",
+    [
+        ("0,0,1,2", "need exactly n+1 = 4 distinct indices, got [0, 0, 1, 2]"),
+        ("2,1,0,0", "need exactly n+1 = 4 distinct indices, got [2, 1, 0, 0]"),
+        ("2,1,0,-1", "index out of range in [2, 1, 0, -1]"),
+    ],
+)
+def test_cremona_transform_errors_show_the_indices_as_given(capsys, transform, message):
+    assert main(["cremona", "--dim", "3", "--system", "4;3,3,3,3", "--transform", transform]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
     "system, limit, steps, reason",
     [
         ("3;1,1,1,1,1,1,1,1,1,1", [], 0, "no degree-lowering step available"),

@@ -24,7 +24,7 @@ from fatflats.hilbert import (
     identity_sum_i_binom,
 )
 from fatflats.asymptotic import lambda_poly
-from fatflats.polynomials import BiPoly, UniPoly, binom
+from fatflats.polynomials import BiPoly, UniPoly, binom, lagrange_interpolate
 from fatflats.waldschmidt import CertificationError, e_certify, e_empirical
 
 
@@ -95,6 +95,31 @@ def test_family_build_takes_one_term_of_the_defining_sum_per_box_value(monkeypat
         calls.clear()
         hilbert.Family(n, r)
         assert 0 < len(calls) <= 2 * (n + 1) * (r + 1), (n, r)
+
+
+@st.composite
+def _interpolation_cases(draw):
+    """(coeffs, x0): 1 to 12 integer coefficients, lowest degree first, at times
+    ending in zeros, so that the degree falls short of len(coeffs) - 1."""
+    coeffs = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12))
+    coeffs += [0] * draw(st.integers(0, 12 - len(coeffs)))
+    return coeffs, draw(st.integers(-20, 20))
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(_interpolation_cases())
+def test_interpolate_matches_lagrange(case):
+    """300 integer polynomials sampled at x0, x0 + 1, ...: the in-place Newton
+    form against the Lagrange interpolation of ``polynomials``."""
+    coeffs, x0 = case
+    values = [sum(c * (x0 + i) ** k for k, c in enumerate(coeffs)) for i in range(len(coeffs))]
+    given_values = list(values)
+    out = hilbert._interpolate(values, x0)
+    assert values == given_values  # the caller's list is left as it was
+    assert len(out) == len(values)
+    assert UniPoly(out) == lagrange_interpolate([(x0 + i, v) for i, v in enumerate(values)])
+    assert out == coeffs
 
 
 def _counts_from_the_recursion(n, r):

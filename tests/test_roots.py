@@ -15,6 +15,7 @@ from fatflats.polynomials import UniPoly, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
     _interval_eval,
+    _variations_above,
     bisect_root,
     cauchy_root_bound,
     count_roots_in,
@@ -66,6 +67,7 @@ def test_count_decided_by_descartes_builds_no_chain(monkeypatch):
     assert count_roots_in(UniPoly([12, -18, 0, 1]), F(1), F(3)) == 0
     assert count_roots_in(UniPoly([0, -1, 0, 1]), F(0), F(1)) == 1  # the root at hi counts
     assert count_roots_in(UniPoly([1, 0, 1]), F(0), F(10)) == 0  # no variation
+    assert count_roots_in(UniPoly([12, -18, 0, 1]), F(1)) == 1  # open-ended: no upper end at all
     assert built == []
     assert count_roots_in(UniPoly([1, 0, 1]), F(-10), F(10)) == 0  # y^2 - 20y + 101: two
     assert len(built) == 1
@@ -105,6 +107,56 @@ def test_count_rejects_zero_and_bad_interval():
         count_roots_in(UniPoly(), F(0), F(1))
     with pytest.raises(ValueError):
         count_roots_in(UniPoly([1, 1]), F(2), F(1))
+    with pytest.raises(ValueError):
+        count_roots_in(UniPoly(), F(0))
+
+
+def _linear_product(roots, lead=1):
+    """lead times the product of the factors (q x - p), one per root p/q."""
+    p = UniPoly([lead])
+    for x in roots:
+        p = p * UniPoly([-x.numerator, x.denominator])
+    return p
+
+
+@st.composite
+def roots_around(draw):
+    """(roots, lo): at least one root below lo, any number above it (repeats
+    allowed), and at times one exactly at lo."""
+    lo = draw(st.fractions(min_value=-4, max_value=4, max_denominator=5))
+    step = st.fractions(min_value=0, max_value=5, max_denominator=6).filter(bool)
+    below = [lo - d for d in draw(st.lists(step, min_size=1, max_size=3))]
+    above = [lo + d for d in draw(st.lists(step, max_size=4))]
+    return below + above + [lo] * draw(st.integers(0, 1)), lo
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(roots_around(), st.sampled_from([1, -1, 3]))
+def test_open_ended_count_matches_the_count_to_the_cauchy_bound(case, lead):
+    """300 products of linear factors: the count on (lo, infinity) against the
+    count on (lo, max(Cauchy bound, lo + 1)] and the planted distinct roots."""
+    roots, lo = case
+    p = _linear_product(roots, lead)
+    top = max(cauchy_root_bound(p), lo + 1)
+    assert count_roots_in(p, lo) == count_roots_in(p, lo, top) == len({x for x in roots if x > lo})
+
+
+@pytest.mark.parametrize(
+    "roots, lo, count, variations",
+    [
+        ([F(1), F(2), F(3), F(-1)], F(0), 3, 3),  # V >= 2: the Sturm chain decides
+        ([F(1), F(5, 2), F(3), F(-2)], F(1), 2, 2),  # the root at lo is excluded
+        ([F(1), F(1), F(7, 3), F(7, 3)], F(1), 1, 2),  # repeated roots, one at lo
+        ([F(-1), F(-2), F(1, 3)], F(1), 0, 0),  # no root above lo
+        ([F(-1), F(1, 3)], F(1, 3), 0, 0),  # the largest root is lo
+        ([F(-4), F(7, 2)], F(-3), 1, 1),  # V = 1: one simple root above lo
+    ],
+)
+def test_open_ended_count_cases(roots, lo, count, variations):
+    p = _linear_product(roots)
+    assert _variations_above(p, lo) == variations
+    assert count_roots_in(p, lo) == count == count_roots_in(p, lo, max(cauchy_root_bound(p), lo + 1))
 
 
 def test_isolate_irrational_roots():
