@@ -101,6 +101,14 @@ def sign_variations(chain: list[UniPoly], x: Scalar) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _variations(coeffs: list[int]) -> int:
+    """Sign variations of a coefficient sequence, zeros skipped; by
+    Descartes' rule they bound its polynomial's positive roots, counted with
+    multiplicity, and have their parity."""
+    signs = [v > 0 for v in coeffs if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
+
+
 def _variations_above(p: UniPoly, lo: Scalar) -> int:
     """Sign variations of q^deg(p) den p((a + y)/q), lo = a/q, by a synthetic
     Taylor shift; by Descartes' rule they bound the roots of p above lo,
@@ -110,8 +118,7 @@ def _variations_above(p: UniPoly, lo: Scalar) -> int:
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
-    signs = [v > 0 for v in c if v]
-    return sum(u != v for u, v in zip(signs, signs[1:]))
+    return _variations(c)
 
 
 def count_roots_in(p: UniPoly, lo: Scalar, hi: Optional[Scalar] = None) -> int:

@@ -4,12 +4,11 @@ The expected Waldschmidt constant of s fat r-flats in P^n is
 
     e = inf { t/m : t >= m >= 1, P(t) > 0 }
 
-where P is the Hilbert polynomial at multiplicity m.  ``e_empirical`` scans
-(t, m) pairs for the minimum realized ratio; ``e_certify`` upgrades a
-candidate value p/q to a proof that no smaller ratio exists.  At a fixed
-m the positive t >= m form a half-line, so only the largest t below m*p/q
-matters, and along a lattice line of (t, m) the polynomial n! * (P - 1) is
-one integer polynomial in the line's parameter (``Family.along``):
+where P is the Hilbert polynomial at multiplicity m.  At a fixed m the
+positive t >= m form a half-line, so only the largest t below m*p/q
+matters for a candidate p/q, and along a lattice line of (t, m) the
+polynomial n! * (P - 1) is one integer polynomial in the line's parameter
+(``Family.along``).  A candidate is proved the infimum in three steps:
 
   1. m_threshold is the least M such that n! * (P - 1) < 0 along the ray
      t = m*p/q at every real m >= M.  The ray's top coefficient is
@@ -19,19 +18,20 @@ one integer polynomial in the line's parameter (``Family.along``):
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
      value per m, at the largest t of the m's range.
 
+Steps 1 and 2 are ``_threshold_and_cover``.  The one (t, m) loop is
+``_scan``: from the best ratio so far it asks the family, one m at a time,
+for the least t in [m, stop) with P_m(t) > 0 (``Family.first_positive``),
+stop being the least t at the best ratio.  ``e_empirical`` runs it up to
+m_max, and ``bounds_report`` certifies inside it, ending it at
+m_threshold - 1 once a candidate's lines hold.  ``e_certify`` keeps its own
+scan of m < m_threshold: one Hilbert value per m, plus one per multiple of
+q until it meets the witness on the ray t = m * candidate.
+
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the ray and the lines come from it without any
 symbolic expansion, and so do single Hilbert values, at O(n * r) each
-whatever m is.  Past the expected initial degree at m = 1
-(``hilbert.alpha_expected``), both (t, m) scans ask the family, one m at a
-time, for the least t in [m, stop) with P_m(t) > 0
-(``Family.first_positive``).  At a fixed m the positive t >= m form a
-half-line, so that is one Hilbert value at stop - 1, plus a walk down and
-a bisection only when it is positive: the certificate's scan of
-m < m_threshold costs one value per m, plus one per multiple of q until it
-meets the witness on the ray t = m * candidate.  Ratio bounds are turned
-into integer ranges of t by cross-multiplication, never by building a
-Fraction per pair.
+whatever m is.  Ratio bounds are turned into integer ranges of t by
+cross-multiplication, never by building a Fraction per pair.
 
 Since P takes integer values at integer t >= m, "P < 1" is "P <= 0", which
 is why the certificate's polynomials are n! * (P - 1), with the constant
@@ -46,12 +46,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .asymptotic import g_value
-from .hilbert import _least_holding, alpha_expected, check_flat_domain, family
+from .hilbert import Family, _least_holding, alpha_expected, check_flat_domain, family
 from .polynomials import Scalar, UniPoly, fraction_to_json
-from .roots import AlgebraicNumber, count_roots_in
+from .roots import AlgebraicNumber, _bracket, _variations, count_roots_in
 
 
 class RatioWitness(NamedTuple):
@@ -69,24 +70,38 @@ class RatioWitness(NamedTuple):
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
-    m = 1 is the expected initial degree (``alpha_expected``).  Every later
-    m takes t only while t/m stays below the best ratio so far
-    (t * best.m < best.t * m); larger t cannot improve the infimum
-    estimate, and equal ratios keep the earlier, smaller m.  Each m is one
-    ``Family.first_positive`` call on [m, stop), empty when stop <= m, and
-    only the final pair's Hilbert value is computed.
+    m = 1 is the expected initial degree (``alpha_expected``), and
+    ``_scan`` takes every later m.  Only the final pair's Hilbert value is
+    computed.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    best_t, best_m = alpha_expected(n, r, s, 1), 1
-    for m in range(2, m_max + 1):
-        stop = -(-best_t * m // best_m)  # least t with t * best_m >= best_t * m
-        t = fam.first_positive(s, m, stop)
+    t, m, _ = _scan(fam, s, alpha_expected(n, r, s, 1), 1, m_max + 1)
+    return RatioWitness(t, m, fam.hilbert_value(s, m, t))
+
+
+def _scan(
+    fam: Family, s: int, best_t: int, best_m: int, end: int, hi: int = 0, den: int = 1
+) -> tuple[int, int, bool]:
+    """The least realized ratio t/m over best_m < m < end, starting from
+    best_t/best_m, as (t, m, stopped); it stops at the first new best with
+    t/m <= hi/den, and a stopped scan has not looked past that m.
+
+    Each m is one ``Family.first_positive`` call on [m, stop), stop the
+    least t with t * best_m >= best_t * m, empty when stop <= m; larger t
+    cannot beat the best ratio, and an equal ratio keeps the earlier,
+    smaller m.  This is the one (t, m) scan of ``e_empirical`` and
+    ``bounds_report``.
+    """
+    for m in range(best_m + 1, end):
+        t = fam.first_positive(s, m, -(-best_t * m // best_m))
         if t is not None:
             best_t, best_m = t, m
-    return RatioWitness(best_t, best_m, fam.hilbert_value(s, best_m, best_t))
+            if t * den <= hi * m:
+                return t, m, True
+    return best_t, best_m, False
 
 
 class ECertificate(NamedTuple):
@@ -133,15 +148,38 @@ def _negative_from(poly: UniPoly, x: Scalar) -> bool:
 
     A zero poly, a leading coefficient >= 0 or poly(x) >= 0 fails; the
     leading sign is read off the numerators, whose denominator is positive.
-    Then no positive coefficient passes at once, and otherwise
-    ``count_roots_in`` must find no root in (x, infinity).  Once true at x
-    it stays true above x.
+    Then poly < 0 at x and at infinity, so it has an even number of roots
+    above x, counted with multiplicity.  Since x >= 0 they are positive
+    roots, at most as many as the sign variations of the raw coefficients
+    (Descartes' rule), so at most one variation passes with no Taylor shift.
+    Otherwise ``count_roots_in`` must find no root in (x, infinity).  Once
+    true at x it stays true above x.
     """
     if poly.is_zero or poly.nums[-1] >= 0 or poly.sign(x) >= 0:
         return False
-    if max(poly.nums) <= 0:
-        return True
-    return count_roots_in(poly, x) == 0
+    return _variations(poly.nums) <= 1 or count_roots_in(poly, x) == 0
+
+
+def _threshold_and_cover(fam: Family, s: int, p: int, q: int) -> int:
+    """``e_certify``'s threshold and cover steps for the candidate p/q in
+    lowest terms, s >= 2: the threshold m_threshold, from which on no
+    t < m * p/q has P > 0.  A failing step raises its CertificationError.
+    """
+    # threshold: the least m >= 1 from which the ray stays negative
+    ray = fam.along(s, q, 0, p, 0)
+    if ray.is_zero or ray.nums[-1] >= 0:  # checked first: the search below would never stop
+        raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
+    m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q)), 0)
+
+    # cover: the largest t below m * candidate, one lattice line per residue j of m mod q
+    for j in range(q):
+        c = -(-j * p // q) - 1
+        k_j = max(0, -(-(m_threshold - j) // q))
+        if not _negative_from(fam.along(s, q, j, p, c), k_j):
+            raise CertificationError(
+                "cover", f"line (t, m) = ({p}k + {c}, {q}k + {j}) is not negative from k = {k_j}"
+            )
+    return m_threshold
 
 
 def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
@@ -192,21 +230,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         return ECertificate(n, r, s, candidate, witness, 1, "empty: t >= m forces every ratio >= 1", 0)
 
     p, q = candidate.numerator, candidate.denominator
-
-    # threshold: the least m >= 1 from which the ray stays negative
-    ray = fam.along(s, q, 0, p, 0)
-    if ray.is_zero or ray.nums[-1] >= 0:  # checked first: the search below would never stop
-        raise CertificationError("threshold", "nonconstant part does not tend to -infinity at the candidate")
-    m_threshold = _least_holding(lambda m: _negative_from(ray, Fraction(m, q)), 0)
-
-    # cover: the largest t below m * candidate, one lattice line per residue j of m mod q
-    for j in range(q):
-        c = -(-j * p // q) - 1
-        k_j = max(0, -(-(m_threshold - j) // q))
-        if not _negative_from(fam.along(s, q, j, p, c), k_j):
-            raise CertificationError(
-                "cover", f"line (t, m) = ({p}k + {c}, {q}k + {j}) is not negative from k = {k_j}"
-            )
+    m_threshold = _threshold_and_cover(fam, s, p, q)
 
     # scan: every remaining pair with ratio < candidate, one value per m when none beats it;
     # the witness is the first point of the ray t = m * candidate with P > 0
@@ -326,17 +350,46 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     """Assemble gamma (when known), e (certified when possible), and g.
 
     The assertable parts of the ordering gamma <= e <= g are checked with
-    exact arithmetic.  A rational x >= 1 lies above g exactly when g's
-    defining polynomial is positive at x: for s >= 2 it is n! * lambda, and
-    for s = 1 the squarefree part of lambda, whose dropped factors are
-    positive above 1.  A violation would be a genuine contradiction and
-    raises.  ``e_certify`` refuses every candidate above g, so it runs only
-    when e <= g; an uncertified e records whether e <= g held.
+    exact arithmetic; a violation would be a genuine contradiction and
+    raises.  A rational x >= 1 lies above g exactly when g's defining
+    polynomial is positive at x: for s >= 2 it is n! * lambda, and for s = 1
+    the squarefree part of lambda, whose dropped factors are positive above
+    1.  It is read only for a ratio inside g's bracket (lo, hi].
+
+    e is ``e_empirical``'s, certified inside the same ``_scan``: each new
+    best not above g goes through the threshold and cover steps (s = 1 keeps
+    ``e_certify``'s special case), and when they hold with threshold M, no
+    pair from M on beats it and the scan ends at m = M - 1, past m_max if
+    need be; a pair found past m_max leaves e uncertified.  When they fail
+    the scan runs to m_max.  An uncertified e records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
-    witness = e_empirical(n, r, s, m_max)
-    e = witness.ratio
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
     g = g_value(n, r, s)
+    a, b, den = _bracket(g.lo, g.hi)
+    fam = family(n, r)
+    t, m = alpha_expected(n, r, s, 1), 1
+    while True:
+        e_below_g = t * den <= a * m or (t * den <= b * m and g.defining.sign(t, m) <= 0)
+        threshold = None
+        if e_below_g:
+            d = gcd(t, m)
+            try:  # a single flat realizes the least ratio 1 at (1, 1)
+                threshold = 1 if s == 1 else _threshold_and_cover(fam, s, t // d, m // d)
+            except CertificationError:
+                pass
+        # stops at each new best up to g's upper end; a scan that runs to its
+        # end leaves a new best only above g's bracket, where e_below_g is false
+        end = m_max + 1 if threshold is None else threshold
+        next_t, next_m, stopped = _scan(fam, s, t, m, end, b, den)
+        if next_m > m_max:  # a pair past m_max beats e: e stands, uncertified
+            threshold = None
+            break
+        t, m = next_t, next_m
+        if not stopped:
+            break
+    e = Fraction(t, m)
 
     if gamma is not None and gamma.exact:
         if gamma.value > e:
@@ -347,12 +400,5 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
             raise ArithmeticError(
                 f"chain violation: gamma {gamma.value} > g at (n={n}, r={r}, s={s})"
             )
-    e_below_g = g.defining.sign(e) <= 0
-    certified = False
-    if e_below_g:
-        try:
-            e_certify(n, r, s, e)
-            certified = True
-        except CertificationError:
-            pass
-    return BoundsReport(n, r, s, gamma, e, certified, witness, g, e_below_g)
+    witness = RatioWitness(t, m, fam.hilbert_value(s, m, t))
+    return BoundsReport(n, r, s, gamma, e, threshold is not None, witness, g, e_below_g)

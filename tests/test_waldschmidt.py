@@ -154,9 +154,13 @@ def test_e_empirical_spends_few_hilbert_values_on_the_grid(monkeypatch):
     # the least positive t usually sits a step or two below stop - 1, which a
     # walk down from stop finds in a few values, and only the final pair's
     # value is computed: 24,856 over the 361 configurations, against 48,209
-    # for a bisection up from m - 1 and one value per improvement
+    # for a bisection up from m - 1 and one value per improvement.  The 19
+    # families are built first: their builds call comb too, and a build
+    # counted here would make the budget depend on which tests ran before
     import fatflats.hilbert as hilbert
 
+    for n, r, _ in GRID:
+        family(n, r)
     comb, values = hilbert.comb, [0]
 
     def counting_comb(a, b):
@@ -243,10 +247,39 @@ def test_piece_exclusion(cs, threshold, excluded):
         ([-3, 7, -2], 0, False),
         ([-3, 7, -2], F(1, 3), False),
         ([-3, 7, -2], F(7, 2), True),
+        # 1 + 2k - k^2: one sign variation, so one positive root (1 + sqrt 2);
+        # negative at 3 decides it with no root count, positive at 2 fails
+        ([1, 2, -1], 3, True),
+        ([1, 2, -1], 2, False),
     ],
 )
 def test_negative_from_a_rational_point(cs, point, excluded):
     assert _negative_from(UniPoly(cs), point) is excluded
+
+
+def test_grid_certificates_take_no_taylor_shift(monkeypatch):
+    # every ray and line of the grid's e <= g candidates has at most one
+    # sign variation, so _negative_from decides each by Descartes' rule on
+    # its raw coefficients, with no Taylor shift to its point
+    import fatflats.roots as roots
+
+    candidates = [config for config in GRID if bounds_report(*config).e_below_g]
+    assert len(candidates) == 101
+    shift, shifted = roots._variations_above, []
+
+    def counting(p, lo):
+        shifted.append((p, lo))
+        return shift(p, lo)
+
+    monkeypatch.setattr(roots, "_variations_above", counting)
+    certified = 0
+    for n, r, s in candidates:
+        try:
+            e_certify(n, r, s, e_empirical(n, r, s).ratio)
+            certified += 1
+        except CertificationError as exc:
+            assert exc.step == "threshold", (n, r, s)
+    assert (certified, shifted) == (95, [])
 
 
 def test_threshold_is_the_least_m_the_cover_test_accepts():
@@ -561,19 +594,108 @@ def test_threshold_refusal_builds_exactly_one_ray(monkeypatch, config, candidate
     assert built == [(s, candidate.denominator, 0, candidate.numerator, 0)]
 
 
-def test_bounds_report_certifies_only_e_below_g_on_the_grid(monkeypatch):
+def _composed_bounds(n, r, s, m_max):
+    # the reference composition: e_empirical's scan to m_max, then
+    # e_certify on e when g's defining polynomial is <= 0 at e
+    witness = e_empirical(n, r, s, m_max)
+    below = g_value(n, r, s).defining.sign(witness.ratio) <= 0
+    certified = False
+    if below:
+        try:
+            e_certify(n, r, s, witness.ratio)
+            certified = True
+        except CertificationError:
+            pass
+    return witness.ratio, witness, certified, below
+
+
+def _reported(report):
+    return report.e, report.e_witness, report.e_certified, report.e_below_g
+
+
+def test_bounds_report_equals_the_scan_and_its_certificate():
+    families = sorted({(n, r) for n, r, _ in GRID})
+    configs = GRID + [(n, r, 1) for n, r in families]
+    assert len(configs) == 380
+    for m_max in (1, 3, 10, 30, 60, 80):
+        for config in configs:
+            expected = _composed_bounds(*config, m_max)
+            assert _reported(bounds_report(*config, m_max)) == expected, (config, m_max)
+
+
+@pytest.mark.parametrize(
+    "config, m_max, threshold",
+    [
+        ((3, 0, 4), 60, 6),  # the lines hold at e = 3/2 from m = 6: the scan stops at m = 5
+        ((3, 1, 6), 30, 48),  # e = 27/7 holds from m = 48: the scan goes past m_max
+        ((8, 1, 5), 80, 86),  # e = 106/71 holds from m = 86, past m_max and the table
+    ],
+)
+def test_bounds_report_scans_to_the_threshold(monkeypatch, config, m_max, threshold):
+    from fatflats.hilbert import Family
+
+    first_positive, scanned = Family.first_positive, []
+
+    def recording(self, s, m, stop):
+        scanned.append(m)
+        return first_positive(self, s, m, stop)
+
+    monkeypatch.setattr(Family, "first_positive", recording)
+    report = bounds_report(*config, m_max)
+    assert report.e_certified and report.e_below_g
+    assert scanned == list(range(2, threshold))
+    monkeypatch.undo()
+    assert e_certify(*config, report.e).m_threshold == threshold
+    assert _reported(report) == _composed_bounds(*config, m_max)
+
+
+def test_a_pair_past_m_max_that_beats_e_leaves_it_uncertified(monkeypatch):
+    # no grid configuration reaches this with m_max <= 80, so a pair is made
+    # up: at m = 40 > m_max = 30, below (3, 1, 6)'s threshold 48, the largest
+    # t below 40 * 27/7 is made positive
+    from fatflats.hilbert import Family
+
+    first_positive = Family.first_positive
+
+    def beaten_at_40(self, s, m, stop):
+        return stop - 1 if m == 40 else first_positive(self, s, m, stop)
+
+    monkeypatch.setattr(Family, "first_positive", beaten_at_40)
+    report = bounds_report(3, 1, 6, m_max=30)
+    assert (report.e, report.e_certified, report.e_below_g) == (F(27, 7), False, True)
+    assert report.e_witness == e_empirical(3, 1, 6, 30)
+    assert _reported(report) == _composed_bounds(3, 1, 6, 30)
+    with pytest.raises(CertificationError) as err:
+        e_certify(3, 1, 6, F(27, 7))
+    assert err.value.step == "scan"
+    assert err.value.detail == "P > 0 at (t=154, m=40) with ratio 77/20 < 27/7"
+
+
+def test_bounds_report_runs_the_lines_only_below_g_on_the_grid(monkeypatch):
     import fatflats.waldschmidt as waldschmidt
 
-    certify, calls = waldschmidt.e_certify, []
+    lines, candidates = waldschmidt._threshold_and_cover, []
 
-    def counting(n, r, s, candidate):
-        calls.append((n, r, s))
-        return certify(n, r, s, candidate)
+    def recording(fam, s, p, q):
+        candidates.append((fam.n, fam.r, s, F(p, q)))
+        return lines(fam, s, p, q)
 
-    monkeypatch.setattr(waldschmidt, "e_certify", counting)
-    above = {config for config in GRID if not bounds_report(*config).e_below_g}
-    assert len(calls) == len(set(calls)) == 101
-    assert len(above) == 260 and above.isdisjoint(calls)
+    monkeypatch.setattr(waldschmidt, "_threshold_and_cover", recording)
+    reports = {config: bounds_report(*config) for config in GRID}
+    for n, r, s, x in candidates:
+        assert g_value(n, r, s).defining.sign(x) <= 0, (n, r, s, x)
+    below = {config for config, report in reports.items() if report.e_below_g}
+    assert len(below) == 101 and {c[:3] for c in candidates} == below
+    monkeypatch.undo()
+    certified = {config for config, report in reports.items() if report.e_certified}
+    by_certificate = set()
+    for n, r, s in GRID:
+        try:
+            e_certify(n, r, s, e_empirical(n, r, s).ratio)
+            by_certificate.add((n, r, s))
+        except CertificationError:
+            pass
+    assert len(certified) == 95 and certified == by_certificate
 
 
 def test_whole_grid_bytes():
