@@ -19,13 +19,12 @@ polynomial n! * (P - 1) is one integer polynomial in the line's parameter
      value per m, at the largest t of the m's range.
 
 Steps 1 and 2 are ``_threshold_and_cover``.  The one (t, m) loop is
-``_scan``: from the best ratio so far it asks the family, one m at a time,
-for the least t in [m, stop) with P_m(t) > 0 (``Family.first_positive``),
-stop being the least t at the best ratio.  ``e_empirical`` runs it up to
-m_max, and ``bounds_report`` certifies inside it, ending it at
-m_threshold - 1 once a candidate's lines hold.  ``e_certify`` keeps its own
-scan of m < m_threshold: one Hilbert value per m, plus one per multiple of
-q until it meets the witness on the ray t = m * candidate.
+``_first_below``: it asks the family, one m at a time, for the least t in
+[m, ceil(m * p/q)) with P_m(t) > 0 (``Family.first_positive``), and returns
+the first pair it finds.  ``e_empirical`` runs it again from each new best
+up to m_max, ``bounds_report`` certifies inside it, ending it at
+m_threshold - 1 once a candidate's lines hold, and ``e_certify``'s step 3
+is one run of it over m < m_threshold.
 
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the ray and the lines come from it without any
@@ -52,7 +51,7 @@ from typing import NamedTuple, Optional
 from .asymptotic import g_value
 from .hilbert import Family, _least_holding, alpha_expected, check_flat_domain, family
 from .polynomials import Scalar, UniPoly, fraction_to_json
-from .roots import AlgebraicNumber, _bracket, _variations, count_roots_in
+from .roots import AlgebraicNumber, _variations, count_roots_in
 
 
 class RatioWitness(NamedTuple):
@@ -71,37 +70,33 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
     m = 1 is the expected initial degree (``alpha_expected``), and
-    ``_scan`` takes every later m.  Only the final pair's Hilbert value is
-    computed.
+    ``_first_below`` takes every later m, from each new best on.  Only the
+    final pair's Hilbert value is computed.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
-    t, m, _ = _scan(fam, s, alpha_expected(n, r, s, 1), 1, m_max + 1)
+    t, m = alpha_expected(n, r, s, 1), 1
+    while (pair := _first_below(fam, s, t, m, m + 1, m_max + 1)) is not None:
+        t, m = pair
     return RatioWitness(t, m, fam.hilbert_value(s, m, t))
 
 
-def _scan(
-    fam: Family, s: int, best_t: int, best_m: int, end: int, hi: int = 0, den: int = 1
-) -> tuple[int, int, bool]:
-    """The least realized ratio t/m over best_m < m < end, starting from
-    best_t/best_m, as (t, m, stopped); it stops at the first new best with
-    t/m <= hi/den, and a stopped scan has not looked past that m.
+def _first_below(fam: Family, s: int, p: int, q: int, start: int, end: int) -> Optional[tuple[int, int]]:
+    """The first pair (t, m) with start <= m < end, t/m < p/q and P_m(t) > 0,
+    t the least such at its m, or None; p/q >= 1 need not be in lowest terms.
 
-    Each m is one ``Family.first_positive`` call on [m, stop), stop the
-    least t with t * best_m >= best_t * m, empty when stop <= m; larger t
-    cannot beat the best ratio, and an equal ratio keeps the earlier,
-    smaller m.  This is the one (t, m) scan of ``e_empirical`` and
+    Each m is one ``Family.first_positive`` call on [m, ceil(m * p/q)):
+    larger t cannot beat p/q, and an equal ratio keeps the earlier, smaller
+    m.  This is the one (t, m) scan of ``e_empirical``, ``e_certify`` and
     ``bounds_report``.
     """
-    for m in range(best_m + 1, end):
-        t = fam.first_positive(s, m, -(-best_t * m // best_m))
+    for m in range(start, end):
+        t = fam.first_positive(s, m, -(-p * m // q))
         if t is not None:
-            best_t, best_m = t, m
-            if t * den <= hi * m:
-                return t, m, True
-    return best_t, best_m, False
+            return t, m
+    return None
 
 
 class ECertificate(NamedTuple):
@@ -204,17 +199,18 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         A witness lies on the ray with P > 0, so m_threshold > q: every
         k_j >= 1, and the q lines cost less than the scan;
       scan: the finitely many pairs with m < m_threshold and
-        m <= t < m * candidate are settled per m by ``Family.first_positive``:
-        P_m <= 0 at the largest t of the range covers the whole range,
-        and from a positive value the scan walks down to the least t that
-        beats the candidate.
+        m <= t < m * candidate are settled per m by ``Family.first_positive``
+        (``_first_below``): P_m <= 0 at the largest t of the range covers
+        the whole range, and the first m with a positive value names the
+        least t there that beats the candidate.
 
-    The witness is read off the scan: at each multiple m of q, one Hilbert
-    value at t = m * candidate, until one is positive.  A witness (p*k, q*k)
-    has n! * (P - 1) >= 0 on the ray at k, where the threshold step proved
-    it negative for q*k >= m_threshold, so the scan reaches the least one.
-    An unrealized candidate raises the CertificationError of the first step
-    that refutes it, and a ValueError only when all three steps pass.
+    The witness is read off the ray: one Hilbert value at (p*k, q*k) for
+    k = 1, 2, ... with q*k < m_threshold, until one is positive.  A witness
+    (p*k, q*k) has n! * (P - 1) >= 0 on the ray at k, where the threshold
+    step proved it negative for q*k >= m_threshold, so the walk reaches the
+    least one.  An unrealized candidate raises the CertificationError of the
+    first step that refutes it, and a ValueError only when all three steps
+    pass.
     """
     check_flat_domain(n, r, s)
     candidate = Fraction(candidate)
@@ -232,26 +228,23 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     p, q = candidate.numerator, candidate.denominator
     m_threshold = _threshold_and_cover(fam, s, p, q)
 
-    # scan: every remaining pair with ratio < candidate, one value per m when none beats it;
-    # the witness is the first point of the ray t = m * candidate with P > 0
-    pairs, witness = 0, None
-    for m in range(1, m_threshold):
-        stop = -(-m * p // q)  # ceil(m * candidate)
-        t = fam.first_positive(s, m, stop)
-        if t is not None:
-            raise CertificationError(
-                "scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}"
-            )
-        pairs += stop - m  # >= 0 since candidate >= 1
-        if witness is None and m % q == 0:
-            value = fam.hilbert_value(s, m, stop)
-            if value > 0:
-                witness = RatioWitness(stop, m, value)
-    if witness is None:
+    # scan: every remaining pair with ratio < candidate, one value per m when none beats it
+    pair = _first_below(fam, s, p, q, 1, m_threshold)
+    if pair is not None:
+        t, m = pair
+        raise CertificationError("scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}")
+    pairs = sum(-(-m * p // q) - m for m in range(1, m_threshold))  # each term >= 0 since candidate >= 1
+
+    # the witness is the first point of the ray (t, m) = (p*k, q*k) below m_threshold with P > 0
+    for k in range(1, -(-m_threshold // q)):
+        value = fam.hilbert_value(s, q * k, p * k)
+        if value > 0:
+            break
+    else:
         raise ValueError(f"candidate {candidate} is not realized below m_threshold {m_threshold}")
 
     scan_desc = f"all integer pairs with 1 <= m < {m_threshold} and m <= t < m*{candidate}"
-    return ECertificate(n, r, s, candidate, witness, m_threshold, scan_desc, pairs)
+    return ECertificate(n, r, s, candidate, RatioWitness(p * k, q * k, value), m_threshold, scan_desc, pairs)
 
 
 class GammaKnown(NamedTuple):
@@ -354,24 +347,26 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     raises.  A rational x >= 1 lies above g exactly when g's defining
     polynomial is positive at x: for s >= 2 it is n! * lambda, and for s = 1
     the squarefree part of lambda, whose dropped factors are positive above
-    1.  It is read only for a ratio inside g's bracket (lo, hi].
+    1.  A ratio t/m above g's upper end hi is above g by t * den > hi * m
+    alone, with no polynomial read; every other ratio reads the sign.
 
-    e is ``e_empirical``'s, certified inside the same ``_scan``: each new
-    best not above g goes through the threshold and cover steps (s = 1 keeps
-    ``e_certify``'s special case), and when they hold with threshold M, no
-    pair from M on beats it and the scan ends at m = M - 1, past m_max if
-    need be; a pair found past m_max leaves e uncertified.  When they fail
-    the scan runs to m_max.  An uncertified e records whether e <= g held.
+    e is ``e_empirical``'s, certified inside the same scan, ``_first_below``
+    run again from each new best: each new best not above g goes through
+    the threshold and cover steps (s = 1 keeps ``e_certify``'s special
+    case), and when they hold with threshold M, no pair from M on beats it
+    and the scan ends at m = M - 1, past m_max if need be; a pair found past
+    m_max leaves e uncertified.  When they fail the scan runs to m_max.  An
+    uncertified e records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     g = g_value(n, r, s)
-    a, b, den = _bracket(g.lo, g.hi)
+    hi, den = g.hi.numerator, g.hi.denominator
     fam = family(n, r)
     t, m = alpha_expected(n, r, s, 1), 1
     while True:
-        e_below_g = t * den <= a * m or (t * den <= b * m and g.defining.sign(t, m) <= 0)
+        e_below_g = t * den <= hi * m and g.defining.sign(t, m) <= 0
         threshold = None
         if e_below_g:
             d = gcd(t, m)
@@ -379,16 +374,13 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
                 threshold = 1 if s == 1 else _threshold_and_cover(fam, s, t // d, m // d)
             except CertificationError:
                 pass
-        # stops at each new best up to g's upper end; a scan that runs to its
-        # end leaves a new best only above g's bracket, where e_below_g is false
-        end = m_max + 1 if threshold is None else threshold
-        next_t, next_m, stopped = _scan(fam, s, t, m, end, b, den)
-        if next_m > m_max:  # a pair past m_max beats e: e stands, uncertified
+        pair = _first_below(fam, s, t, m, m + 1, m_max + 1 if threshold is None else threshold)
+        if pair is None:
+            break
+        if pair[1] > m_max:  # a pair past m_max beats e: e stands, uncertified
             threshold = None
             break
-        t, m = next_t, next_m
-        if not stopped:
-            break
+        t, m = pair
     e = Fraction(t, m)
 
     if gamma is not None and gamma.exact:

@@ -14,6 +14,7 @@ from fatflats.waldschmidt import (
     CertificationError,
     RatioWitness,
     _negative_from,
+    _threshold_and_cover,
     bounds_report,
     e_certify,
     e_empirical,
@@ -407,7 +408,7 @@ def test_certify_fails_on_a_realized_ratio_above_e():
 
 
 def test_certify_refutes_an_unrealized_candidate_at_its_first_failing_step():
-    # the witness is read off the scan, so a refuting step speaks first
+    # the witness is read after the three steps, so a refuting step speaks first
     with pytest.raises(CertificationError) as err:
         e_certify(2, 0, 2, F(8, 7))
     assert err.value.step == "scan"
@@ -415,6 +416,56 @@ def test_certify_refutes_an_unrealized_candidate_at_its_first_failing_step():
     with pytest.raises(CertificationError) as err:
         e_certify(7, 0, 17, F(3, 2))
     assert err.value.step == "threshold"
+
+
+@pytest.mark.property
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (n - 1) // 2), st.integers(2, 12))),
+    st.integers(1, 6).flatmap(lambda q: st.tuples(st.integers(q, 3 * q), st.just(q))),
+)
+def test_certify_scan_matches_a_double_loop(config, fraction):
+    """e_certify below its threshold against one Hilbert value per pair
+    (t, m), m < M and m <= t < m * candidate, for candidates in [1, 3]."""
+    n, r, s = config
+    candidate = F(*fraction)
+    p, q = candidate.numerator, candidate.denominator
+    try:
+        threshold = _threshold_and_cover(family(n, r), s, p, q)
+    except CertificationError as refused:
+        with pytest.raises(CertificationError) as err:
+            e_certify(n, r, s, candidate)
+        assert (err.value.step, err.value.detail) == (refused.step, refused.detail)
+        return
+
+    def positive(t, m):
+        return binom(t + n, n) - s * conditions_count(n, r, m, t) > 0
+
+    beating, pairs = None, 0
+    for m in range(1, threshold):
+        for t in range(m, ceil(m * candidate)):
+            pairs += 1
+            if positive(t, m):
+                beating = t, m
+                break
+        if beating:
+            break
+    if beating:
+        t, m = beating
+        with pytest.raises(CertificationError) as err:
+            e_certify(n, r, s, candidate)
+        assert err.value.step == "scan"
+        assert err.value.detail == f"P > 0 at (t={t}, m={m}) with ratio {F(t, m)} < {candidate}"
+        return
+    realized = [k for k in range(1, threshold) if q * k < threshold and positive(p * k, q * k)]
+    if not realized:
+        with pytest.raises(ValueError):
+            e_certify(n, r, s, candidate)
+        return
+    cert = e_certify(n, r, s, candidate)
+    k = realized[0]
+    assert (cert.m_threshold, cert.pairs_checked) == (threshold, pairs)
+    assert cert.witness == (p * k, q * k, binom(p * k + n, n) - s * conditions_count(n, r, q * k, p * k))
 
 
 def test_gamma_points_closed_forms():
@@ -634,18 +685,29 @@ def test_bounds_report_equals_the_scan_and_its_certificate():
 def test_bounds_report_scans_to_the_threshold(monkeypatch, config, m_max, threshold):
     from fatflats.hilbert import Family
 
-    first_positive, scanned = Family.first_positive, []
+    first_positive, hilbert_value = Family.first_positive, Family.hilbert_value
+    scanned, valued = [], []
 
     def recording(self, s, m, stop):
         scanned.append(m)
         return first_positive(self, s, m, stop)
 
+    def counted(self, s, m, t):
+        valued.append(m)
+        return hilbert_value(self, s, m, t)
+
     monkeypatch.setattr(Family, "first_positive", recording)
     report = bounds_report(*config, m_max)
     assert report.e_certified and report.e_below_g
     assert scanned == list(range(2, threshold))
+    # the certificate's scan takes each m < M once, and its witness at most one value per k < M/q
+    scanned.clear()
+    monkeypatch.setattr(Family, "hilbert_value", counted)
+    certificate = e_certify(*config, report.e)
+    assert certificate.m_threshold == threshold
+    assert scanned == list(range(1, threshold))
+    assert len(valued) <= ceil(F(threshold, report.e.denominator)) - 1
     monkeypatch.undo()
-    assert e_certify(*config, report.e).m_threshold == threshold
     assert _reported(report) == _composed_bounds(*config, m_max)
 
 
