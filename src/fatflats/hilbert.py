@@ -11,13 +11,13 @@ independent conditions.  The count depends on the family (n, r) only, and
 free: this sum gives its values on a box of (m, t), one term each, and
 interpolation the rest.  Every count below is an evaluation of that object,
 O(n * r) for any m.  The family also tabulates its rows in t (n! * c at one m,
-integer coefficients in t) for m = 0..64 once, when it is built, so the scans
-read a stored row per m; beyond the table a row is r + 1 Horner evaluations in
-m, and the table never grows.  At a fixed m the degrees t >= m with a positive
-Hilbert value form a half-line (``Family.first_positive``), so the least of
-them below a bound is a doubling walk down from the bound plus a bisection, and
-the least of them at all (``alpha_expected``) a doubling search up plus a
-bisection.  This module also provides an independent monomial-enumeration
+highest degree first) for m = 0..64 once, when it is built, so the scan reads a
+stored row per m; beyond the table a row is r + 1 Horner evaluations in m, and
+the table never grows.  At a fixed m the degrees t >= m with a positive Hilbert
+value form a half-line (``Family.descents``), so the (t, m) scan reads one
+value per m, below its bound, and walks down and bisects only where it is
+positive; the least of them at all (``alpha_expected``) is a doubling search up
+plus a bisection.  This module also provides an independent monomial-enumeration
 oracle for the count, the Hilbert function of a single fat flat via the
 iterated-summation recursion (a check of the family, not its input), and
 Hilbert polynomials of unions with uniform or mixed multiplicities (including a
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import BiPoly, UniPoly, binom, binom_poly
 
@@ -63,9 +63,9 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None, t: int |
         raise ValueError(f"the count requires t >= m, got t={t}, m={m}")
 
 
-def _horner(coeffs: Sequence[int], x: int) -> int:
+def _horner(coeffs: Iterable[int], x: int) -> int:  # coefficients highest degree first
     acc = 0
-    for c in reversed(coeffs):
+    for c in coeffs:
         acc = acc * x + c
     return acc
 
@@ -134,13 +134,14 @@ class Family:
         counts = [_interpolate([row[a] for row in in_t], 1)[: n + 1 - a] for a in range(r + 1)]
         self.n, self.r, self.scale = n, r, scale
         self.counts = tuple(map(tuple, counts))
-        self.rows = tuple(tuple(_horner(row, m) for row in self.counts) for m in range(_TABLED_M + 1))
+        self.rows = tuple(self._row(m) for m in range(_TABLED_M + 1))
+
+    def _row(self, m: int) -> tuple[int, ...]:
+        return tuple(_horner(reversed(row), m) for row in reversed(self.counts))
 
     def count_in_t(self, m: int) -> tuple[int, ...]:
-        """n! * c(n, r; t, m) at this m, as integer coefficients in t."""
-        if 0 <= m <= _TABLED_M:
-            return self.rows[m]
-        return tuple(_horner(row, m) for row in self.counts)
+        """n! * c(n, r; t, m) at this m: integer coefficients in t, highest first."""
+        return self.rows[m] if 0 <= m <= _TABLED_M else self._row(m)
 
     def count(self, m: int, t: int) -> int:
         """c(n, r; t, m) for t >= m - r - 1; callers validate."""
@@ -150,9 +151,13 @@ class Family:
         """P_m(t) = C(t + n, n) - s * c(n, r; t, m), the value for s flats."""
         return comb(t + self.n, self.n) - s * self.count(m, t)
 
-    def first_positive(self, s: int, m: int, stop: int) -> int | None:
-        """The least t in [m, stop) with P_m(t) > 0 for s flats, or None.
+    def descents(self, s: int, p: int, q: int, start: int, end: int) -> Iterator[tuple[int, int]]:
+        """The new bests for s flats over m = start..end - 1 from the bound p/q
+        (p, q >= 1, in any terms): each (t, m) with t/m below the bound,
+        P_m(t) > 0 and t the least such at its m, which becomes the bound.
 
+        At m the range is [m, ceil(m * p/q)), empty when that is <= m: larger
+        t cannot beat p/q, and an equal ratio keeps the earlier, smaller m.
         For t >= m the family polynomial is c(t), the number of degree-t
         monomials whose exponents on the last n - r variables sum to less
         than m.  Pair each counted monomial of degree t + 1 with each
@@ -162,31 +167,39 @@ class Family:
         so (t + 1) * c(t + 1) <= (t + n + 1) * c(t), with equality for
         C(t + n, n), which counts every monomial.  Hence (t + 1) * P_m(t + 1)
         >= (t + n + 1) * P_m(t): once positive at some t >= m, P_m stays
-        positive and rises, and the positive t >= m form a half-line.
-        So None exactly when P_m(stop - 1) <= 0.  Otherwise the least
-        positive t is found walking down from the known end (Bentley and
-        Yao's unbounded search, mirrored): t = stop - 2, stop - 4, ...
-        while positive, never below the middle of what is left above m - 1,
-        then a bisection of the last gap.  At most 2 * bit_length(stop - t)
-        Hilbert values, each n! * C(t + n, n) against s times the stored
-        row put in by Horner.  Callers validate.
+        positive and rises, and the positive t >= m form a half-line.  So an
+        m yields nothing exactly when P_m(stop - 1) <= 0, stop the range's
+        end: one Hilbert value.  Otherwise the least positive t is found
+        walking down from the known end (Bentley and Yao's unbounded search,
+        mirrored): t = stop - 2, stop - 4, ... while positive, never below
+        the middle of what is left above m - 1, then a bisection of the last
+        gap.  At most 2 * bit_length(stop - t) Hilbert values at that m, each
+        n! * C(t + n, n) against s times the stored row put in by Horner.
+        Callers validate.
         """
-        n, scale = self.n, self.scale
-        row = (self.rows[m] if m <= _TABLED_M else self.count_in_t(m))[::-1]  # highest degree first
-        # P_m <= 0 at every t <= lo, and P_m(hi) > 0 unless hi is still stop
-        lo, hi, t = m - 1, stop, stop - 1
-        while hi - lo > 1:
-            count = 0
+        n, scale, rows = self.n, self.scale, self.rows
+        for m in range(start, end):
+            stop = -(-p * m // q)
+            if stop <= m:
+                continue
+            row = rows[m] if m <= _TABLED_M else self._row(m)
+            t, count = stop - 1, 0
             for c in row:
                 count = count * t + c
-            if scale * comb(t + n, n) > s * count:
-                hi = t
-            else:
-                lo = t
-            mid, t = (lo + hi) // 2, 2 * hi - stop  # walk down from stop until past mid, then bisect
-            if t < mid:
-                t = mid
-        return hi if hi < stop else None
+            if scale * comb(t + n, n) <= s * count:
+                continue
+            # P_m <= 0 at every t <= lo, P_m(hi) > 0: walk down from stop past the middle, then bisect
+            lo, hi = m - 1, t
+            while hi - lo > 1:
+                t, count = max(2 * hi - stop, (lo + hi) // 2), 0
+                for c in row:
+                    count = count * t + c
+                if scale * comb(t + n, n) > s * count:
+                    hi = t
+                else:
+                    lo = t
+            yield hi, m
+            p, q = hi, m
 
     def along(self, s: int, q: int, j: int, p: int, c: int) -> UniPoly:
         """n! * (P_m(t) - 1) for s flats along m = q*k + j, t = p*k + c, in k.
@@ -206,7 +219,7 @@ class Family:
             m, t = q * k + j, p * k + c
             count = 0
             if m <= _TABLED_M:
-                for coeff in reversed(rows[m]):
+                for coeff in rows[m]:
                     count = count * t + coeff
             else:
                 for row in reversed(counts):
@@ -291,7 +304,7 @@ def conditions_poly(n: int, r: int, m: int) -> UniPoly:
     """
     check_flat_domain(n, r, m=m)
     fam = family(n, r)
-    return UniPoly(fam.count_in_t(m), fam.scale)
+    return UniPoly(fam.count_in_t(m)[::-1], fam.scale)
 
 
 @lru_cache(maxsize=None)
@@ -347,8 +360,8 @@ def _least_holding(holds: Callable[[int], bool], lo: int) -> int:
 
     hi runs lo + 1, lo + 2, lo + 4, ... (each failed hi becoming lo) until
     holds(hi); then (lo, hi] is bisected.  About 2 * log2(t - lo) + 1
-    predicate calls in all.  ``Family.first_positive`` searches a bounded
-    range the other way, down from its end, in its own loop.
+    predicate calls in all.  ``Family.descents`` searches a bounded range
+    the other way, down from its end, in its own loop.
     """
     hi, step = lo + 1, 1
     while not holds(hi):
@@ -367,7 +380,7 @@ def alpha_expected(n: int, r: int, s: int, m: int) -> int:
     the least t >= m with P_m(t) > 0.
 
     The positive t >= m form a half-line (the lemma of
-    ``Family.first_positive``), so a doubling search plus a bisection finds
+    ``Family.descents``), so a doubling search plus a bisection finds
     it in about 2 * log2(t) + 1 Hilbert values.  At m = 1 it is the actual
     initial degree for general points and, by Hartshorne-Hirschowitz, for
     general lines; for m >= 2 it is only expected (s = 2 points in P^2 at

@@ -246,7 +246,7 @@ def _scan_region(
     One end per row.  For d >= m, c(3,1,m,d) = (d+1)*C(m+1,2) - 2*C(m+1,3)
     (``conditions_count_lines``), so P(d) = C(d+3,3) - (d+1)*A + 2*B.  Each
     entry's count obeys (d + 1) * c(d + 1) <= (d + 4) * c(d) at d >= its
-    multiplicity (``hilbert.Family.first_positive``), with equality for
+    multiplicity (``hilbert.Family.descents``), with equality for
     C(d+3, 3), so on a row, where d >= max m, P(d) > 0 forces
     P(d + 1) > P(d), and P <= 0 at the high end proves P <= 0 on the whole
     row.

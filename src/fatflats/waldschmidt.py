@@ -18,13 +18,13 @@ polynomial n! * (P - 1) is one integer polynomial in the line's parameter
   3. the finitely many remaining (t, m) pairs are settled by one Hilbert
      value per m, at the largest t of the m's range.
 
-Steps 1 and 2 are ``_threshold_and_cover``.  The one (t, m) loop is
-``_first_below``: it asks the family, one m at a time, for the least t in
-[m, ceil(m * p/q)) with P_m(t) > 0 (``Family.first_positive``), and returns
-the first pair it finds.  ``e_empirical`` runs it again from each new best
-up to m_max, ``bounds_report`` certifies inside it, ending it at
+Steps 1 and 2 are ``_threshold_and_cover``.  The one (t, m) scan is
+``Family.descents``: one Hilbert value per m, at the largest t below the
+bound, and where that is positive the least positive t, a new best that
+becomes the bound.  ``e_empirical`` drains it up to m_max, ``bounds_report``
+resumes it after each new best and certifies inside it, ending it at
 m_threshold - 1 once a candidate's lines hold, and ``e_certify``'s step 3
-is one run of it over m < m_threshold.
+is its first pair over m < m_threshold.
 
 Everything here reads the one cached integer object of the family,
 ``hilbert.family(n, r)``: the ray and the lines come from it without any
@@ -70,33 +70,17 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
     m = 1 is the expected initial degree (``alpha_expected``), and
-    ``_first_below`` takes every later m, from each new best on.  Only the
-    final pair's Hilbert value is computed.
+    ``Family.descents`` scans every later m from it; its last new best is
+    the minimum.  Only the final pair's Hilbert value is computed.
     """
     check_flat_domain(n, r, s)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     fam = family(n, r)
     t, m = alpha_expected(n, r, s, 1), 1
-    while (pair := _first_below(fam, s, t, m, m + 1, m_max + 1)) is not None:
-        t, m = pair
+    for t, m in fam.descents(s, t, m, 2, m_max + 1):
+        pass
     return RatioWitness(t, m, fam.hilbert_value(s, m, t))
-
-
-def _first_below(fam: Family, s: int, p: int, q: int, start: int, end: int) -> Optional[tuple[int, int]]:
-    """The first pair (t, m) with start <= m < end, t/m < p/q and P_m(t) > 0,
-    t the least such at its m, or None; p/q >= 1 need not be in lowest terms.
-
-    Each m is one ``Family.first_positive`` call on [m, ceil(m * p/q)):
-    larger t cannot beat p/q, and an equal ratio keeps the earlier, smaller
-    m.  This is the one (t, m) scan of ``e_empirical``, ``e_certify`` and
-    ``bounds_report``.
-    """
-    for m in range(start, end):
-        t = fam.first_positive(s, m, -(-p * m // q))
-        if t is not None:
-            return t, m
-    return None
 
 
 class ECertificate(NamedTuple):
@@ -199,9 +183,9 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
         A witness lies on the ray with P > 0, so m_threshold > q: every
         k_j >= 1, and the q lines cost less than the scan;
       scan: the finitely many pairs with m < m_threshold and
-        m <= t < m * candidate are settled per m by ``Family.first_positive``
-        (``_first_below``): P_m <= 0 at the largest t of the range covers
-        the whole range, and the first m with a positive value names the
+        m <= t < m * candidate are settled per m by ``Family.descents``:
+        P_m <= 0 at the largest t of the range covers the whole range, and
+        its first pair names the first m with a positive value and the
         least t there that beats the candidate.
 
     The witness is read off the ray: one Hilbert value at (p*k, q*k) for
@@ -229,7 +213,7 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     m_threshold = _threshold_and_cover(fam, s, p, q)
 
     # scan: every remaining pair with ratio < candidate, one value per m when none beats it
-    pair = _first_below(fam, s, p, q, 1, m_threshold)
+    pair = next(fam.descents(s, p, q, 1, m_threshold), None)
     if pair is not None:
         t, m = pair
         raise CertificationError("scan", f"P > 0 at (t={t}, m={m}) with ratio {Fraction(t, m)} < {candidate}")
@@ -350,13 +334,13 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     1.  A ratio t/m above g's upper end hi is above g by t * den > hi * m
     alone, with no polynomial read; every other ratio reads the sign.
 
-    e is ``e_empirical``'s, certified inside the same scan, ``_first_below``
-    run again from each new best: each new best not above g goes through
-    the threshold and cover steps (s = 1 keeps ``e_certify``'s special
-    case), and when they hold with threshold M, no pair from M on beats it
-    and the scan ends at m = M - 1, past m_max if need be; a pair found past
-    m_max leaves e uncertified.  When they fail the scan runs to m_max.  An
-    uncertified e records whether e <= g held.
+    e is ``e_empirical``'s, certified inside the same scan, resumed after
+    each new best: each new best not above g goes through the threshold and
+    cover steps (s = 1 keeps ``e_certify``'s special case), and when they
+    hold with threshold M, no pair from M on beats it and the scan ends at
+    m = M - 1, past m_max if need be (a new best that moves the end opens a
+    new scan); a pair found past m_max leaves e uncertified.  When they fail
+    the scan runs to m_max.  An uncertified e records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
     if m_max < 1:
@@ -365,6 +349,7 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     hi, den = g.hi.numerator, g.hi.denominator
     fam = family(n, r)
     t, m = alpha_expected(n, r, s, 1), 1
+    end = scan = None
     while True:
         e_below_g = t * den <= hi * m and g.defining.sign(t, m) <= 0
         threshold = None
@@ -374,7 +359,9 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
                 threshold = 1 if s == 1 else _threshold_and_cover(fam, s, t // d, m // d)
             except CertificationError:
                 pass
-        pair = _first_below(fam, s, t, m, m + 1, m_max + 1 if threshold is None else threshold)
+        if end != (stop := m_max + 1 if threshold is None else threshold):
+            end, scan = stop, fam.descents(s, t, m, m + 1, stop)
+        pair = next(scan, None)
         if pair is None:
             break
         if pair[1] > m_max:  # a pair past m_max beats e: e stands, uncertified

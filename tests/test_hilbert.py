@@ -342,50 +342,65 @@ def test_conditions_poly_matches_count():
             assert poly(t) == conditions_count(n, r, m, t)
 
 
-def _first_positive_direct(n, r, s, m, stop):
-    values = ((t, binom(t + n, n) - s * conditions_count(n, r, m, t)) for t in range(m, stop))
-    return next((t for t, value in values if value > 0), None)
+def _descents_direct(n, r, s, p, q, start, end):
+    """The new bests below p/q over start <= m < end by a double loop: the
+    least t >= m with t/m < p/q and a positive Hilbert value, per m, each
+    found pair becoming the bound."""
+    bests = []
+    for m in range(start, end):
+        for t in range(m, p * m // q + 1):
+            if t * q < p * m and binom(t + n, n) - s * conditions_count(n, r, m, t) > 0:
+                bests.append((t, m))
+                p, q = t, m
+                break
+    return bests
 
 
 @st.composite
-def _scan_cases(draw):
+def _descent_cases(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     s = draw(st.integers(min_value=1, max_value=20))
     r_max = n - 1 if s == 1 else (n - 1) // 2
     r = draw(st.integers(min_value=0, max_value=r_max))
-    m = draw(st.integers(min_value=1, max_value=hilbert._TABLED_M + 20))  # across the table end
-    # stop at or below m (an empty range), just above it, or far past it
-    offset = draw(
-        st.one_of(
-            st.integers(min_value=-3, max_value=0),
-            st.integers(min_value=1, max_value=3),
-            st.integers(min_value=4, max_value=4 * m + 40),
-        )
-    )
-    return n, r, s, m, m + offset
+    # m-ranges of up to 12 m below, across and past the table end; length 0 is an empty range
+    end_of_table = hilbert._TABLED_M
+    start = draw(st.sampled_from([1, 20, 40, end_of_table - 3, end_of_table + 8]))
+    start += draw(st.integers(min_value=0, max_value=3))
+    end = start + draw(st.integers(min_value=0, max_value=12))
+    # a bound of 1 (every t-range empty), just above it, or far past it
+    q = draw(st.integers(min_value=1, max_value=12))
+    p = q + draw(st.integers(min_value=0, max_value=5 * q + 40))
+    return n, r, s, p, q, start, end
 
 
 @pytest.mark.property
-@given(_scan_cases())
-@example((3, 1, 6, 11, 60))  # first positive t = 43, far above m
-@example((3, 1, 6, 11, 44))  # the first positive t is the last of the range
-@example((3, 1, 6, 11, 43))  # the range ends just below it: None
-@example((7, 3, 2, 5, 20))  # first positive t = 10
-@example((4, 1, 9, 2, 1))  # stop below m
-@example((3, 1, 6, 100, 387))  # the least t = 386 is stop - 1, past the table
-@example((3, 1, 1, 5, 60))  # the least t is m: the walk down passes below m
-@example((2, 0, 20, 3, 100))  # the walk passes below m, then bisects (m - 1, 36]
-@example((3, 1, 1, 5, 6))  # stop = m + 1, positive at m
-@example((3, 1, 6, 11, 12))  # stop = m + 1, not positive: None
-@example((3, 1, 6, 70, 300))  # m > _TABLED_M: the row comes from count_in_t; t = 271
-def test_first_positive_matches_direct_scan(case):
-    """50 (n, r, s, m, stop), the half-line scan's walk down against a
-    direct scan."""
-    n, r, s, m, stop = case
+@settings(max_examples=300, deadline=None)
+@given(_descent_cases())
+# one m each, at bound stop/m: the range [m, stop), as (n, r, s, stop, m, m, m + 1)
+@example((3, 1, 6, 60, 11, 11, 12))  # first positive t = 43, far above m
+@example((3, 1, 6, 44, 11, 11, 12))  # the first positive t is the last of the range
+@example((3, 1, 6, 43, 11, 11, 12))  # the range ends just below it: nothing
+@example((7, 3, 2, 20, 5, 5, 6))  # first positive t = 10
+@example((4, 1, 9, 1, 2, 2, 3))  # stop below m
+@example((3, 1, 6, 387, 100, 100, 101))  # the least t = 386 is stop - 1, past the table
+@example((3, 1, 1, 60, 5, 5, 6))  # the least t is m: the walk down passes below m
+@example((2, 0, 20, 100, 3, 3, 4))  # the walk passes below m, then bisects (m - 1, 36]
+@example((3, 1, 1, 6, 5, 5, 6))  # stop = m + 1, positive at m
+@example((3, 1, 6, 12, 11, 11, 12))  # stop = m + 1, not positive: nothing
+@example((3, 1, 6, 300, 70, 70, 71))  # m > _TABLED_M: the row comes from count_in_t; t = 271
+# successive new bests, each the bound for the m after it
+@example((3, 1, 6, 5, 1, 2, 30))  # from 5 to 8/2, then 27/7 at m = 7
+@example((3, 1, 6, 31, 8, 58, 71))  # new bests at m = 58 and 64, then m past the table end
+@example((3, 0, 4, 5, 3, 12, 11))  # an empty m-range
+@example((3, 0, 4, 7, 7, 2, 9))  # bound 1: every t-range is empty
+def test_descents_match_a_double_loop(case):
+    """The scan's successive new bests against a double loop over every
+    (t, m) of the ranges."""
+    n, r, s, p, q, start, end = case
     fam = family(n, r)
-    t = fam.first_positive(s, m, stop)
-    assert t == _first_positive_direct(n, r, s, m, stop)
-    if t is not None:
+    bests = list(fam.descents(s, p, q, start, end))
+    assert bests == _descents_direct(n, r, s, p, q, start, end)
+    for t, m in bests:
         assert fam.hilbert_value(s, m, t) == binom(t + n, n) - s * conditions_count(n, r, m, t) > 0
 
 
@@ -450,8 +465,8 @@ def test_family_built_once_across_s_and_m(monkeypatch):
         for s in range(1, 9):
             for m in (1, 2, 7, 30, 500):
                 for stop in (m + 2, 4 * m + 9):
-                    direct = _first_positive_direct(7, 3, s, m, stop)
-                    assert hilbert.family(7, 3).first_positive(s, m, stop) == direct
+                    direct = _descents_direct(7, 3, s, stop, m, m, m + 1)
+                    assert list(hilbert.family(7, 3).descents(s, stop, m, m, m + 1)) == direct
                 assert conditions_count(7, 3, m, m + 9) == _count_sum(7, 3, m, m + 9)
         assert builds == [(7, 3)]
         for s in (2, 5, 6, 7):
@@ -521,7 +536,7 @@ def test_family_rows_are_horner_on_counts_across_the_table_end():
             assert type(fam.rows) is tuple and len(fam.rows) == end + 1
             assert all(type(row) is tuple for row in fam.rows)
             for m in range(end + 11):
-                want = tuple(hilbert._horner(row, m) for row in fam.counts)
+                want = tuple(sum(c * m**b for b, c in enumerate(row)) for row in reversed(fam.counts))
                 assert fam.count_in_t(m) == want, (n, r, m)
                 assert (m <= end) == (fam.count_in_t(m) is fam.rows[min(m, end)])
 

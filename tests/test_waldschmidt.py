@@ -109,46 +109,97 @@ def test_e_empirical_matches_naive_scan(n, r, s, m_max):
     assert e_empirical(n, r, s, m_max) == _naive_e_empirical(n, r, s, m_max)
 
 
+def _record_scans(monkeypatch):
+    """Patch ``hilbert.comb`` and ``Family.descents`` to record every scan:
+    returns (degrees, scans), the degree t of every Hilbert value in order,
+    read off comb(t + n, n), and per scan opened its arguments and, for each
+    stretch between resumptions, the degrees it valued and the pair it
+    yielded (None when it ran out)."""
+    import fatflats.hilbert as hilbert
+
+    comb, descents = hilbert.comb, hilbert.Family.descents
+    degrees, scans = [], []
+
+    def counting_comb(a, b):
+        degrees.append(a - b)
+        return comb(a, b)
+
+    def recording(self, s, p, q, start, end):
+        runs = []
+        scans.append(((p, q, start, end), runs))
+        scan = descents(self, s, p, q, start, end)
+        while True:
+            before = len(degrees)
+            pair = next(scan, None)
+            runs.append((degrees[before:], pair))
+            if pair is None:
+                return
+            yield pair
+
+    monkeypatch.setattr(hilbert, "comb", counting_comb)
+    monkeypatch.setattr(hilbert.Family, "descents", recording)
+    return degrees, scans
+
+
+def _probed(scans):
+    """The m each recorded scan probed, in order, after checking that each m
+    of a run was probed once at t = ceil(m * p/q) - 1 for the bound p/q of
+    the moment, that an m with no pair cost that one value, and that the m
+    of a pair t spent at most 2 * bit_length(stop - t) values, the walk's
+    inside [m, stop - 1)."""
+    probed = []
+    for (p, q, start, end), runs in scans:
+        for degrees, pair in runs:
+            last = end if pair is None else pair[1] + 1
+            k = 0
+            for m in range(start, last):
+                stop = -(-p * m // q)
+                if stop > m:
+                    assert degrees[k] == stop - 1, (m, degrees[k], stop)
+                    probed.append(m)
+                    k += 1
+            walk = degrees[k:]
+            if pair is None:
+                assert not walk, walk
+                continue
+            (t, m), stop = pair, -(-p * pair[1] // q)
+            assert 1 + len(walk) <= 2 * (stop - t).bit_length(), (pair, walk)
+            assert all(m <= d < stop - 1 for d in walk), (pair, walk)
+            p, q, start = t, m, m + 1
+    return probed
+
+
 @pytest.mark.parametrize("config", [(3, 1, 6, 60), (5, 2, 7, 60), (2, 0, 20, 60), (8, 3, 4, 12)])
 def test_e_empirical_scans_walk_down(monkeypatch, config):
     # m = 1 is the expected initial degree: a doubling search and a bisection,
     # at most 2 * log2(t) + 3 Hilbert values.  Every later m is P_m at the top
-    # of the range, then a walk down by doubling steps and a bisection: one
-    # Hilbert value when none is positive, at most 2 * bit_length(stop - t)
-    # when t is the least positive, none for an empty range
-    import fatflats.hilbert as hilbert
+    # of the range, then, where that is positive, a walk down by doubling
+    # steps and a bisection: one Hilbert value when none is positive, at most
+    # 2 * bit_length(stop - t) when t is the least positive, none for an
+    # empty range
     import fatflats.waldschmidt as waldschmidt
 
-    scan, comb, alpha = hilbert.Family.first_positive, hilbert.comb, waldschmidt.alpha_expected
-    values = [0]
-    budgets = []
+    alpha = waldschmidt.alpha_expected
     starts = []
+    degrees, scans = _record_scans(monkeypatch)
 
     def counting_alpha(*args):
-        before = values[0]
+        before = len(degrees)
         t = alpha(*args)
-        starts.append((values[0] - before, t))
+        starts.append((len(degrees) - before, t))
         return t
 
-    def counting_comb(a, b):
-        values[0] += 1
-        return comb(a, b)
-
-    def counting(self, s, m, stop):
-        before = values[0]
-        t = scan(self, s, m, stop)
-        budget = 0 if stop <= m else 1 if t is None else 2 * (stop - t).bit_length()
-        budgets.append((values[0] - before, budget))
-        return t
-
-    monkeypatch.setattr(hilbert, "comb", counting_comb)
-    monkeypatch.setattr(hilbert.Family, "first_positive", counting)
     monkeypatch.setattr(waldschmidt, "alpha_expected", counting_alpha)
-    assert e_empirical(*config) == _naive_e_empirical(*config)
+    witness = e_empirical(*config)
+    assert witness == _naive_e_empirical(*config)
     [(used, t)] = starts
     assert used <= 2 * log2(t) + 3, (used, t)
-    assert len(budgets) == config[-1] - 1 and any(used for used, _ in budgets)
-    assert all(used <= budget for used, budget in budgets), budgets
+    assert _probed(scans) == list(range(2, config[-1] + 1))
+    pairs = [pair for _, runs in scans for _, pair in runs if pair is not None]
+    assert pairs[-1:] == ([(witness.t, witness.m)] if witness.m > 1 else [])
+    # alpha's values, the scan's, and the final pair's one value: nothing else
+    scanned = sum(len(run) for _, runs in scans for run, _ in runs)
+    assert len(degrees) == used + scanned + 1 and degrees[-1] == witness.t
 
 
 def test_e_empirical_spends_few_hilbert_values_on_the_grid(monkeypatch):
@@ -685,27 +736,23 @@ def test_bounds_report_equals_the_scan_and_its_certificate():
 def test_bounds_report_scans_to_the_threshold(monkeypatch, config, m_max, threshold):
     from fatflats.hilbert import Family
 
-    first_positive, hilbert_value = Family.first_positive, Family.hilbert_value
-    scanned, valued = [], []
-
-    def recording(self, s, m, stop):
-        scanned.append(m)
-        return first_positive(self, s, m, stop)
+    hilbert_value, valued = Family.hilbert_value, []
 
     def counted(self, s, m, t):
         valued.append(m)
         return hilbert_value(self, s, m, t)
 
-    monkeypatch.setattr(Family, "first_positive", recording)
+    _, scans = _record_scans(monkeypatch)
     report = bounds_report(*config, m_max)
     assert report.e_certified and report.e_below_g
-    assert scanned == list(range(2, threshold))
+    assert _probed(scans) == list(range(2, threshold))
     # the certificate's scan takes each m < M once, and its witness at most one value per k < M/q
-    scanned.clear()
+    scans.clear()
     monkeypatch.setattr(Family, "hilbert_value", counted)
     certificate = e_certify(*config, report.e)
     assert certificate.m_threshold == threshold
-    assert scanned == list(range(1, threshold))
+    assert [args for args, _ in scans] == [(report.e.numerator, report.e.denominator, 1, threshold)]
+    assert _probed(scans) == list(range(1, threshold))
     assert len(valued) <= ceil(F(threshold, report.e.denominator)) - 1
     monkeypatch.undo()
     assert _reported(report) == _composed_bounds(*config, m_max)
@@ -717,12 +764,18 @@ def test_a_pair_past_m_max_that_beats_e_leaves_it_uncertified(monkeypatch):
     # t below 40 * 27/7 is made positive
     from fatflats.hilbert import Family
 
-    first_positive = Family.first_positive
+    descents = Family.descents
 
-    def beaten_at_40(self, s, m, stop):
-        return stop - 1 if m == 40 else first_positive(self, s, m, stop)
+    def beaten_at_40(self, s, p, q, start, end):
+        if start <= 40 < end:
+            for pair in descents(self, s, p, q, start, 40):
+                p, q = pair
+                yield pair
+            p, q, start = -(-40 * p // q) - 1, 40, 41
+            yield p, q
+        yield from descents(self, s, p, q, start, end)
 
-    monkeypatch.setattr(Family, "first_positive", beaten_at_40)
+    monkeypatch.setattr(Family, "descents", beaten_at_40)
     report = bounds_report(3, 1, 6, m_max=30)
     assert (report.e, report.e_certified, report.e_below_g) == (F(27, 7), False, True)
     assert report.e_witness == e_empirical(3, 1, 6, 30)
