@@ -45,8 +45,13 @@ def check_flat_domain(n: int, r: int, s: int = 1, m: int | None = None, t: int |
     Requires 0 <= r < n, s >= 1, n >= 2r+1 once s >= 2 (two or more disjoint
     r-flats only fit in P^n when n >= 2r+1), m >= 1 and t >= m (below m the
     count formula counts no conditions, so it is not extrapolated there); a
-    degree t is only checked against its multiplicity, so t needs m.
+    degree t is only checked against its multiplicity, so t needs m.  Each
+    of them that is given must be an int: a float or a Fraction raises
+    TypeError rather than entering a result.
     """
+    for name, value in (("n", n), ("r", r), ("s", s), ("m", m), ("t", t)):
+        if value is not None and not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     if n < 1:
         raise ValueError(f"ambient dimension must be >= 1, got n={n}")
     if not 0 <= r < n:
@@ -107,9 +112,11 @@ class Family:
     equals the count at all integers m >= 0, t >= m - r - 1.  s enters the
     Hilbert polynomial P = C(t + n, n) - s * c only as a factor, so one
     object serves every s; ``along`` restricts n! * (P - 1) to a lattice
-    line of (t, m).  ``rows[m]`` is ``count_in_t(m)`` stored for
-    m = 0.._TABLED_M, built with the family, and rows beyond it are
-    evaluated from ``counts`` on demand, so the object has a fixed size.
+    line of (t, m).  ``count_in_t(m)`` is the one accessor for a row: it
+    reads ``rows[m]``, stored for m = 0.._TABLED_M and built with the
+    family, and evaluates rows beyond it from ``counts`` in ``_row`` on
+    demand, so the object has a fixed size (``descents`` reads the table
+    inline, for speed).
     Immutable by convention; use the cached ``family(n, r)`` rather than
     building one.
     """
@@ -209,25 +216,14 @@ class Family:
         k = 0..n (``_interpolate``).  The values are polynomial values,
         whatever the sign of t - m: comb(t + n, n) is C(t + n, n) at every
         integer t >= -n, and the count is the family polynomial.  Callers
-        keep t >= -n.  Each count is put in by Horner, from the stored row
-        at m when there is one, else from ``counts``, one row in m per power
-        of t.
+        keep t >= -n.  Each count is the row ``count_in_t(m)`` put in by
+        Horner.
         """
-        n, scale, rows, counts = self.n, self.scale, self.rows, self.counts
+        n, scale = self.n, self.scale
         values = []
         for k in range(n + 1):
             m, t = q * k + j, p * k + c
-            count = 0
-            if m <= _TABLED_M:
-                for coeff in rows[m]:
-                    count = count * t + coeff
-            else:
-                for row in reversed(counts):
-                    coeff = 0
-                    for b in reversed(row):
-                        coeff = coeff * m + b
-                    count = count * t + coeff
-            values.append(scale * (comb(t + n, n) - 1) - s * count)
+            values.append(scale * (comb(t + n, n) - 1) - s * _horner(self.count_in_t(m), t))
         return UniPoly(_interpolate(values, 0))
 
 

@@ -194,8 +194,11 @@ def e_certify(n: int, r: int, s: int, candidate: Fraction) -> ECertificate:
     step proved it negative for q*k >= m_threshold, so the walk reaches the
     least one.  An unrealized candidate raises the CertificationError of the
     first step that refutes it, and a ValueError only when all three steps
-    pass.
+    pass.  A float candidate raises TypeError: its binary expansion would
+    make q a large power of two (2^51 for 27/7), one cover line each.
     """
+    if isinstance(candidate, float):
+        raise TypeError(f"the candidate must be exact (an int or a Fraction), got the float {candidate!r}")
     check_flat_domain(n, r, s)
     candidate = Fraction(candidate)
     if candidate < 1:

@@ -498,24 +498,28 @@ def test_family_regrouping_matches_symbolic_expansion():
                     assert top == factorial(n) * lambda_poly(n, r, s)(e) * q**n
 
 
+@pytest.mark.property
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
     st.integers(1, 60),
     st.integers(1, 12),
-    st.integers(0, 11),
+    st.integers(1, 80),
     st.integers(0, 6),
     st.integers(0, 6),
     st.integers(0, 8),
 )
+@example((8, 1), 5, 12, 12, 6, 6, 6)  # m = 12..108 at k = 0..8 crosses the table's end, m = 64
+@example((6, 2), 3, 7, 70, 3, 2, 4)  # m = 70..112: wholly past the table
 def test_along_is_the_hilbert_polynomial_on_a_line(family_nr, s, q, j, dp, dc, k):
-    # m = q*k + j >= 1 and t = p*k + c >= m for every k >= 0
-    (n, r), j = family_nr, j % q + 1
+    # m = q*k + j >= 1 and t = p*k + c >= m for every k >= 0; the reference
+    # is the symbolic BiPoly path, which shares no code with the family
+    n, r = family_nr
     p, c = q + dp, j + dc
     line = family(n, r).along(s, q, j, p, c)
     assert line.den == 1 and line.degree <= n
     m, t = q * k + j, p * k + c
-    assert line(k) == factorial(n) * (comb(t + n, n) - s * conditions_count(n, r, m, t) - 1)
+    assert line(k) == factorial(n) * (comb(t + n, n) - s * conditions_poly_symbolic(n, r)(t, m) - 1)
 
 
 def test_family_counts_are_integer_polynomials_of_degree_n():
@@ -609,6 +613,32 @@ def test_one_validator_rejects_t_below_m():
 def test_a_degree_without_a_multiplicity_is_a_value_error():
     with pytest.raises(ValueError, match="a degree needs a multiplicity"):
         check_flat_domain(3, 1, t=5)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((3.0, 1, 6), "n"),
+        ((3, F(1), 6), "r"),
+        ((3, 1, 6.5), "s"),
+        ((3, 1, F(6)), "s"),
+        ((3, 1, 6, 2.0), "m"),
+        ((3, 1, 6, 2, F(5)), "t"),
+    ],
+)
+def test_a_non_int_argument_is_a_type_error(args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        check_flat_domain(*args)
+
+
+def test_public_calls_refuse_a_float_s():
+    # 6.5 flats once gave a ratio witness and a polynomial
+    with pytest.raises(TypeError, match="s must be an int"):
+        e_empirical(3, 1, 6.5)
+    with pytest.raises(TypeError, match="s must be an int"):
+        lambda_poly(3, 1, 6.5)
+    with pytest.raises(TypeError, match="m must be an int"):
+        conditions_count(3, 1, 4.0, 5)
 
 
 def test_identity_sums_share_one_check():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from math import ceil, factorial, floor, log2
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import g_value, lambda_poly
-from fatflats.hilbert import conditions_count, family
+from fatflats.hilbert import Family, _TABLED_M, conditions_count, family, hilbert_poly_symbolic
 from fatflats.polynomials import UniPoly, binom
 from fatflats.waldschmidt import (
     CertificationError,
@@ -22,6 +25,7 @@ from fatflats.waldschmidt import (
     gamma_points_closed,
 )
 
+from certificate_check import along as symbolic_along
 from certificate_check import recheck
 
 
@@ -640,6 +644,43 @@ def test_bounds_report_past_the_table_certifies_e_below_g():
     cert = e_certify(8, 1, 5, report.e)
     assert (cert.m_threshold, cert.pairs_checked) == (86, 1841)
     recheck(cert)
+
+
+def test_certificate_lines_past_the_table_match_the_symbolic_path(monkeypatch):
+    # (8, 1, 5)'s certificate at 106/71 builds the ray and 71 lines, and most
+    # of their values lie past the family's table; each polynomial equals the
+    # one interpolated from the BiPoly Hilbert polynomial
+    along, built = Family.along, []
+
+    def recording(self, *args):
+        built.append((args, along(self, *args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(Family, "along", recording)
+    e_certify(8, 1, 5, F(106, 71))
+    assert len(built) == 72 and {args[2] for args, _ in built[1:]} == set(range(71))
+    assert sum(q * k + j > _TABLED_M for (_, q, j, _, _), _ in built for k in range(9)) == 582
+    hilbert = hilbert_poly_symbolic(8, 1, 5)
+    for (s, q, j, p, c), poly in built:
+        assert (s, q, p) == (5, 71, 106)
+        assert poly == symbolic_along(hilbert, 8, q, j, p, c), (j, c)
+
+
+def test_a_float_candidate_is_refused_at_once():
+    # 27/7 as a float has denominator 2^51, so the cover step would want 2^51
+    # lines; run in a subprocess so that a hang fails the test instead of the suite
+    probe = (
+        "from fatflats.waldschmidt import e_certify\n"
+        "try:\n"
+        "    e_certify(3, 1, 6, 27 / 7)\n"
+        "except TypeError as err:\n"
+        "    print(err)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, timeout=30, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("the candidate must be exact"), proc.stdout
 
 
 def test_bounds_report_e_below_g_is_lambdas_sign_on_the_grid():
