@@ -229,12 +229,15 @@ def _scan_region(
     returns (sequences, counts by degree, pairs, violations).
 
     One pass over all sums, once per head group.  A head is the first s - 1
-    entries; they are built level by level with their sum ``used`` and
-    their partial sums A0 = sum C(m+1, 2) and B0 = sum C(m+1, 3), and
-    grouped by (used, low), low being the head's last (largest) entry.
-    The last entry m then runs upward from low, and every count below
-    depends on (used, low, m) only, so each group adds its multiplicity k
-    at once.
+    entries, and a group the heads sharing their sum ``used`` and their last
+    (largest) entry low.  Only the first s - 2 entries are built, level by
+    level with their sum used' and partial sums A0 = sum C(m+1, 2) and
+    B0 = sum C(m+1, 3), then bucketed by used' and sorted by last entry.
+    As low sweeps upward, the group (used' + low, low) is a growing prefix
+    of its bucket, each extended by low, so a running count k and least A0
+    give it at once (s = 1 has one group, the empty head).  The last entry
+    m then runs upward from low; every count below depends on
+    (used, low, m) only, so each group adds its multiplicity k at once.
 
     One high end per total.  The degrees with d*s/total < g are 1..high
     (:func:`_high_ends`).  A vector with largest entry m >= 1 covers the
@@ -274,39 +277,48 @@ def _scan_region(
     violations: list[Violation] = []
     sequences = pairs = 0
 
-    # heads as (low, used, A0, B0, entries), one level per slot, in
+    # shorter heads as (last, used, A0, B0, entries), one level per slot, in
     # lexicographic order; the entry m and the left - 1 after it are all
     # >= m, so m * left <= sum_cap - used
-    heads = [(0, 0, 0, 0, ())]
-    for left in range(s, 1, -1):
-        heads = [
+    shorter = [(0, 0, 0, 0, ())]
+    for left in range(s, 2, -1):
+        shorter = [
             (m, used + m, a + pair_counts[m], b + triple_counts[m], entries + (m,))
-            for low, used, a, b, entries in heads
-            for m in range(low, (sum_cap - used) // left + 1)
+            for last, used, a, b, entries in shorter
+            for m in range(last, (sum_cap - used) // left + 1)
         ]
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    for head in heads:
-        groups.setdefault(head[:2], []).append(head)
+    buckets: dict[int, list[tuple]] = {}
+    for head in shorter:
+        buckets.setdefault(head[1], []).append(head)
 
-    for (low, used), members in groups.items():
-        k = len(members)
-        a_min = min(members)[2]  # the members share low and used
-        first = low if used else 1  # the zero vector has sum 0
-        sequences += k * (sum_cap - used - first + 1)
-        # from m = top + 1 on, the row starts above top
-        for m in range(first, min(sum_cap - used, top) + 1):
-            lo, hi = m, ends[used + m]
-            if lo <= hi:
-                diff[lo] += k
-                diff[hi + 1] -= k
-                pairs += k * (hi - lo + 1)
-                f = cubes[hi] - (hi + 1) * pair_counts[m] + 2 * triple_counts[m]
-                if 3 * f > a_min * (3 * hi - 2 * low + 5):
-                    a1, b1 = pair_counts[m], triple_counts[m]
-                    for _, _, a0, b0, entries in members:
-                        _check_vector(
-                            violations, entries + (m,), a0 + a1, 2 * (b0 + b1), lo, hi, cubes
-                        )
+    for used0, bucket in buckets.items():
+        bucket.sort()  # by last entry: a group's members are a prefix
+        k, least, size = 0, bucket[0][2], len(bucket)
+        # s = 1 has one empty head, low = 0 standing in for its last entry
+        for low in range(bucket[0][0], (sum_cap - used0) // 2 + 1 if s > 1 else 1):
+            while k < size and bucket[k][0] <= low:
+                least = min(least, bucket[k][2])
+                k += 1
+            used = used0 + low
+            a_min = least + pair_counts[low]
+            first = low if used else 1  # the zero vector has sum 0
+            sequences += k * (sum_cap - used - first + 1)
+            # from m = top + 1 on, the row starts above top
+            for m in range(first, min(sum_cap - used, top) + 1):
+                lo, hi = m, ends[used + m]
+                if lo <= hi:
+                    diff[lo] += k
+                    diff[hi + 1] -= k
+                    pairs += k * (hi - lo + 1)
+                    f = cubes[hi] - (hi + 1) * pair_counts[m] + 2 * triple_counts[m]
+                    if 3 * f > a_min * (3 * hi - 2 * low + 5):
+                        a1 = pair_counts[low] + pair_counts[m]
+                        b1 = triple_counts[low] + triple_counts[m]
+                        tail = (low, m) if s > 1 else (m,)
+                        for _, _, a0, b0, entries in bucket[:k]:
+                            _check_vector(
+                                violations, entries + tail, a0 + a1, 2 * (b0 + b1), lo, hi, cubes
+                            )
 
     counts, running = {}, 0
     for d in range(1, top + 1):

@@ -66,6 +66,14 @@ class RatioWitness(NamedTuple):
         return Fraction(self.t, self.m)
 
 
+def _check_m_max(m_max: int) -> None:
+    """m_max must be an int >= 1; like ``check_flat_domain``, a bool passes."""
+    if not isinstance(m_max, int):
+        raise TypeError(f"m_max must be an int, got {m_max!r}")
+    if m_max < 1:
+        raise ValueError("m_max must be >= 1")
+
+
 def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     """Minimal realized ratio t/m over 1 <= m <= m_max, ties to the smallest m.
 
@@ -74,8 +82,7 @@ def e_empirical(n: int, r: int, s: int, m_max: int = 60) -> RatioWitness:
     the minimum.  Only the final pair's Hilbert value is computed.
     """
     check_flat_domain(n, r, s)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    _check_m_max(m_max)
     fam = family(n, r)
     t, m = alpha_expected(n, r, s, 1), 1
     for t, m in fam.descents(s, t, m, 2, m_max + 1):
@@ -346,8 +353,7 @@ def bounds_report(n: int, r: int, s: int, m_max: int = 60) -> BoundsReport:
     the scan runs to m_max.  An uncertified e records whether e <= g held.
     """
     gamma = gamma_known_lookup(n, r, s)
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    _check_m_max(m_max)
     g = g_value(n, r, s)
     hi, den = g.hi.numerator, g.hi.denominator
     fam = family(n, r)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import g_value, lambda_poly
@@ -319,6 +319,11 @@ def test_group_bound_leaves_few_vectors_to_check(monkeypatch):
         # a suspect is a group (head sum, last head entry) with a last entry m
         suspects = {(sum(vec[:-1]), vec[-2], vec[-1]) for vec in checked}
         assert (len(suspects), len(checked)) == ((3, 20) if s == 7 else (0, 0)), s
+    # six lines lie outside the finite branch, so many of their groups are
+    # suspects; still, only a suspect group's own heads are checked one by one
+    checked.clear()
+    verifier._scan_region(_g(6), 6, 42, 27)
+    assert len(checked) == 584
 
 
 def test_enumeration_leaves_no_reference_cycle():
@@ -338,6 +343,15 @@ def test_enumeration_leaves_no_reference_cycle():
     st.integers(min_value=0, max_value=12),
     st.integers(min_value=0, max_value=12),
 )
+# the edges of the grouping: s = 1 has no head entry, at s = 2 the only
+# shorter head is the empty one, s = 3 at sum 1 has one group, and s = 8 at
+# sum 14 is wider than the strategy draws
+@example(1, 0, 0)
+@example(1, 12, 12)
+@example(2, 0, 5)
+@example(2, 9, 9)
+@example(3, 1, 1)
+@example(8, 14, 9)
 def test_region_scan_matches_naive_scan_on_small_regions(s, sum_cap, d_cap):
     """50 small regions, the grouped scan against the per-pair scan."""
     assert _fast_region(s, sum_cap, d_cap) == _naive_region(s, sum_cap, d_cap)

@@ -683,6 +683,21 @@ def test_a_float_candidate_is_refused_at_once():
     assert proc.stdout.startswith("the candidate must be exact"), proc.stdout
 
 
+@pytest.mark.parametrize("scan", [e_empirical, bounds_report], ids=["e_empirical", "bounds_report"])
+@pytest.mark.parametrize("m_max", [10.5, F(7), "7"], ids=["float", "Fraction", "str"])
+def test_a_non_int_m_max_is_refused_before_any_work(monkeypatch, scan, m_max):
+    # 10.5 once reached range() inside the scan, after the family was built
+    import fatflats.waldschmidt as waldschmidt
+
+    def no_work(*args):
+        raise AssertionError("m_max was not checked first")
+
+    monkeypatch.setattr(waldschmidt, "family", no_work)
+    monkeypatch.setattr(waldschmidt, "g_value", no_work)
+    with pytest.raises(TypeError, match="^m_max must be an int"):
+        scan(3, 1, 6, m_max)
+
+
 def test_bounds_report_e_below_g_is_lambdas_sign_on_the_grid():
     for n, r, s in GRID:
         report = bounds_report(n, r, s)
