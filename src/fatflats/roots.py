@@ -5,17 +5,22 @@ of signs first (Collins and Akritas), and only two or more sign variations
 build a sign-variation chain (Sturm's method) on ``squarefree_part``, so
 repeated roots cannot confuse the count; the chains, like the gcds, are
 built by primitive pseudo-remainders in integers.  ``sign_at`` asks it too,
-whether its bracket holds one root and a gcd shares it.  Isolation is one
-midpoint bisection, ``bisect_root``, of an interval that holds one root: the
-sign of the squarefree part alone refines it.  Once the bracket is at most
-1/4 wide, Newton in fixed point, at precisions that halve down from the
-final one, predicts the dyadic cell the halvings would end in, and opposite
-nonzero signs at its two ends confirm it (the idea of Abbott's quadratic
-interval refinement); anything unconfirmed goes back to halving, so the
-intervals are those of plain bisection.  A one-candidate test
-reports rational roots exactly (a degenerate one-point interval) instead of
-as a narrow interval.  Signs are computed in integers (``UniPoly.sign``),
-so the hot path builds no ``Fraction``.
+whether its bracket holds one root and a gcd shares it.  The shift to lo is
+``taylor_shift``, in integers, and at lo = 0 there is none.  Isolation is
+one midpoint bisection of an interval that holds one root: the sign of the
+squarefree part alone refines it.  Its core, ``bisect_bracket``, runs on an
+integer bracket (a, b, q) that stands for (a/q, b/q]; ``_newton_cell``,
+``exact_if_rational``, ``isolate_largest_root``, ``refine`` and ``sign_at``
+all go through it, and ``bisect_root`` is its wrapper with ``Fraction``
+ends.  Once the bracket is at most 1/4 wide, Newton in fixed point, at
+precisions that halve down from the final one, predicts the dyadic cell
+the halvings would end in, and opposite nonzero signs at its two ends
+confirm it (the idea of Abbott's quadratic interval refinement); anything
+unconfirmed goes back to halving, so the intervals are those of plain
+bisection.  A one-candidate test reports rational roots exactly (a
+degenerate one-point interval) instead of as a narrow interval.  Signs are
+computed in integers (``UniPoly.sign``), so the hot path builds no
+``Fraction``: a root's two ends are built once, for its ``AlgebraicNumber``.
 """
 
 from __future__ import annotations
@@ -109,16 +114,24 @@ def _variations(coeffs: list[int]) -> int:
     return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
-def _variations_above(p: UniPoly, lo: Scalar) -> int:
-    """Sign variations of q^deg(p) den p((a + y)/q), lo = a/q, by a synthetic
-    Taylor shift; by Descartes' rule they bound the roots of p above lo,
-    counted with multiplicity, and have their parity."""
-    a, q = lo.numerator, lo.denominator
-    c = [v * q**k for k, v in enumerate(reversed(p.nums))][::-1]
+def taylor_shift(nums: list[int], a: int, q: int) -> list[int]:
+    """The coefficients in y of q^d p((a + y)/q), lowest degree first, from
+    p's integer coefficients ``nums`` (d = len(nums) - 1, q > 0): synthetic
+    division in integers, O(d^2) multiplications by a."""
+    c = [v * q**k for k, v in enumerate(reversed(nums))][::-1]
     for i in range(len(c) - 1):
         for j in range(len(c) - 2, i - 1, -1):
             c[j] += a * c[j + 1]
-    return _variations(c)
+    return c
+
+
+def _variations_above(p: UniPoly, lo: Scalar) -> int:
+    """Sign variations of q^deg(p) den p((a + y)/q), lo = a/q, by a synthetic
+    Taylor shift; by Descartes' rule they bound the roots of p above lo,
+    counted with multiplicity, and have their parity.  At lo = 0 the shift
+    is the identity, so the raw numerators' variations are returned."""
+    a, q = lo.numerator, lo.denominator
+    return _variations(taylor_shift(p.nums, a, q) if a else p.nums)
 
 
 def count_roots_in(p: UniPoly, lo: Scalar, hi: Optional[Scalar] = None) -> int:
@@ -165,8 +178,9 @@ _NEWTON_BASE_BITS = 128  # Newton's first, coarsest stage runs at most this prec
 
 def _newton_cell(
     sf: UniPoly, a: int, b: int, q: int, s_hi: int, width: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """The cell that bisection of (a/q, b/q] to ``width`` ends in, or None.
+) -> Optional[tuple[int, int, int]]:
+    """The cell that bisection of (a/q, b/q] to ``width`` ends in, as
+    integers (a', b', q') like the bracket's, or None.
 
     (a/q, b/q] holds exactly one root of sf, and s_hi != 0 is the sign of
     sf(b/q).  Bisection to ``width`` takes k halvings, the least k with
@@ -236,25 +250,27 @@ def _newton_cell(
         if not (s0 and s1):
             return None
         if s0 != s1:
-            return Fraction(x0, q), Fraction(x0 + span, q)
+            return x0, x0 + span, q
         j += -1 if s1 == s_hi else 1
     return None
 
 
-def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Midpoint bisection to the one root of the squarefree sf in (lo, hi].
+def bisect_bracket(sf: UniPoly, a: int, b: int, q: int, width: Fraction) -> tuple[int, int, int]:
+    """Midpoint bisection to the one root of the squarefree sf in (a/q, b/q],
+    all in integers: q > 0, and the result (a', b', q') is read the same way.
 
-    (lo, hi] must already hold exactly one root.  It is in (mid, hi] iff
+    (a/q, b/q] must already hold exactly one root.  It is in (mid, hi] iff
     sf(hi) = 0 or sf(mid) and sf(hi) differ in sign, so each halving reads
-    one sign of sf.  Returns (lo, hi) of width at most ``width`` holding the
-    root; when a midpoint is the root it returns (mid, mid).  Once the
-    bracket is at most 1/4 wide, ``_newton_cell`` is tried once and may jump
-    straight to the final cell of the halvings, certified by two signs;
+    one sign of sf.  Returns a bracket of width at most ``width`` holding
+    the root; when a midpoint is the root it returns (mid, mid, q').  Once
+    the bracket is at most 1/4 wide, ``_newton_cell`` is tried once and may
+    jump straight to the final cell of the halvings, certified by two signs;
     whenever it declines, the halvings go on from where they stand, so the
-    result is the same either way.  The bracket and the width are read into
-    integers once, so the halvings touch no ``Fraction``.
+    result is the same either way.  The width is read into integers once,
+    so the halvings touch no ``Fraction``.  Only the rational values of the
+    ends matter: the same bracket at any common denominator gives the same
+    ends.
     """
-    a, b, q = _bracket(lo, hi)  # the same midpoints in integers
     width = Fraction(width)
     w_num, w_den = width.numerator, width.denominator
     s_hi = sf.sign(b, q)
@@ -268,11 +284,19 @@ def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tup
         a, b, q, mid = 2 * a, 2 * b, 2 * q, a + b
         s_mid = sf.sign(mid, q)
         if s_mid == 0:
-            return Fraction(mid, q), Fraction(mid, q)
+            return mid, mid, q
         if s_hi == 0 or s_mid == -s_hi:
             a = mid
         else:
             b, s_hi = mid, s_mid
+    return a, b, q
+
+
+def bisect_root(sf: UniPoly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """``bisect_bracket`` on (lo, hi], rationals in and out: (lo, hi) of width
+    at most ``width`` holding the one root of the squarefree sf, or
+    (mid, mid) when a midpoint is the root."""
+    a, b, q = bisect_bracket(sf, *_bracket(lo, hi), width)
     return Fraction(a, q), Fraction(b, q)
 
 
@@ -304,28 +328,29 @@ def isolate_largest_root(
             lo, above = mid, upper
         else:
             hi = mid
-    return exact_if_rational(sf, *bisect_root(sf, lo, hi, precision))
+    return exact_if_rational(sf, *bisect_bracket(sf, *_bracket(lo, hi), precision))
 
 
-def exact_if_rational(sf: UniPoly, lo: Fraction, hi: Fraction) -> AlgebraicNumber:
-    """The one root of the squarefree sf in (lo, hi] (a ``bisect_root``
+def exact_if_rational(sf: UniPoly, a: int, b: int, q: int) -> AlgebraicNumber:
+    """The one root of the squarefree sf in (a/q, b/q] (a ``bisect_bracket``
     result), as a point when it is rational.
 
     A rational root of the primitive part has a denominator dividing its
     leading coefficient lc.  Once a bracket (bottom, top] of the root is
     narrower than 1/lc, at most one k / lc lies in it, the one with
-    k = floor(top * lc), so one sign decides; a wider (lo, hi] is first
-    bisected below 1/(2 lc).  An irrational root keeps (lo, hi).
+    k = floor(top * lc), so one sign decides; a wider (a/q, b/q] is first
+    bisected below 1/(2 lc).  An irrational root keeps (a/q, b/q).  The
+    number's two ``Fraction`` ends are the only ones built.
     """
     defining = sf.primitive()
     lc = defining.nums[-1]
-    a, b, q = _bracket(lo, hi)
-    top = hi if (b - a) * lc < q else bisect_root(sf, lo, hi, Fraction(1, 2 * lc))[1]
-    k = top.numerator * lc // top.denominator
+    top, top_q = (b, q) if (b - a) * lc < q else bisect_bracket(sf, a, b, q, Fraction(1, 2 * lc))[1:]
+    k = top * lc // top_q
     if a * lc < k * q and defining.sign(k, lc) == 0:
         # the interval holds exactly one root of sf, so k / lc is that root
-        lo = hi = Fraction(k, lc)
-    return AlgebraicNumber(defining, lo, hi)
+        root = Fraction(k, lc)
+        return AlgebraicNumber(defining, root, root)
+    return AlgebraicNumber(defining, Fraction(a, q), Fraction(b, q))
 
 
 def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
@@ -337,15 +362,15 @@ def refine(alg: AlgebraicNumber, precision: Fraction) -> AlgebraicNumber:
     return AlgebraicNumber(alg.defining, *bisect_root(alg.defining, alg.lo, alg.hi, precision))
 
 
-def _interval_eval(p: UniPoly, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+def _interval_eval(p: UniPoly, a: int, b: int, q: int) -> tuple[int, int]:
     """Interval Horner evaluation in integers.
 
-    With lo = a/q and hi = b/q over a common denominator q, and p = nums/den,
-    the result is the interval Horner enclosure of {p(x) : x in [lo, hi]}
-    times the positive den * q^deg(p), so it has the same signs.  For
-    lo >= 0 two products, chosen by the signs of alo and ahi, are the ends.
+    With lo = a/q and hi = b/q over a common denominator q > 0, and p =
+    nums/den, the result is the interval Horner enclosure of {p(x) : x in
+    [lo, hi]} times the positive den * q^deg(p), so it has the same signs.
+    For lo >= 0 two products, chosen by the signs of alo and ahi, are the
+    ends.
     """
-    a, b, q = _bracket(lo, hi)
     alo = ahi = 0
     qk = 1
     for c in reversed(p.nums):
@@ -375,7 +400,8 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
     if alg.is_exact:
         return p.sign(alg.value)
     lo, hi = alg.lo, alg.hi
-    vlo, vhi = _interval_eval(p, lo, hi)
+    a, b, q = _bracket(lo, hi)
+    vlo, vhi = _interval_eval(p, a, b, q)
     if vlo <= 0 <= vhi:
         if count_roots_in(alg.defining, lo, hi) != 1:
             raise ValueError(f"the defining polynomial has no single root in ({lo}, {hi}]")
@@ -383,6 +409,6 @@ def sign_at(alg: AlgebraicNumber, p: UniPoly) -> int:
         if g.degree > 0 and count_roots_in(g, lo, hi):
             return 0
         while vlo <= 0 <= vhi:
-            lo, hi = bisect_root(alg.defining, lo, hi, (hi - lo) / 4)
-            vlo, vhi = _interval_eval(p, lo, hi)
+            a, b, q = bisect_bracket(alg.defining, a, b, q, Fraction(b - a, 4 * q))
+            vlo, vhi = _interval_eval(p, a, b, q)
     return 1 if vlo > 0 else -1

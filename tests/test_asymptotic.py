@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -12,11 +13,12 @@ from fatflats.asymptotic import (
     g_value,
     lambda_poly,
     lambda_poly_via_leading,
+    pencil,
     tower_check,
 )
 from fatflats.polynomials import UniPoly, poly_gcd
-from fatflats.roots import count_roots_in, isolate_largest_root
-from test_roots import _plain_g, _same_root
+from fatflats.roots import _bracket, count_roots_in, exact_if_rational, isolate_largest_root, sign_at
+from test_roots import _plain_bisect, _plain_g, _same_root
 
 
 def test_lambda_closed_forms():
@@ -251,3 +253,154 @@ def test_g_value_matches_the_chain_isolator(width):
             g = g_value(n, r, s, width)
             assert _same_root(g, isolate_largest_root(lambda_poly(n, r, s), F(1), width)), (n, r, s, width)
             assert s == 1 or g == _plain_g(n, r, s, width), (n, r, s, width)
+
+
+# ---- the (n, r) pencil ----------------------------------------------------
+
+
+@st.composite
+def pencil_configs(draw):
+    """(n, r, s) with n <= 40, every r <= (n - 1)/2 and 1 <= s <= 10^6."""
+    n = draw(st.integers(1, 40))
+    return n, draw(st.integers(0, (n - 1) // 2)), draw(st.integers(1, 10**6))
+
+
+@pytest.mark.property
+@settings(max_examples=200)
+@given(pencil_configs())
+def test_pencil_shift_is_lambda_shifted_to_one(config):
+    """200 (n, r, s) with n <= 40 and s <= 10^6, the pencil's A_s against
+    n! lambda_poly(n, r, s) composed with 1 + y by Horner in UniPolys."""
+    n, r, s = config
+    reference = UniPoly()
+    for c in reversed((lambda_poly(n, r, s) * factorial(n)).coeffs):
+        reference = reference * UniPoly([1, 1]) + UniPoly([c])
+    assert pencil(n, r).shifted(s) == reference
+    assert pencil(n, r).b_at_two == sum(comb(n, j) for j in range(r + 1))
+
+
+def _off_by_one(right):
+    def wrong(n, r):
+        b = right(n, r)
+        b[0] += 1
+        return b
+
+    return wrong
+
+
+def _sign_slip(right):
+    # (-1)^k for (-1)^(r - k): the same closed form for even r
+    return lambda n, r: [c * (-1) ** r for c in right(n, r)]
+
+
+@pytest.mark.parametrize("wrong", [_off_by_one, _sign_slip])
+def test_a_wrong_closed_form_is_refused_before_any_g(monkeypatch, wrong):
+    import fatflats.asymptotic as asymptotic
+
+    monkeypatch.setattr(asymptotic, "_b_coeffs", wrong(asymptotic._b_coeffs))
+    asymptotic.pencil.cache_clear()  # a pencil built from the right form would hide the patch
+    try:
+        for config in [(3, 1, 6), (5, 1, 2), (7, 3, 1), (12, 5, 100)]:
+            with pytest.raises(ArithmeticError):
+                lambda_poly(*config)
+            with pytest.raises(ArithmeticError):
+                g_value(*config)
+    finally:
+        asymptotic.pencil.cache_clear()
+
+
+def test_pencil_built_once_across_s(monkeypatch):
+    # every lambda, bound and g of (n, r) reads one pencil
+    import fatflats.asymptotic as asymptotic
+    from fatflats.waldschmidt import bounds_report
+
+    builds = []
+
+    class Counting(asymptotic.Pencil):
+        __slots__ = ()
+
+        def __init__(self, n, r):
+            builds.append((n, r))
+            super().__init__(n, r)
+
+    monkeypatch.setattr(asymptotic, "Pencil", Counting)
+    asymptotic.pencil.cache_clear()
+    try:
+        for s in list(range(1, 40)) + [10**3, 10**6]:
+            g = g_value(7, 3, s, F(1, 10**50))
+            assert lambda_poly(7, 3, s) == _double_sum_lambda(7, 3, s)
+            assert _root_bounds(7, 3, s) >= 2
+            if s > 1:
+                assert sign_at(g, lambda_poly(7, 3, s + 1)) == -1
+        for s in range(2, 9):
+            bounds_report(5, 2, s)
+        assert builds == [(7, 3), (5, 2)]
+    finally:
+        asymptotic.pencil.cache_clear()
+
+
+# ---- what the benchmark's tracer and timeouts read of g_value ---------------
+
+
+def test_g_value_reaches_the_traced_count_and_evaluation(monkeypatch):
+    # perfbench's tracer self-test runs g_value(3, 1, 6) and expects spans of
+    # both count_roots_in and UniPoly.__call__; lam(1) == 0 is the evaluation
+    import fatflats.asymptotic as asymptotic
+
+    counts, values = [], []
+    original_count, original_call = asymptotic.count_roots_in, UniPoly.__call__
+    monkeypatch.setattr(asymptotic, "count_roots_in", lambda *args: counts.append(args) or original_count(*args))
+    monkeypatch.setattr(UniPoly, "__call__", lambda self, x: values.append(x) or original_call(self, x))
+    for s in (1, 6):
+        g_value(3, 1, s)
+    assert len(counts) == 2 and values == [1, 1]
+
+
+def test_roots_grid_takes_no_taylor_shift_at_a_nonzero_point(monkeypatch):
+    # the roots workload's items, g at 1e-50 and one sign_at: every count
+    # starts at 0 on the pencil's A, so no call shifts
+    import fatflats.roots as roots
+
+    points = []
+    original = roots._variations_above
+    monkeypatch.setattr(roots, "_variations_above", lambda p, lo: points.append(lo) or original(p, lo))
+    for n in range(2, 13):
+        for r in range((n - 1) // 2 + 1):
+            for s in range(2, 101):
+                g = g_value(n, r, s, F(1, 10**50))
+                sign_at(g, lambda_poly(n, r, s + 1))
+    assert len(points) == 4059 and not any(points)
+
+
+class _Stop(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stop
+
+
+@pytest.mark.parametrize("width", [0, F(-1, 10**50)])
+def test_g_value_at_a_nonpositive_width_never_returns(width):
+    # perfbench's timeout tests hang an item on g_value(3, 1, 6, 0): the
+    # halvings must run on rather than return or raise; the alarm ends them
+    previous = signal.signal(signal.SIGALRM, _stop)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(_Stop):
+            g_value(3, 1, 6, width)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_g_value_reads_up_from_root_bounds_alone(monkeypatch):
+    # test_g_value_checks_its_power_of_two_bracket patches _root_bounds: g's
+    # count and bisection must both take up from it, here (1, 64] for (1, 8]
+    import fatflats.asymptotic as asymptotic
+
+    lam = lambda_poly(3, 1, 6)
+    monkeypatch.setattr(asymptotic, "_root_bounds", lambda n, r, s: 64)
+    for width in (F(1, 2), F(1, 10**20)):
+        want, own = (exact_if_rational(lam, *_bracket(*_plain_bisect(lam, F(1), F(up), width))) for up in (64, 8))
+        assert g_value(3, 1, 6, width) == want != own

@@ -11,9 +11,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fatflats.asymptotic import _root_bounds, g_value, lambda_poly
-from fatflats.polynomials import UniPoly, squarefree_part
+from fatflats.polynomials import UniPoly, poly_gcd, squarefree_part
 from fatflats.roots import (
     AlgebraicNumber,
+    _bracket,
     _interval_eval,
     _variations_above,
     bisect_root,
@@ -25,6 +26,7 @@ from fatflats.roots import (
     sign_at,
     sign_variations,
     sturm_chain,
+    taylor_shift,
 )
 
 
@@ -102,6 +104,66 @@ def test_descartes_count_matches_the_sturm_count(case):
     assert count_roots_in(p, lo, hi) == sign_variations(chain, lo) - sign_variations(chain, hi)
 
 
+@st.composite
+def counting_cases_from_zero(draw):
+    """(p, hi): a random integer polynomial times x^i, i <= 3 (a root at 0
+    and zero low coefficients), at times with a run of zeros inside, a root
+    planted at hi or the square of a random factor; hi is omitted or a
+    positive rational."""
+    low = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+    high = draw(st.lists(st.integers(-9, 9), max_size=3))
+    p = UniPoly([0] * draw(st.integers(0, 3)) + low + [0] * draw(st.integers(0, 3)) + high)
+    assume(not p.is_zero)
+    hi = draw(st.one_of(st.none(), st.fractions(min_value=0, max_value=6, max_denominator=9).filter(bool)))
+    if hi is not None:
+        p = p * UniPoly([-hi, 1]) ** draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        h = UniPoly(draw(st.lists(st.integers(-5, 5), min_size=2, max_size=3)))
+        p = p * h * h if h.degree > 0 else p
+    return p, hi
+
+
+def _sturm_count(p, lo, hi):
+    chain = sturm_chain(p)
+    return sign_variations(chain, lo) - sign_variations(chain, hi)
+
+
+@pytest.mark.property
+@settings(max_examples=300)
+@given(counting_cases_from_zero())
+def test_count_from_zero_matches_the_sturm_count(case):
+    """300 polynomials with zero low coefficients or a root at 0, counted on
+    (0, hi] and on (0, infinity) with no shift, against Sturm counts; their
+    raw variations against Descartes' bound and parity, with the roots'
+    multiplicities read off Sturm counts of p, gcd(p, p'), ..."""
+    p, hi = case
+    top = max(cauchy_root_bound(p), F(1))
+    assert count_roots_in(p, 0, hi) == count_roots_in(p, F(0), hi) == _sturm_count(p, 0, top if hi is None else hi)
+    variations = _variations_above(p, 0)
+    assert variations == _variations_above(p, F(0))
+    with_multiplicity, g = 0, p
+    while g.degree > 0:  # a root of multiplicity k is a root of the first k of them
+        with_multiplicity += _sturm_count(g, 0, top)
+        g = poly_gcd(g, g.derivative())
+    assert variations >= with_multiplicity and (variations - with_multiplicity) % 2 == 0
+
+
+@pytest.mark.property
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+def test_taylor_shift_is_composition_with_a_shifted_scaled_y(nums, lo):
+    """200 integer coefficient lists of degree <= 8, the shift to lo = a/q
+    against UniPoly composition with (a + y)/q by Horner, times q^d."""
+    a, q = lo.numerator, lo.denominator
+    composed = UniPoly()
+    for c in reversed(nums):
+        composed = composed * UniPoly([lo, F(1, q)]) + UniPoly([c])
+    assert UniPoly(taylor_shift(nums, a, q)) == composed * q ** (len(nums) - 1)
+
+
 def test_count_rejects_zero_and_bad_interval():
     with pytest.raises(ValueError):
         count_roots_in(UniPoly(), F(0), F(1))
@@ -151,6 +213,9 @@ def test_open_ended_count_matches_the_count_to_the_cauchy_bound(case, lead):
         ([F(-1), F(-2), F(1, 3)], F(1), 0, 0),  # no root above lo
         ([F(-1), F(1, 3)], F(1, 3), 0, 0),  # the largest root is lo
         ([F(-4), F(7, 2)], F(-3), 1, 1),  # V = 1: one simple root above lo
+        ([F(0), F(0), F(2), F(-1)], F(0), 1, 1),  # lo = 0, no shift: a double root at lo
+        ([F(0), F(1, 2), F(3), F(-5)], F(0), 2, 2),  # lo = 0: V = 2, the chain decides
+        ([F(-1), F(-2)], F(0), 0, 0),  # lo = 0: every root below it
     ],
 )
 def test_open_ended_count_cases(roots, lo, count, variations):
@@ -394,7 +459,7 @@ def _four_product_eval(p, lo, hi):
 def test_interval_eval_takes_two_products_from_a_nonnegative_bracket(nums, lo, width):
     p = UniPoly(nums)
     assume(not p.is_zero)
-    assert _interval_eval(p, lo, lo + width) == _four_product_eval(p, lo, lo + width)
+    assert _interval_eval(p, *_bracket(lo, lo + width)) == _four_product_eval(p, lo, lo + width)
 
 
 def test_sign_at_off_zero_pays_no_gcd(monkeypatch):
@@ -453,7 +518,7 @@ def test_exact_if_rational_finds_every_rational_root(case):
     # a constructed rational root comes back as a point at every bracket
     # width, and an irrational one keeps the caller's bracket
     sf, lo, hi, rational = case
-    got = exact_if_rational(sf, lo, hi)
+    got = exact_if_rational(sf, *_bracket(lo, hi))
     defining = sf.primitive()
     assert got.defining == defining
     if rational:
@@ -465,12 +530,12 @@ def test_exact_if_rational_finds_every_rational_root(case):
 def test_exact_if_rational_one_candidate_examples():
     # 1/2 is the simplest rational in [0.42, 0.51], but the root is 3/7; the
     # bracket is narrower than 1/7, so 3/7 is the one candidate
-    got = exact_if_rational(UniPoly([-3, 7]), F(42, 100), F(51, 100))
+    got = exact_if_rational(UniPoly([-3, 7]), 42, 51, 100)
     assert got.is_exact and got.value == F(3, 7)
-    wide = exact_if_rational(UniPoly([-3, 7]), F(2, 10), F(51, 100))
+    wide = exact_if_rational(UniPoly([-3, 7]), 20, 51, 100)
     assert wide.is_exact and wide.value == F(3, 7)  # bisected below 1/14 first
     # x (x^2 - 10x + 1): the candidate k = 0 is the root at lo, outside (lo, hi]
-    low = exact_if_rational(UniPoly([0, 1, -10, 1]), F(0), F(1, 5))
+    low = exact_if_rational(UniPoly([0, 1, -10, 1]), 0, 1, 5)
     assert not low.is_exact
 
 
@@ -681,7 +746,7 @@ def _plain_g(n, r, s, width):
     """g_value's reference for s >= 2: plain bisection of (1, up], up from
     ``_root_bounds``, and a rational root reported exactly."""
     lam = lambda_poly(n, r, s)
-    return exact_if_rational(lam, *_plain_bisect(lam, F(1), F(_root_bounds(n, r, s)), width))
+    return exact_if_rational(lam, *_bracket(*_plain_bisect(lam, F(1), F(_root_bounds(n, r, s)), width)))
 
 
 def _same_root(g, other):

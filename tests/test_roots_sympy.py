@@ -62,6 +62,21 @@ def test_count_matches_sympy(p, a, b):
 
 
 @settings(deadline=None)
+@given(
+    integer_polys(),
+    st.integers(0, 3),
+    st.one_of(st.none(), st.fractions(min_value=0, max_value=6, max_denominator=4).filter(bool)),
+)
+def test_count_from_zero_matches_sympy(p, zeros, hi):
+    # lo = 0 takes no Taylor shift: x^zeros puts a root at 0 and zero low
+    # coefficients; no hi counts on (0, infinity)
+    p = p * UniPoly([0, 1]) ** zeros
+    sp = _to_sympy(p)
+    closed = sp.count_roots(0, None if hi is None else _rational(hi))
+    assert count_roots_in(p, 0, hi) == closed - (1 if sp.eval(0) == 0 else 0)
+
+
+@settings(deadline=None)
 @given(integer_polys(), endpoints, st.sampled_from([F(1, 10), F(1, 1000), F(1, 10**12)]))
 def test_isolated_interval_holds_sympys_largest_root(p, lower, width):
     sp = _to_sympy(p)
